@@ -1,0 +1,140 @@
+"""Golden outputs of ``weakmeas sweep`` over the full circle.
+
+Each case is one sweep at 0..359 deg in 1 deg steps, eps = 0.08. Its
+golden is every numeric cell as a (column, row) float64 array, NaN where
+the cell is empty, stored xz-compressed as ``<case>.npy.xz``, plus the
+sha256 of the CSV bytes in ``SHA256SUMS``. The cells are read from the
+JSON output, which prints each float in full; the CSV prints the same
+values to 12 significant digits, so the CSV of the goldens can be
+rebuilt from them, and a changed CSV cell shows with its ulp distance.
+
+    PYTHONPATH=src python tests/golden/make_goldens.py          # compare, print differing cells
+    PYTHONPATH=src python tests/golden/make_goldens.py --write  # rewrite the goldens
+
+The goldens pin the output of the commit they were made at. Rewriting
+them is a change of the recorded behaviour: a commit that does so names
+every cell that changed (the compare mode lists them with their ulp
+distance).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import lzma
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+SUMS = GOLDEN_DIR / "SHA256SUMS"
+
+_GRID = ("--theta-start", "0", "--theta-stop", "359", "--theta-step", "1", "--epsilon", "0.08")
+_MODELS = {
+    "linear": ("--model", "linear"),
+    "exact-ideal": ("--model", "exact-ideal"),
+    "exact-ppbs": ("--model", "exact-ppbs", "--tv", "0.6", "--ah", "0.55"),
+}
+#: Case name -> sweep argv without ``--format`` and ``--out``.
+CASES = {
+    f"{model}-ps{ps}": ("sweep", *_GRID, *args, "--postselect", str(ps))
+    for model, args in _MODELS.items()
+    for ps in (270, 300)
+}
+
+
+def run_case(name: str, fmt: str) -> bytes:
+    """The bytes the sweep of case ``name`` writes in format ``fmt``."""
+    from weakmeas.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / f"{name}.{fmt}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*CASES[name], "--format", fmt, "--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"sweep of case {name} exited {code}")
+        return out.read_bytes()
+
+
+def json_cells(data: bytes) -> np.ndarray:
+    """Numeric cells of a JSON sweep as a (column, row) array, NaN where
+    null. ``format_version`` is not numeric and is left out."""
+    rows = json.loads(data)["rows"]
+    keys = list(rows[0])[:-1]
+    return np.array([[math.nan if r[k] is None else r[k] for k in keys] for r in rows]).T
+
+
+def csv_cells(data: bytes) -> list[list[str]]:
+    """Numeric cells of a CSV sweep as text, (column, row)."""
+    rows = [line.split(",")[:-1] for line in data.decode("utf-8").splitlines()[1:]]
+    return [list(col) for col in zip(*rows)]
+
+
+def printed(value: float) -> str:
+    """A cell as the CSV prints it."""
+    return "" if math.isnan(value) else f"{value:.12g}"
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.npy.xz"
+
+
+def load_cells(name: str) -> np.ndarray:
+    return np.load(io.BytesIO(lzma.decompress(golden_path(name).read_bytes())))
+
+
+def load_sums() -> dict[str, str]:
+    pairs = (line.split() for line in SUMS.read_text(encoding="ascii").splitlines())
+    return {name: digest for digest, name in pairs}
+
+
+def ulp_distance(a: float, b: float) -> int:
+    """Number of doubles between a and b, which have the same sign."""
+    ia, ib = np.array([a, b], dtype=np.float64).view(np.int64)
+    return abs(int(ia) - int(ib))
+
+
+def write() -> None:
+    sums = []
+    for name in CASES:
+        cells = json_cells(run_case(name, "json"))
+        csv = run_case(name, "csv")
+        if csv_cells(csv) != [[printed(v) for v in col] for col in cells]:
+            raise RuntimeError(f"case {name}: the CSV does not print the JSON values")
+        buf = io.BytesIO()
+        np.save(buf, cells)
+        golden_path(name).write_bytes(lzma.compress(buf.getvalue(), preset=9))
+        sums.append(f"{hashlib.sha256(csv).hexdigest()}  {name}\n")
+    SUMS.write_text("".join(sums), encoding="ascii")
+
+
+def compare() -> int:
+    """Print every CSV cell that differs from the golden's, with the ulp
+    distance between the full-precision values."""
+    from weakmeas.cli import SWEEP_COLUMNS
+
+    sums, changed = load_sums(), 0
+    for name in CASES:
+        csv = run_case(name, "csv")
+        if hashlib.sha256(csv).hexdigest() == sums[name]:
+            continue
+        want, got = load_cells(name), json_cells(run_case(name, "json"))
+        for col, texts in enumerate(csv_cells(csv)):
+            for row, text in enumerate(texts):
+                if text != printed(want[col, row]):
+                    changed += 1
+                    print(f"{name} theta={want[0, row]:g} {SWEEP_COLUMNS[col]}: "
+                          f"{printed(want[col, row])} -> {text} "
+                          f"({want[col, row]!r} -> {got[col, row]!r}, "
+                          f"{ulp_distance(want[col, row], got[col, row])} ulp)")
+    print(f"{changed} printed cells differ")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(write() if "--write" in sys.argv[1:] else compare())

@@ -5,6 +5,8 @@ import pytest
 
 from weakmeas import (
     CELLS,
+    EnsembleStats,
+    GateParams,
     JointDistribution,
     MeterOutcome,
     ModelTag,
@@ -31,6 +33,23 @@ FROZEN_COUNTS_SEED42 = {
     (MeterOutcome.D, PostSelectOutcome.D): 2897,
     (MeterOutcome.A, PostSelectOutcome.D): 2106,
 }
+
+# Exact ensemble statistics, made before the model kernel was batched:
+# (theta, eps, model, gate params, shots, mode, base_seed) -> stats. A
+# changed draw shows as a changed mean or variance far beyond 1e-12.
+PINNED_ENSEMBLES = [
+    ((30.0, 0.08, ModelTag.LINEAR, None, 10**5, "multinomial", 2024),
+     EnsembleStats(0.08012757872339867, 2.8812903900741797e-06, 200, 3.333333333333334e-06, 0)),
+    ((30.0, 0.08, ModelTag.EXACT_IDEAL, None, 10**5, "multinomial", 2024),
+     EnsembleStats(0.0785909404577579, 2.8327865571499655e-06, 200, 3.333333333333334e-06, 0)),
+    ((30.0, 0.08, ModelTag.EXACT_PPBS, GateParams(1.0, 0.6, 0.55), 10**5, "multinomial", 2024),
+     EnsembleStats(0.08553212512564652, 3.032007844899424e-06, 200, 3.333333333333334e-06, 0)),
+    ((30.0, 0.08, ModelTag.LINEAR, None, 10**5, "poisson", 2024),
+     EnsembleStats(0.08009687825640789, 3.1143998283685644e-06, 200, 3.333333333333334e-06, 0)),
+    # near the singular post-selection, where replicas are discarded
+    ((88.0, 0.0, ModelTag.LINEAR, None, 40_000, "multinomial", 2030),
+     EnsembleStats(-0.0001348454907622772, 6.776956174320578e-06, 198, 6.251904245572803e-06, 2)),
+]
 
 
 class TestModelDistribution:
@@ -144,6 +163,15 @@ class TestRunEnsemble:
         # theta=2 deg: p(m, A) ~ 1.5e-4, so n=10 leaves empty cells
         with pytest.raises(TooManyDiscardedReplicas):
             run_ensemble(2.0, 0.0, ModelTag.LINEAR, 10, 50, base_seed=21)
+
+    @pytest.mark.parametrize("params, want", PINNED_ENSEMBLES)
+    def test_pinned_stats(self, params, want):
+        theta, eps, model, gate, shots, mode, seed = params
+        got = run_ensemble(theta, eps, model, shots, 200, base_seed=seed,
+                           gate_params=gate, mode=mode)
+        assert (got.n_replicas, got.n_discarded) == (want.n_replicas, want.n_discarded)
+        for name in ("mean_eps_hat", "var_eps_hat", "crb"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
 
     def test_rejects_single_replica(self):
         with pytest.raises(ValueError):
