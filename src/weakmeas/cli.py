@@ -16,6 +16,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import errors
 from .errors import WeakMeasError
 from .estimation import (
@@ -24,17 +26,14 @@ from .estimation import (
     cramer_rao_bound,
     estimate_epsilon,
     extract_weak_value,
-    fisher_information,
 )
 from .gatesim import COMPENSATED_PPBS, GateParams
-from .montecarlo import ModelTag, model_distribution, run_ensemble
-from .qstate import QubitState, linear_pol_state, stokes_hv
-from .weakmodel import (
-    SINGULARITY_THRESHOLD,
-    JointDistribution,
-    PostSelectOutcome,
-    weak_value,
+from .kernel import (
+    ModelTag, analyzer_basis, fisher_information, model_distribution, sweep_columns, weak_value,
 )
+from .montecarlo import run_ensemble
+from .qstate import linear_pol_state, stokes_hv
+from .weakmodel import JointDistribution, PostSelectOutcome
 
 SWEEP_FORMAT_VERSION = "sweep-1"
 
@@ -85,15 +84,11 @@ def _epilog() -> str:
     return "\n".join(lines)
 
 
-def _postselect_basis(postselect_deg: float) -> tuple[QubitState, QubitState]:
-    """Basis pair for a post-selection angle: the orthogonal partner maps
-    to outcome label D, the analyzer state itself to label A. The default
-    270 deg gives the diagonal (D, A) pair."""
-    return linear_pol_state(postselect_deg - 180.0), linear_pol_state(postselect_deg)
-
-
 def _gate_params(args) -> GateParams | None:
     if args.model != "exact-ppbs":
+        given = [f"--{n}" for n in ("tv", "th", "ah") if getattr(args, n) is not None]
+        if given:
+            raise ValueError(f"{'/'.join(given)} apply only to --model exact-ppbs")
         return None
     t_v = args.tv if args.tv is not None else COMPENSATED_PPBS.t_v
     t_h = args.th if args.th is not None else COMPENSATED_PPBS.t_h
@@ -102,18 +97,12 @@ def _gate_params(args) -> GateParams | None:
 
 
 def _distribution(args, theta: float, eps: float) -> JointDistribution:
-    return model_distribution(
-        theta,
-        eps,
-        ModelTag.parse(args.model),
-        gate_params=_gate_params(args),
-        f_basis=_postselect_basis(args.postselect),
-    )
+    basis = analyzer_basis(args.postselect)
+    return model_distribution(theta, eps, args.model, _gate_params(args), basis)
 
 
-def _print_json(payload: dict, out=None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    (out or sys.stdout).write(text)
+def _print_json(payload: dict) -> None:
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_probs(args) -> int:
@@ -137,78 +126,59 @@ def cmd_probs(args) -> int:
     return 0
 
 
-def _sweep_row(args, theta: float) -> dict:
-    psi = linear_pol_state(theta)
-    basis = _postselect_basis(args.postselect)
-    obs = stokes_hv()
+def _theta_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start + k * step for k = 0, 1, ... while the angle does not exceed
+    stop by more than 1e-9."""
+    if step <= 0:
+        raise ValueError("--theta-step must be positive")
+    if start > stop:
+        raise ValueError("--theta-start must not exceed --theta-stop")
+    limit = stop + 1e-9
+    theta = start + np.arange(int((limit - start) // step) + 2) * step
+    return theta[theta <= limit]
 
-    row = dict.fromkeys(SWEEP_COLUMNS)
-    row["theta_deg"] = theta
-    row["format_version"] = SWEEP_FORMAT_VERSION
 
-    report = fisher_information(psi, basis, obs=obs)
-    f_a = report.per_f[PostSelectOutcome.A]
-    f_d = report.per_f[PostSelectOutcome.D]
-    row["F_A"], row["F_D"], row["F_total"] = f_a, f_d, report.total
-    if f_a > SINGULARITY_THRESHOLD:
-        row["sigma_rel_A"] = 1.0 / math.sqrt(f_a)
+#: A sweep row as json.dumps(indent=2) prints it inside the rows array.
+_JSON_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{}}' for c in SWEEP_COLUMNS) + "\n    }}"
 
-    wv_a = None
-    try:
-        wv_a = weak_value(psi, basis[1], obs).real
-        row["wv_A"] = wv_a
-    except WeakMeasError:
-        pass
-    try:
-        row["wv_D"] = weak_value(psi, basis[0], obs).real
-    except WeakMeasError:
-        pass
 
-    try:
-        dist = _distribution(args, theta, args.epsilon)
-    except WeakMeasError:
-        dist = None
-    if dist is not None:
-        row["p_DA"], row["p_AA"], row["p_DD"], row["p_AD"] = dist.values()
-        if wv_a is not None and dist.marginal_f(PostSelectOutcome.A) > 0.0:
-            try:
-                cond = ConditionalPair.from_joint(dist, PostSelectOutcome.A)
-                row["eps_hat_A"] = estimate_epsilon(
-                    cond, wv_a, PostSelectOutcome.A
-                ).epsilon_hat
-            except WeakMeasError:
-                pass
-    return row
+def _json_row(row) -> str:
+    # json.dumps of the row as a list prints each value as it prints it in
+    # a dict; no value contains ", ", the list's item separator
+    return _JSON_ROW.format(*json.dumps(row)[1:-1].split(", "))
 
 
 def cmd_sweep(args) -> int:
-    if args.theta_step <= 0:
-        raise ValueError("--theta-step must be positive")
-    if args.theta_start > args.theta_stop:
-        raise ValueError("--theta-start must not exceed --theta-stop")
-    thetas = []
-    k = 0
-    while True:
-        theta = args.theta_start + k * args.theta_step
-        if theta > args.theta_stop + 1e-9:
-            break
-        thetas.append(theta)
-        k += 1
-
-    rows = [_sweep_row(args, theta) for theta in thetas]
+    columns = sweep_columns(
+        _theta_grid(args.theta_start, args.theta_stop, args.theta_step),
+        args.epsilon,
+        ModelTag.parse(args.model),
+        _gate_params(args),
+        args.postselect,
+    )
+    numeric = [columns[c].tolist() for c in SWEEP_COLUMNS[:-1]]
+    rows = (
+        [None if v != v else v for v in values] + [SWEEP_FORMAT_VERSION]
+        for values in zip(*numeric)
+    )
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         if args.format == "csv":
             handle.write(",".join(SWEEP_COLUMNS) + "\n")
             for row in rows:
-                handle.write(",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) + "\n")
+                handle.write(",".join(map(_fmt, row)) + "\n")
         else:
-            _print_json({"format": SWEEP_FORMAT_VERSION, "rows": rows}, out=handle)
+            # json.dumps(indent=2) of {"format": ..., "rows": [...]}, a row at a time
+            handle.write(f'{{\n  "format": "{SWEEP_FORMAT_VERSION}",\n  "rows": [\n')
+            handle.write(_json_row(next(rows)))
+            for row in rows:
+                handle.write(",\n" + _json_row(row))
+            handle.write("\n  ]\n}\n")
     return 0
 
 
 def cmd_weakvalue(args) -> int:
     psi = linear_pol_state(args.theta)
-    basis = _postselect_basis(args.postselect)
+    basis = analyzer_basis(args.postselect)
     analytic = weak_value(psi, basis[1], stokes_hv()).real
     p_eps = model_distribution(args.theta, args.eps_probe, ModelTag.LINEAR, f_basis=basis)
     p_zero = model_distribution(args.theta, 0.0, ModelTag.LINEAR, f_basis=basis)
@@ -227,7 +197,7 @@ def cmd_weakvalue(args) -> int:
 
 def cmd_fisher(args) -> int:
     psi = linear_pol_state(args.theta)
-    report = fisher_information(psi, _postselect_basis(args.postselect))
+    report = fisher_information(psi, analyzer_basis(args.postselect))
     payload = {
         "theta_deg": args.theta,
         "postselect_deg": args.postselect,
@@ -247,7 +217,7 @@ def cmd_fisher(args) -> int:
 
 def cmd_estimate(args) -> int:
     psi = linear_pol_state(args.theta)
-    basis = _postselect_basis(args.postselect)
+    basis = analyzer_basis(args.postselect)
     dist = _distribution(args, args.theta, args.epsilon)
     wv_ref = weak_value(psi, basis[1], stokes_hv()).real
     p_d, p_a = dist.conditional(PostSelectOutcome.A)
@@ -302,6 +272,13 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_model_args(sub) -> None:
     sub.add_argument(
         "--model",
@@ -309,15 +286,15 @@ def _add_model_args(sub) -> None:
         default="linear",
         help="probability model (default: linear)",
     )
-    sub.add_argument("--tv", type=float, default=None, help="PPBS t_V amplitude")
-    sub.add_argument("--th", type=float, default=None, help="PPBS t_H amplitude")
-    sub.add_argument("--ah", type=float, default=None, help="H compensation amplitude")
+    sub.add_argument("--tv", type=_finite, default=None, help="PPBS t_V amplitude")
+    sub.add_argument("--th", type=_finite, default=None, help="PPBS t_H amplitude")
+    sub.add_argument("--ah", type=_finite, default=None, help="H compensation amplitude")
 
 
 def _add_postselect_arg(sub) -> None:
     sub.add_argument(
         "--postselect",
-        type=float,
+        type=_finite,
         default=270.0,
         help="post-selection analyzer angle in degrees (default: 270)",
     )
@@ -333,18 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("probs", help="joint probabilities p(m, f) at one point")
-    p.add_argument("--theta", type=float, required=True, help="input angle (deg)")
-    p.add_argument("--epsilon", type=float, required=True, help="coupling strength")
+    p.add_argument("--theta", type=_finite, required=True, help="input angle (deg)")
+    p.add_argument("--epsilon", type=_finite, required=True, help="coupling strength")
     _add_model_args(p)
     _add_postselect_arg(p)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_probs)
 
     p = subs.add_parser("sweep", help="theta sweep written to a file")
-    p.add_argument("--theta-start", type=float, default=0.0)
-    p.add_argument("--theta-stop", type=float, default=359.0)
-    p.add_argument("--theta-step", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--theta-start", type=_finite, default=0.0)
+    p.add_argument("--theta-stop", type=_finite, default=359.0)
+    p.add_argument("--theta-step", type=_finite, default=1.0)
+    p.add_argument("--epsilon", type=_finite, required=True)
     _add_model_args(p)
     _add_postselect_arg(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -352,25 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("weakvalue", help="analytic and finite-difference weak value")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite, required=True)
     _add_postselect_arg(p)
     p.add_argument(
         "--eps-probe",
-        type=float,
+        type=_finite,
         default=0.08,
         help="probe coupling for the finite difference (default: 0.08)",
     )
     p.set_defaults(func=cmd_weakvalue)
 
     p = subs.add_parser("fisher", help="Fisher information split by post-selection")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite, required=True)
     _add_postselect_arg(p)
     p.add_argument("--shots", type=int, default=None, help="trials for the CRB")
     p.set_defaults(func=cmd_fisher)
 
     p = subs.add_parser("estimate", help="moment estimate from model conditionals")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--theta", type=_finite, required=True)
+    p.add_argument("--epsilon", type=_finite, required=True)
     _add_model_args(p)
     _add_postselect_arg(p)
     p.add_argument(
@@ -382,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = subs.add_parser("montecarlo", help="seeded estimator ensemble")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--theta", type=_finite, required=True)
+    p.add_argument("--epsilon", type=_finite, required=True)
     _add_model_args(p)
     p.add_argument("--shots", type=int, required=True, help="events per replica")
     p.add_argument("--replicas", type=int, required=True)

@@ -21,6 +21,7 @@ which for any orthonormal basis with real weak values collapses to
 4 <psi|A^2|psi>, independent of the basis choice. For the Stokes
 observable this is 4 for every input state: post-selection redistributes
 sensitivity between outcomes without changing the total.
+:func:`weakmeas.kernel.fisher_information` computes the split.
 
 Weak values themselves can be recovered from measured probabilities by a
 finite-difference version of the logarithmic derivative, averaging the
@@ -41,14 +42,7 @@ from .errors import (
     ZeroProbability,
     ZeroProbeCoupling,
 )
-from .qstate import Observable, QubitState, diag_states, inner_product, matrix_element, stokes_hv
-from .weakmodel import (
-    SINGULARITY_THRESHOLD,
-    JointDistribution,
-    MeterModel,
-    MeterOutcome,
-    PostSelectOutcome,
-)
+from .weakmodel import JointDistribution, PostSelectOutcome
 
 #: |wv_ref| below this cannot be inverted meaningfully.
 WV_REFERENCE_FLOOR = 1e-8
@@ -165,41 +159,6 @@ def extract_weak_value(
     return (math.log(pd_e) - math.log(pd_0) - math.log(pa_e) + math.log(pa_0)) / (
         4.0 * eps_probe
     )
-
-
-def _per_f_contribution(psi: QubitState, f: QubitState, obs: Observable) -> float:
-    # 4 p(f) (Re wv)^2 = 4 (Re(<f|A|psi> conj<f|psi>))^2 / |<f|psi>|^2,
-    # continuously extended to p(f) -> 0 where the product stays finite.
-    num = matrix_element(f, obs, psi)
-    den = inner_product(f, psi)
-    mag = abs(den)
-    if mag < SINGULARITY_THRESHOLD:
-        phase = den / mag if mag > 0.0 else 1.0
-        return 4.0 * (num * phase.conjugate()).real ** 2
-    return 4.0 * ((num * den.conjugate()).real ** 2) / (mag * mag)
-
-
-def fisher_information(
-    psi: QubitState,
-    f_basis: tuple[QubitState, QubitState] | None = None,
-    meter: MeterModel | None = None,
-    obs: Observable | None = None,
-) -> FisherReport:
-    """Fisher information about eps at eps = 0, split by post-selection
-    outcome. The basis pair maps positionally onto the labels (D, A).
-
-    ``meter`` is accepted for interface symmetry; with the enforced
-    normalization sum_m w_m kappa_m^2 = 1 the result is meter-independent.
-    """
-    if f_basis is None:
-        f_basis = diag_states()
-    if obs is None:
-        obs = stokes_hv()
-    per = {
-        f_out: _per_f_contribution(psi, f, obs)
-        for f_out, f in zip((PostSelectOutcome.D, PostSelectOutcome.A), f_basis)
-    }
-    return FisherReport(per, sum(per.values()))
 
 
 def cramer_rao_bound(report: FisherReport, n_trials: int) -> float:

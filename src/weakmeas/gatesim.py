@@ -23,9 +23,9 @@ Conventions:
 * the probe carrying the coupling eps enters as (|H> + eps |V>)
   normalized.
 
-Nothing here is linearized, so these distributions expose the quadratic
-corrections that the first-order model of :mod:`weakmeas.weakmodel`
-drops.
+:mod:`weakmeas.kernel` computes the coincidence distributions from this
+operator without linearizing, so they expose the quadratic corrections
+that the first-order model of :mod:`weakmeas.weakmodel` drops.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroCoincidenceNorm
-from .qstate import PolarAngle, QubitState, diag_states, linear_pol_state
-from .weakmodel import JointDistribution, MeterOutcome, PostSelectOutcome
-
-#: Two-photon basis order (system, probe).
-TWO_PHOTON_BASIS = ("HH", "HV", "VH", "VV")
+from .qstate import QubitState
 
 #: Coincidence norm below this raises ZeroCoincidenceNorm.
 COINCIDENCE_FLOOR = 1e-30
@@ -76,58 +71,9 @@ COMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0 / math.
 UNCOMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0)
 
 
-class TwoPhotonState:
-    """Four amplitudes over {HH, HV, VH, VV} plus the norm deficit lost to
-    non-coincidence events. Total probability is conserved:
-    sum |amp|^2 + deficit = 1 within 1e-12."""
-
-    __slots__ = ("_amps", "_deficit")
-
-    def __init__(self, amplitudes, norm_deficit: float = 0.0):
-        amps = np.array(amplitudes, dtype=complex)
-        if amps.shape != (4,):
-            raise ValueError("expected four amplitudes (HH, HV, VH, VV)")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        deficit = float(norm_deficit)
-        if deficit < 0.0:
-            if deficit < -1e-12:
-                raise ValueError(f"negative norm deficit {deficit!r}")
-            deficit = 0.0
-        total = float(np.sum(np.abs(amps) ** 2)) + deficit
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"amplitude norm + deficit = {total!r}, expected 1")
-        amps.flags.writeable = False
-        self._amps = amps
-        self._deficit = deficit
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amps
-
-    @property
-    def norm_deficit(self) -> float:
-        return self._deficit
-
-    def __repr__(self) -> str:
-        return f"TwoPhotonState({self._amps.tolist()!r}, norm_deficit={self._deficit!r})"
-
-
 def probe_state(eps: float) -> QubitState:
     """Probe polarization |H> + eps |V>, normalized."""
     return QubitState(1.0, float(eps))
-
-
-def product_state(system: QubitState, probe: QubitState) -> TwoPhotonState:
-    """system (x) probe in the {HH, HV, VH, VV} ordering."""
-    return TwoPhotonState(np.kron(system.vector(), probe.vector()))
-
-
-def ideal_csign(state: TwoPhotonState) -> TwoPhotonState:
-    """Ideal controlled-sign gate: negate the VV amplitude."""
-    amps = state.amplitudes.copy()
-    amps[3] = -amps[3]
-    return TwoPhotonState(amps, state.norm_deficit)
 
 
 def ppbs_coincidence_operator(params: GateParams) -> np.ndarray:
@@ -144,48 +90,3 @@ def ppbs_coincidence_operator(params: GateParams) -> np.ndarray:
             t_v**2 - r_v**2,
         ]
     )
-
-
-def apply_ppbs(state: TwoPhotonState, params: GateParams) -> TwoPhotonState:
-    """Apply the PPBS coincidence operator, accruing the norm deficit."""
-    amps = state.amplitudes * ppbs_coincidence_operator(params)
-    kept = float(np.sum(np.abs(amps) ** 2))
-    had = float(np.sum(np.abs(state.amplitudes) ** 2))
-    return TwoPhotonState(amps, state.norm_deficit + had - kept)
-
-
-def exact_joint_probabilities(
-    theta: float | PolarAngle,
-    eps: float,
-    params: GateParams | None = None,
-    meter_basis: tuple[QubitState, QubitState] | None = None,
-    postselect_basis: tuple[QubitState, QubitState] | None = None,
-) -> JointDistribution:
-    """Coincidence joint probabilities p(m, f) of the exact gate model.
-
-    The system enters as the linear-polarization state at ``theta``, the
-    probe as |H> + eps |V> normalized. ``params=None`` applies the ideal
-    controlled-sign gate; a :class:`GateParams` applies the PPBS
-    coincidence operator. The post-selection basis acts on the system
-    photon, the meter basis on the probe photon; both default to the
-    diagonal pair (D, A) and map positionally onto the outcome labels.
-    Probabilities are renormalized over coincidence events.
-    """
-    state = product_state(linear_pol_state(theta), probe_state(eps))
-    state = ideal_csign(state) if params is None else apply_ppbs(state, params)
-
-    f_states = postselect_basis if postselect_basis is not None else diag_states()
-    m_states = meter_basis if meter_basis is not None else diag_states()
-
-    amps = state.amplitudes
-    norm = float(np.sum(np.abs(amps) ** 2))
-    if norm < COINCIDENCE_FLOOR:
-        raise ZeroCoincidenceNorm("no coincidence amplitude left after the gate")
-
-    probs = {}
-    for f_out, f in zip((PostSelectOutcome.D, PostSelectOutcome.A), f_states):
-        for m_out, m in zip((MeterOutcome.D, MeterOutcome.A), m_states):
-            proj = np.conj(np.kron(f.vector(), m.vector()))
-            amp = complex(np.dot(proj, amps))
-            probs[(m_out, f_out)] = (amp.real**2 + amp.imag**2) / norm
-    return JointDistribution(probs)

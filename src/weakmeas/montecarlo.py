@@ -13,63 +13,27 @@ stream 1 + r, so ensembles are reproducible bit-exactly from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import TooManyDiscardedReplicas, ZeroProbability
-from .estimation import ConditionalPair, FisherReport, cramer_rao_bound, estimate_epsilon, fisher_information
-from .gatesim import COMPENSATED_PPBS, GateParams, exact_joint_probabilities
+from .estimation import ConditionalPair, FisherReport, cramer_rao_bound, estimate_epsilon
+from .gatesim import GateParams
+from .kernel import ModelTag, fisher_information, model_distribution, weak_value
 from .qstate import PolarAngle, diag_states, linear_pol_state, stokes_hv
-from .weakmodel import (
-    CELLS,
-    JointDistribution,
-    MeterOutcome,
-    PostSelectOutcome,
-    joint_probabilities_linear,
-    weak_value,
-)
-
-_MASK64 = (1 << 64) - 1
+from .weakmodel import CELLS, JointDistribution, MeterOutcome, PostSelectOutcome
 
 #: Replicas with unusable counts may be discarded up to this fraction.
 DISCARD_TOLERANCE = 0.01
 
 
-class ModelTag(Enum):
-    LINEAR = "linear"
-    EXACT_IDEAL = "exact_ideal"
-    EXACT_PPBS = "exact_ppbs"
-
-    @classmethod
-    def parse(cls, text: str) -> "ModelTag":
-        return cls(text.strip().lower().replace("-", "_"))
-
-
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator over Philox4x64 keyed by (seed, stream)."""
-    key = (int(seed) & _MASK64) | (int(stream) << 64)
+    """Generator over Philox4x64 keyed by (seed, stream); the seed must
+    lie in [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed!r}")
+    key = int(seed) | (int(stream) << 64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def model_distribution(
-    theta: float | PolarAngle,
-    eps: float,
-    model: ModelTag | str,
-    gate_params: GateParams | None = None,
-    f_basis=None,
-) -> JointDistribution:
-    """Joint distribution p(m, f) of the selected model at (theta, eps).
-
-    ``f_basis`` overrides the post-selection basis pair (default: diagonal).
-    """
-    tag = model if isinstance(model, ModelTag) else ModelTag.parse(model)
-    if tag is ModelTag.LINEAR:
-        return joint_probabilities_linear(linear_pol_state(theta), eps, f_basis=f_basis)
-    if tag is ModelTag.EXACT_IDEAL:
-        return exact_joint_probabilities(theta, eps, params=None, postselect_basis=f_basis)
-    params = gate_params if gate_params is not None else COMPENSATED_PPBS
-    return exact_joint_probabilities(theta, eps, params=params, postselect_basis=f_basis)
 
 
 @dataclass(frozen=True)
@@ -150,8 +114,7 @@ def run_ensemble(
     """
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
-    tag = model if isinstance(model, ModelTag) else ModelTag.parse(model)
-    dist = model_distribution(theta, eps_true, tag, gate_params)
+    dist = model_distribution(theta, eps_true, model, gate_params)
     pvec = np.array(dist.values())
     pvec = pvec / pvec.sum()
 

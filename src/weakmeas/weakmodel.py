@@ -36,21 +36,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    CouplingTooStrong,
-    LinearizationInvalid,
-    NonOrthonormalBasis,
-    PostselectionSingular,
-    ZeroProbability,
-)
-from .qstate import (
-    Observable,
-    QubitState,
-    diag_states,
-    inner_product,
-    matrix_element,
-    stokes_hv,
-)
+from .errors import CouplingTooStrong, NonOrthonormalBasis, ZeroProbability
+from .qstate import Observable, QubitState, inner_product
 
 #: |<f|psi>| below this is treated as singular post-selection.
 SINGULARITY_THRESHOLD = 1e-8
@@ -150,22 +137,6 @@ def measurement_operator(
     return math.sqrt(meter.w(m)) * (eye + eps * meter.kappa(m) * obs.matrix)
 
 
-def weak_value(psi: QubitState, f: QubitState, obs: Observable) -> complex:
-    """Weak value <f|A|psi> / <f|psi> of obs for preparation psi and
-    post-selection f.
-
-    Raises PostselectionSingular when |<f|psi>| is below the singularity
-    threshold (the divergence there is physical, but a float result past
-    measurement precision would be meaningless).
-    """
-    den = inner_product(f, psi)
-    if abs(den) < SINGULARITY_THRESHOLD:
-        raise PostselectionSingular(
-            f"|<f|psi>| = {abs(den):.3g} below threshold {SINGULARITY_THRESHOLD:g}"
-        )
-    return matrix_element(f, obs, psi) / den
-
-
 class JointDistribution:
     """The 2x2 table p(m, f) over meter outcome m and post-selection f.
 
@@ -222,65 +193,3 @@ def _check_orthonormal(f_basis: tuple[QubitState, QubitState]) -> None:
     overlap = abs(inner_product(f_basis[0], f_basis[1]))
     if overlap > ORTHONORMAL_TOL:
         raise NonOrthonormalBasis(f"basis overlap |<f0|f1>| = {overlap:.3g}")
-
-
-def joint_probabilities_linear(
-    psi: QubitState,
-    eps: float,
-    f_basis: tuple[QubitState, QubitState] | None = None,
-    meter: MeterModel | None = None,
-    obs: Observable | None = None,
-    guard: float = WEAKNESS_GUARD,
-) -> JointDistribution:
-    """First-order joint probabilities p(m, f) for all four outcome pairs.
-
-    f_basis is an orthonormal pair mapped positionally to the
-    post-selection outcomes (D, A); it defaults to the diagonal pair.
-    Where the post-selection is singular (|<f|psi>| below threshold) the
-    weak value is unavailable and that row falls back to the
-    interaction-free w_m |<f|psi>|^2, which is exact there to the order
-    retained. A negative first-order probability raises
-    LinearizationInvalid instead of being clamped, since it marks the
-    breakdown of the weak-coupling premise.
-    """
-    if f_basis is None:
-        f_basis = diag_states()
-    if meter is None:
-        meter = DEFAULT_METER
-    if obs is None:
-        obs = stokes_hv()
-    _check_orthonormal(f_basis)
-    _require_weak(eps, meter, obs, guard)
-
-    probs = {}
-    for f_out, f in zip((PostSelectOutcome.D, PostSelectOutcome.A), f_basis):
-        overlap = inner_product(f, psi)
-        pf = abs(overlap) ** 2
-        if abs(overlap) < SINGULARITY_THRESHOLD:
-            re_wv = 0.0
-        else:
-            re_wv = (matrix_element(f, obs, psi) / overlap).real
-        for m in (MeterOutcome.D, MeterOutcome.A):
-            value = meter.w(m) * pf * (1.0 + 2.0 * eps * meter.kappa(m) * re_wv)
-            if value < 0.0:
-                raise LinearizationInvalid(
-                    f"p({m.value},{f_out.value}) = {value:.3g} < 0; "
-                    f"coupling eps={eps:g} too strong for weak value {re_wv:.4g}"
-                )
-            probs[(m, f_out)] = value
-    return JointDistribution(probs)
-
-
-def log_derivative(
-    psi: QubitState,
-    f: QubitState,
-    m: MeterOutcome,
-    meter: MeterModel | None = None,
-    obs: Observable | None = None,
-) -> float:
-    """d ln p(m, f) / d eps at eps = 0, i.e. 2 kappa_m Re wv_f."""
-    if meter is None:
-        meter = DEFAULT_METER
-    if obs is None:
-        obs = stokes_hv()
-    return 2.0 * meter.kappa(m) * weak_value(psi, f, obs).real

@@ -1,17 +1,32 @@
 import json
 import math
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from weakmeas.cli import SWEEP_COLUMNS, main
+from weakmeas.cli import SWEEP_COLUMNS, _theta_grid, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_module(*argv):
+    """Run the CLI in a child process. A command that never ends fails the
+    test by the timeout, or by MemoryError if it keeps allocating, instead
+    of stalling the suite or exhausting the host's memory."""
+    return subprocess.run(
+        [sys.executable, "-m", "weakmeas", *argv],
+        capture_output=True, text=True, check=False, timeout=30, preexec_fn=_limit_memory,
+    )
 
 
 def read_csv(path):
@@ -150,6 +165,61 @@ class TestSweep:
         assert len(payload["rows"]) == 3
         assert payload["rows"][0]["F_total"] == pytest.approx(4.0, abs=1e-9)
 
+    def test_json_is_json_dumps_with_indent(self, tmp_path, capsys):
+        out_file = tmp_path / "sweep.json"
+        run_cli(
+            capsys,
+            "sweep", "--theta-start", "85", "--theta-stop", "95", "--theta-step", "5",
+            "--epsilon", "0.08", "--format", "json", "--out", str(out_file),
+        )
+        text = out_file.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 359.95, 0.05), (0.0, 359.9, 0.1), (0.0, 359.0, 1.0), (-30.0, 30.0, 0.7),
+        (10.0, 10.0, 1.0), (0.1, 0.3, 0.1), (5.0, 7.0, 3.0), (1e-3, 2.0, 1e-3),
+    ])
+    def test_grid_matches_loop(self, start, stop, step):
+        want, k = [], 0
+        while start + k * step <= stop + 1e-9:
+            want.append(start + k * step)
+            k += 1
+        assert _theta_grid(start, stop, step).tolist() == want
+
+    @pytest.mark.parametrize("option, value", [
+        ("--theta-step", "nan"), ("--theta-stop", "inf"), ("--theta-start", "nan"),
+        ("--epsilon", "nan"), ("--epsilon", "inf"),
+    ])
+    def test_non_finite_grid_refused(self, tmp_path, option, value):
+        argv = {"--theta-start": "0", "--theta-stop": "10", "--theta-step": "1",
+                "--epsilon": "0.08"}
+        argv[option] = value
+        out_file = tmp_path / "sweep.csv"
+        proc = run_module("sweep", *[t for kv in argv.items() for t in kv],
+                          "--out", str(out_file))
+        assert proc.returncode == 2
+        assert option in proc.stderr
+        assert not out_file.exists()
+
+    def test_coupling_too_strong_refused_before_writing(self, tmp_path, capsys):
+        out_file = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--epsilon", "0.6", "--model", "linear", "--out", str(out_file)
+        )
+        assert code == 3
+        assert "weakness margin" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("model", ["exact-ideal", "exact-ppbs"])
+    def test_unnormalizable_probe_refused(self, tmp_path, capsys, model):
+        out_file = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--epsilon", "1e200", "--model", model, "--out", str(out_file)
+        )
+        assert code == 2
+        assert "eps=1e+200" in err
+        assert not out_file.exists()
+
     def test_invalid_spec(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -232,6 +302,21 @@ class TestMonteCarloCommand:
         assert payload["n_replicas"] == 50
         assert payload["crb"] == pytest.approx(1.0 / (10000 * 2.0))
 
+    @pytest.mark.parametrize("seed, code", [
+        ("0", 0), (str(2**64 - 1), 0), ("-1", 2), (str(2**64), 2),
+    ])
+    def test_seed_range(self, capsys, seed, code):
+        got, out, err = run_cli(
+            capsys,
+            "montecarlo", "--theta", "0", "--epsilon", "0.08", "--shots", "1000",
+            "--replicas", "2", "--seed", seed,
+        )
+        assert got == code
+        if code:
+            assert "seed" in err
+        else:
+            assert json.loads(out)["seed"] == int(seed)
+
     def test_discard_error_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -254,6 +339,19 @@ class TestErrorExitCodes:
             capsys, "probs", "--theta", "80", "--epsilon", "0.3", "--model", "linear"
         )
         assert code == 5
+
+    @pytest.mark.parametrize("argv", [
+        ("probs", "--theta", "0", "--epsilon", "0.08", "--model", "linear", "--tv", "0.5"),
+        ("probs", "--theta", "0", "--epsilon", "0.08", "--model", "exact-ideal", "--ah", "0.5"),
+        ("estimate", "--theta", "0", "--epsilon", "0.08", "--th", "1.0"),
+        ("montecarlo", "--theta", "0", "--epsilon", "0.08", "--shots", "100",
+         "--replicas", "2", "--seed", "0", "--model", "exact-ideal", "--tv", "0.6"),
+    ])
+    def test_gate_options_refused_for_other_models(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "exact-ppbs" in err
+        assert out == ""
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -115,6 +115,13 @@ class TestPhiloxStreams:
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
 
+    def test_seed_range(self):
+        for seed in (0, 2**64 - 1):
+            philox_generator(seed)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                philox_generator(seed)
+
 
 class TestRunEnsemble:
     def test_unbiased_at_zero_coupling(self):
