@@ -76,7 +76,8 @@ def _braket(f: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _transitions(f: QubitState, obs: Observable, states: np.ndarray):
     """(<f|A|psi>, <f|psi>) for every row psi; <f|A|psi> = <A^dag f|psi>."""
     v = f.vector()
-    return _braket(obs.matrix.conj().T @ v, states), _braket(v, states)
+    a_dag_f = (np.conj(obs.matrix) * v[:, None]).sum(axis=0)
+    return _braket(a_dag_f, states), _braket(v, states)
 
 
 def weak_values(states: np.ndarray, f: QubitState, obs: Observable) -> np.ndarray:
@@ -134,10 +135,8 @@ def linear_table(states, eps: float, f_basis=None, meter=None, obs=None, guard=W
     for f_out, f in zip(_OUTCOMES, f_basis):
         pf[f_out] = np.abs(_braket(f.vector(), states)) ** 2
         re_wv[f_out] = np.nan_to_num(weak_values(states, f, obs).real, nan=0.0)
-    p = np.stack(
-        [meter.w(m) * pf[f] * (1.0 + 2.0 * eps * meter.kappa(m) * re_wv[f]) for m, f in CELLS],
-        axis=1,
-    )
+    cells = [meter.w(m) * pf[f] * (1.0 + 2.0 * eps * meter.kappa(m) * re_wv[f]) for m, f in CELLS]
+    p = np.stack(cells, axis=1)
     return _checked(p, np.where((p < 0.0).any(axis=1), LinearizationInvalid.exit_code, 0))
 
 
