@@ -36,6 +36,40 @@ def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(bit_generator: np.random.Philox, seed: int, stream: int) -> None:
+    """Reset a Philox bit generator to the start of stream (seed, stream):
+    counter 0, no buffered output. The draws that follow equal those of
+    ``philox_generator(seed, stream)``, without building a new generator."""
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, stream)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _sampler(mode: str, n: int):
+    """The draw of one count vector over CELLS, as f(gen, pvec).
+
+    ``multinomial`` distributes exactly n events over the four cells;
+    ``poisson`` draws each cell independently with mean n * p, as for
+    rate-based counting. The mode is checked here, before any draw.
+    """
+    if mode == "multinomial":
+        return lambda gen, pvec: gen.multinomial(n, pvec)
+    if mode == "poisson":
+        return lambda gen, pvec: gen.poisson(n * pvec)
+    raise ValueError(f"unknown sampling mode {mode!r}")
+
+
+def _probabilities(dist: JointDistribution) -> np.ndarray:
+    """The cell probabilities of ``dist`` in CELLS order, summing to 1."""
+    pvec = np.array(dist.values())
+    return pvec / pvec.sum()
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Coincidence counts per (m, f) cell from one simulated acquisition."""
@@ -58,24 +92,14 @@ def sample_counts(
     mode: str = "multinomial",
     model_tag: ModelTag | None = None,
 ) -> CountRecord:
-    """Draw coincidence counts from ``dist``.
-
-    ``multinomial`` distributes exactly n events over the four cells;
-    ``poisson`` draws each cell independently with mean n * p, as for
-    rate-based counting, and n_total is the realized sum. Identical
-    (seed, inputs) give bit-identical counts.
+    """Draw coincidence counts from ``dist`` in ``mode`` (see
+    :func:`_sampler`); in ``poisson`` mode n_total is the realized sum.
+    Identical (seed, inputs) give bit-identical counts.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    gen = philox_generator(seed, stream=0)
-    pvec = np.array(dist.values())
-    pvec = pvec / pvec.sum()
-    if mode == "multinomial":
-        drawn = gen.multinomial(n, pvec)
-    elif mode == "poisson":
-        drawn = gen.poisson(n * pvec)
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
+    draw = _sampler(mode, n)
+    drawn = draw(philox_generator(seed, stream=0), _probabilities(dist))
     counts = {cell: int(k) for cell, k in zip(CELLS, drawn)}
     return CountRecord(counts, int(drawn.sum()), int(seed), model_tag, mode)
 
@@ -114,9 +138,8 @@ def run_ensemble(
     """
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
-    dist = model_distribution(theta, eps_true, model, gate_params)
-    pvec = np.array(dist.values())
-    pvec = pvec / pvec.sum()
+    draw = _sampler(mode, n_per_replica)
+    pvec = _probabilities(model_distribution(theta, eps_true, model, gate_params))
 
     psi = linear_pol_state(theta)
     f_state = diag_states()[0 if f is PostSelectOutcome.D else 1]
@@ -126,37 +149,39 @@ def run_ensemble(
         FisherReport({f: report.per_f[f]}, report.per_f[f]), n_per_replica
     )
 
+    arr, discarded = _replica_estimates(draw, pvec, wv_ref, f, n_replicas, base_seed)
+    if discarded > DISCARD_TOLERANCE * n_replicas:
+        raise TooManyDiscardedReplicas(
+            f"{discarded} of {n_replicas} replicas had a zero count in the "
+            f"f={f.value} column"
+        )
+    if len(arr) < 2:
+        raise ZeroProbability("fewer than two usable replicas")
+    return EnsembleStats(
+        mean_eps_hat=float(arr.mean()),
+        var_eps_hat=float(arr.var(ddof=1)),
+        n_replicas=len(arr),
+        crb=crb,
+        n_discarded=discarded,
+    )
+
+
+def _replica_estimates(draw, pvec: np.ndarray, wv_ref: float, f: PostSelectOutcome,
+                       n_replicas: int, base_seed: int) -> tuple[np.ndarray, int]:
+    """Moment estimates of the replicas with a positive count in both the
+    (D, f) and (A, f) cells, in replica order, and the number of replicas
+    discarded. Replica r draws ``draw(gen, pvec)`` from stream
+    (base_seed, 1 + r)."""
     idx_d = CELLS.index((MeterOutcome.D, f))
     idx_a = CELLS.index((MeterOutcome.A, f))
     estimates = []
     discarded = 0
     for replica in range(n_replicas):
-        gen = philox_generator(base_seed, stream=1 + replica)
-        if mode == "multinomial":
-            drawn = gen.multinomial(n_per_replica, pvec)
-        elif mode == "poisson":
-            drawn = gen.poisson(n_per_replica * pvec)
-        else:
-            raise ValueError(f"unknown sampling mode {mode!r}")
+        drawn = draw(philox_generator(base_seed, stream=1 + replica), pvec)
         n_d, n_a = int(drawn[idx_d]), int(drawn[idx_a])
         if n_d == 0 or n_a == 0:
             discarded += 1
             continue
         result = estimate_epsilon(ConditionalPair.from_counts(n_d, n_a), wv_ref, f)
         estimates.append(result.epsilon_hat)
-
-    if discarded > DISCARD_TOLERANCE * n_replicas:
-        raise TooManyDiscardedReplicas(
-            f"{discarded} of {n_replicas} replicas had a zero count in the "
-            f"f={f.value} column"
-        )
-    if len(estimates) < 2:
-        raise ZeroProbability("fewer than two usable replicas")
-    arr = np.array(estimates)
-    return EnsembleStats(
-        mean_eps_hat=float(arr.mean()),
-        var_eps_hat=float(arr.var(ddof=1)),
-        n_replicas=len(estimates),
-        crb=crb,
-        n_discarded=discarded,
-    )
+    return np.array(estimates), discarded

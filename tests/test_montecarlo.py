@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakmeas import (
     CELLS,
@@ -22,6 +24,9 @@ from weakmeas import (
     sample_counts,
 )
 from weakmeas.estimation import ConditionalPair, estimate_epsilon
+from weakmeas.kernel import weak_value
+from weakmeas.montecarlo import _rekey, _replica_estimates, _sampler
+from weakmeas.qstate import diag_states, stokes_hv
 
 F_A = PostSelectOutcome.A
 
@@ -122,6 +127,21 @@ class TestPhiloxStreams:
             with pytest.raises(ValueError):
                 philox_generator(seed)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(1, 2**32),
+           used=st.integers(0, 5), n=st.integers(1, 10**9))
+    def test_rekey_equals_fresh_generator(self, seed, stream, used, n):
+        pvec = np.array([0.29, 0.21, 0.29, 0.21])
+        gen = philox_generator(seed, stream=stream + 1)
+        # leave a partly used buffer and a cached 32-bit half behind
+        gen.integers(0, 2**32, size=used, dtype=np.uint32)
+        gen.random(used)
+        for draw in ("multinomial", "poisson"):
+            _rekey(gen.bit_generator, seed, stream)
+            got = _sampler(draw, n)(gen, pvec)
+            want = _sampler(draw, n)(philox_generator(seed, stream), pvec)
+            assert got.tolist() == want.tolist()
+
 
 class TestRunEnsemble:
     def test_unbiased_at_zero_coupling(self):
@@ -179,6 +199,36 @@ class TestRunEnsemble:
         assert (got.n_replicas, got.n_discarded) == (want.n_replicas, want.n_discarded)
         for name in ("mean_eps_hat", "var_eps_hat", "crb"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("params", [PINNED_ENSEMBLES[i][0] for i in (0, 3, 4)])
+    def test_estimates_equal_reference_loop(self, params):
+        theta, eps, model, gate, shots, mode, seed = params
+        pvec = np.array(model_distribution(theta, eps, model, gate).values())
+        pvec = pvec / pvec.sum()
+        wv_ref = weak_value(linear_pol_state(theta), diag_states()[1], stokes_hv()).real
+        i_d, i_a = CELLS.index((MeterOutcome.D, F_A)), CELLS.index((MeterOutcome.A, F_A))
+        want, discarded = [], 0
+        for r in range(200):
+            gen = philox_generator(seed, stream=1 + r)
+            if mode == "multinomial":
+                drawn = gen.multinomial(shots, pvec)
+            else:
+                drawn = gen.poisson(shots * pvec)
+            n_d, n_a = int(drawn[i_d]), int(drawn[i_a])
+            if n_d == 0 or n_a == 0:
+                discarded += 1
+                continue
+            cond = ConditionalPair.from_counts(n_d, n_a)
+            want.append(estimate_epsilon(cond, wv_ref, F_A).epsilon_hat)
+        got, got_discarded = _replica_estimates(
+            _sampler(mode, shots), pvec, wv_ref, F_A, 200, seed
+        )
+        assert got_discarded == discarded
+        assert got.tolist() == want
+        stats = run_ensemble(theta, eps, model, shots, 200, base_seed=seed,
+                             gate_params=gate, mode=mode)
+        assert stats.mean_eps_hat == np.mean(want)
+        assert stats.var_eps_hat == np.var(want, ddof=1)
 
     def test_rejects_single_replica(self):
         with pytest.raises(ValueError):
