@@ -107,6 +107,13 @@ class FisherReport:
             raise ValueError("total must equal the sum of per-f contributions")
 
 
+def _check_wv_reference(wv_reference: float) -> None:
+    if abs(wv_reference) < WV_REFERENCE_FLOOR:
+        raise WeakValueReferenceZero(
+            f"|wv_reference| = {abs(wv_reference):.3g} below {WV_REFERENCE_FLOOR:g}"
+        )
+
+
 def estimate_epsilon(
     cond: ConditionalPair,
     wv_reference: float,
@@ -120,10 +127,7 @@ def estimate_epsilon(
     eps / (1 + eps^2 wv^2) identically: a finite-coupling bias that grows
     toward the orthogonality point.
     """
-    if abs(wv_reference) < WV_REFERENCE_FLOOR:
-        raise WeakValueReferenceZero(
-            f"|wv_reference| = {abs(wv_reference):.3g} below {WV_REFERENCE_FLOOR:g}"
-        )
+    _check_wv_reference(wv_reference)
     eps_hat = (cond.p_d - cond.p_a) / (2.0 * wv_reference)
     sigma = None
     if cond.n_events is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooManyDiscardedReplicas, ZeroProbability
-from .estimation import ConditionalPair, FisherReport, cramer_rao_bound, estimate_epsilon
+from .estimation import FisherReport, _check_wv_reference, cramer_rao_bound
 from .gatesim import GateParams
 from .kernel import ModelTag, fisher_information, model_distribution, weak_value
 from .qstate import PolarAngle, diag_states, linear_pol_state, stokes_hv
@@ -55,8 +55,11 @@ def _sampler(mode: str, n: int):
 
     ``multinomial`` distributes exactly n events over the four cells;
     ``poisson`` draws each cell independently with mean n * p, as for
-    rate-based counting. The mode is checked here, before any draw.
+    rate-based counting. The mode and n are checked here, before any
+    draw; n must lie in [1, 2^63), the range of the generator's counts.
     """
+    if not 1 <= n < 1 << 63:
+        raise ValueError(f"shots must lie in [1, 2^63), got {n!r}")
     if mode == "multinomial":
         return lambda gen, pvec: gen.multinomial(n, pvec)
     if mode == "poisson":
@@ -96,8 +99,6 @@ def sample_counts(
     :func:`_sampler`); in ``poisson`` mode n_total is the realized sum.
     Identical (seed, inputs) give bit-identical counts.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
     draw = _sampler(mode, n)
     drawn = draw(philox_generator(seed, stream=0), _probabilities(dist))
     counts = {cell: int(k) for cell, k in zip(CELLS, drawn)}
@@ -144,6 +145,7 @@ def run_ensemble(
     psi = linear_pol_state(theta)
     f_state = diag_states()[0 if f is PostSelectOutcome.D else 1]
     wv_ref = weak_value(psi, f_state, stokes_hv()).real
+    _check_wv_reference(wv_ref)
     report = fisher_information(psi)
     crb = cramer_rao_bound(
         FisherReport({f: report.per_f[f]}, report.per_f[f]), n_per_replica
@@ -171,17 +173,25 @@ def _replica_estimates(draw, pvec: np.ndarray, wv_ref: float, f: PostSelectOutco
     """Moment estimates of the replicas with a positive count in both the
     (D, f) and (A, f) cells, in replica order, and the number of replicas
     discarded. Replica r draws ``draw(gen, pvec)`` from stream
-    (base_seed, 1 + r)."""
+    (base_seed, 1 + r) of one rekeyed generator.
+
+    The estimate is the expression of :func:`estimate_epsilon`, so each
+    equals the one computed from that replica's counts by
+    ``estimate_epsilon(ConditionalPair.from_counts(n_d, n_a), wv_ref)``
+    bit for bit while n_d + n_a stays below 2^53.
+    """
+    gen = philox_generator(base_seed, stream=1)
+    bits = gen.bit_generator
     idx_d = CELLS.index((MeterOutcome.D, f))
     idx_a = CELLS.index((MeterOutcome.A, f))
-    estimates = []
-    discarded = 0
+    n_d = np.empty(n_replicas, dtype=np.int64)
+    n_a = np.empty(n_replicas, dtype=np.int64)
     for replica in range(n_replicas):
-        drawn = draw(philox_generator(base_seed, stream=1 + replica), pvec)
-        n_d, n_a = int(drawn[idx_d]), int(drawn[idx_a])
-        if n_d == 0 or n_a == 0:
-            discarded += 1
-            continue
-        result = estimate_epsilon(ConditionalPair.from_counts(n_d, n_a), wv_ref, f)
-        estimates.append(result.epsilon_hat)
-    return np.array(estimates), discarded
+        _rekey(bits, base_seed, 1 + replica)
+        drawn = draw(gen, pvec)
+        n_d[replica], n_a[replica] = drawn[idx_d], drawn[idx_a]
+    usable = (n_d != 0) & (n_a != 0)
+    n_d, n_a = n_d[usable], n_a[usable]
+    # in float: two Poisson counts can sum past 2^63
+    total = n_d + n_a.astype(float)
+    return (n_d / total - n_a / total) / (2.0 * wv_ref), n_replicas - len(n_d)

@@ -317,6 +317,33 @@ class TestMonteCarloCommand:
         else:
             assert json.loads(out)["seed"] == int(seed)
 
+    @pytest.mark.parametrize("shots, code", [
+        ("0", 2), (str(2**63 - 1), 0), (str(2**63), 2), (str(2**64), 2),
+    ])
+    def test_shots_range(self, shots, code):
+        proc = run_module(
+            "montecarlo", "--theta", "0", "--epsilon", "0.08", "--shots", shots,
+            "--replicas", "2", "--seed", "0",
+        )
+        assert proc.returncode == code
+        if code:
+            assert "shots" in proc.stderr
+            assert "Traceback" not in proc.stderr
+        else:
+            assert json.loads(proc.stdout)["shots"] == int(shots)
+
+    def test_zero_reference_wins_over_discards(self, capsys):
+        # wv_A = 0 at 270 deg, and one shot leaves an empty cell in every
+        # replica: the reference is refused first
+        code, out, err = run_cli(
+            capsys,
+            "montecarlo", "--theta", "270", "--epsilon", "0", "--shots", "1",
+            "--replicas", "50", "--seed", "1",
+        )
+        assert code == 8
+        assert "wv_reference" in err
+        assert out == ""
+
     def test_discard_error_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys,

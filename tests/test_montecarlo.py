@@ -14,6 +14,7 @@ from weakmeas import (
     ModelTag,
     PostSelectOutcome,
     TooManyDiscardedReplicas,
+    WeakValueReferenceZero,
     exact_joint_probabilities,
     fisher_information,
     joint_probabilities_linear,
@@ -110,6 +111,16 @@ class TestSampleCounts:
         dist = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
         with pytest.raises(ValueError):
             sample_counts(dist, 10, seed=0, mode="bootstrap")
+
+    @pytest.mark.parametrize("n", [0, -1, 2**63, 2**64])
+    def test_rejects_shots_out_of_range(self, n):
+        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
+        with pytest.raises(ValueError, match="shots"):
+            sample_counts(dist, n, seed=0)
+
+    def test_largest_shots(self):
+        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
+        assert sample_counts(dist, 2**63 - 1, seed=0).n_total == 2**63 - 1
 
 
 class TestPhiloxStreams:
@@ -229,6 +240,44 @@ class TestRunEnsemble:
                              gate_params=gate, mode=mode)
         assert stats.mean_eps_hat == np.mean(want)
         assert stats.var_eps_hat == np.var(want, ddof=1)
+
+    def test_poisson_counts_summing_past_int64(self):
+        # near the A state nearly every event lands in the f = A column, so
+        # at the largest shots n_d + n_a exceeds 2^63 - 1 in some replicas
+        theta, shots = 270.001, 2**63 - 1
+        pvec = np.array(model_distribution(theta, 0.0, ModelTag.LINEAR).values())
+        pvec = pvec / pvec.sum()
+        wv_ref = weak_value(linear_pol_state(theta), diag_states()[1], stokes_hv()).real
+        want, past = [], 0
+        for r in range(20):
+            drawn = philox_generator(5, stream=1 + r).poisson(shots * pvec)
+            n_d, n_a = int(drawn[0]), int(drawn[1])
+            past += n_d + n_a >= 2**63
+            cond = ConditionalPair.from_counts(n_d, n_a)
+            want.append(estimate_epsilon(cond, wv_ref, F_A).epsilon_hat)
+        got, discarded = _replica_estimates(_sampler("poisson", shots), pvec, wv_ref, F_A, 20, 5)
+        assert past and not discarded
+        # counts above 2^53 are rounded to float: p(D|f) - p(A|f) may then
+        # differ by a few ulp of 1/2 from the exact-integer quotients
+        assert np.abs(got - want).max() * 2.0 * abs(wv_ref) <= 4 * 2.0**-53
+
+    @pytest.mark.parametrize("shots", [10**4, 1])
+    def test_zero_reference_refused_before_any_draw(self, monkeypatch, shots):
+        # theta = 270 deg is the A state: wv_A = 0, and p(f = A) = 1, so one
+        # shot leaves an empty cell in every replica
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr("weakmeas.montecarlo.philox_generator", no_draw)
+        with pytest.raises(WeakValueReferenceZero):
+            run_ensemble(270.0, 0.0, ModelTag.LINEAR, shots, 50, base_seed=0)
+
+    @pytest.mark.parametrize("shots", [0, 2**63])
+    def test_rejects_shots_out_of_range(self, monkeypatch, shots):
+        # refused before the model is evaluated
+        monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
+        with pytest.raises(ValueError, match="shots"):
+            run_ensemble(0.0, 0.0, ModelTag.LINEAR, shots, 2, base_seed=0)
 
     def test_rejects_single_replica(self):
         with pytest.raises(ValueError):
