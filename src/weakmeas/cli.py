@@ -126,15 +126,26 @@ def cmd_probs(args) -> int:
     return 0
 
 
+#: Most rows a sweep may have, about 28 times the 36,000 rows of a sweep
+#: over the circle at 0.01 deg. The kernel holds the whole grid in memory.
+MAX_SWEEP_ROWS = 10**6
+
+
 def _theta_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start + k * step for k = 0, 1, ... while the angle does not exceed
-    stop by more than 1e-9."""
+    stop by more than 1e-9. A grid of more than MAX_SWEEP_ROWS rows is
+    refused before it is allocated."""
     if step <= 0:
         raise ValueError("--theta-step must be positive")
     if start > stop:
         raise ValueError("--theta-start must not exceed --theta-stop")
     limit = stop + 1e-9
-    theta = start + np.arange(int((limit - start) // step) + 2) * step
+    rows = (limit - start) // step + 1
+    if not rows <= MAX_SWEEP_ROWS:  # also NaN, from an infinite span
+        raise ValueError(
+            f"--theta-start/--theta-stop/--theta-step give more than {MAX_SWEEP_ROWS} rows"
+        )
+    theta = start + np.arange(int(rows) + 1) * step
     return theta[theta <= limit]
 
 

@@ -274,12 +274,12 @@ def exact_joint_probabilities(
 
 def fisher_information(
     psi: QubitState, f_basis: tuple[QubitState, QubitState] | None = None,
-    meter: MeterModel | None = None, obs: Observable | None = None,
+    obs: Observable | None = None,
 ) -> FisherReport:
     """Fisher information about eps at eps = 0, split by post-selection
-    outcome (see :func:`fisher_split`). ``meter`` is accepted for interface
-    symmetry; with the enforced normalization sum_m w_m kappa_m^2 = 1 the
-    result is meter-independent."""
+    outcome (see :func:`fisher_split`). It takes no meter: every
+    :class:`MeterModel` enforces sum_m w_m kappa_m^2 = 1, and with that
+    normalization the result is the same for all of them."""
     f_d, f_a = fisher_split(psi.vector()[None], f_basis, obs)[0].tolist()
     return FisherReport(dict(zip(_OUTCOMES, (f_d, f_a))), f_d + f_a)
 

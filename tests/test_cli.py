@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from weakmeas.cli import SWEEP_COLUMNS, _theta_grid, main
+from weakmeas.cli import MAX_SWEEP_ROWS, SWEEP_COLUMNS, _theta_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +185,23 @@ class TestSweep:
             want.append(start + k * step)
             k += 1
         assert _theta_grid(start, stop, step).tolist() == want
+
+    def test_grid_size_bound(self):
+        assert len(_theta_grid(0.0, MAX_SWEEP_ROWS - 1.0, 1.0)) == MAX_SWEEP_ROWS
+        for start, stop, step in ((0.0, float(MAX_SWEEP_ROWS), 1.0), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ValueError, match="rows"):
+                _theta_grid(start, stop, step)
+
+    @pytest.mark.parametrize("grid", [
+        ("--theta-stop", "1e7", "--theta-step", "1"), ("--theta-stop", "1e30"),
+    ])
+    def test_oversized_grid_refused(self, tmp_path, grid):
+        out_file = tmp_path / "sweep.csv"
+        proc = run_module("sweep", *grid, "--epsilon", "0.08", "--out", str(out_file))
+        assert proc.returncode == 2
+        assert f"more than {MAX_SWEEP_ROWS} rows" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("option, value", [
         ("--theta-step", "nan"), ("--theta-stop", "inf"), ("--theta-start", "nan"),
