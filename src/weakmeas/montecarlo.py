@@ -7,7 +7,9 @@ high 64 bits; distinct keys give independent streams by construction, and
 the output is bit-stable across platforms and process layouts.
 ``sample_counts`` uses stream 0, replica r of ``run_ensemble`` uses
 stream 1 + r, so ensembles are reproducible bit-exactly from
-(base_seed, parameters) regardless of execution order.
+(base_seed, parameters) regardless of execution order. ``run_ensemble``
+moves one generator to each replica's key (:func:`_rekey`) instead of
+building one per replica.
 """
 
 from __future__ import annotations
