@@ -417,3 +417,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["F_total"] == pytest.approx(4.0)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the sweeps and --help never draw; numpy.random costs ~16 ms to
+        # load, so only a draw may load it (numpy 1.x loads it with numpy)
+        code = ("import sys; import numpy; before = 'numpy.random' in sys.modules; "
+                "import weakmeas.cli; print(before, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        before, after = proc.stdout.split()
+        assert after == before

@@ -26,7 +26,7 @@ from weakmeas import (
 )
 from weakmeas.estimation import ConditionalPair, estimate_epsilon
 from weakmeas.kernel import weak_value
-from weakmeas.montecarlo import _rekey, _replica_estimates, _sampler
+from weakmeas.montecarlo import DISCARD_TOLERANCE, _rekey, _replica_estimates, _sampler
 from weakmeas.qstate import diag_states, stokes_hv
 
 F_A = PostSelectOutcome.A
@@ -211,7 +211,12 @@ class TestRunEnsemble:
         for name in ("mean_eps_hat", "var_eps_hat", "crb"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("params", [PINNED_ENSEMBLES[i][0] for i in (0, 3, 4)])
+    # at 1 to 3 shots the multinomial draw runs out of events before the
+    # last cells, which are then left as they were; most replicas are
+    # discarded, so run_ensemble refuses the ensemble
+    @pytest.mark.parametrize("params", [PINNED_ENSEMBLES[i][0] for i in (0, 3, 4)] + [
+        (30.0, 0.08, ModelTag.LINEAR, None, shots, "multinomial", 2024) for shots in (1, 2, 3)
+    ])
     def test_estimates_equal_reference_loop(self, params):
         theta, eps, model, gate, shots, mode, seed = params
         pvec = np.array(model_distribution(theta, eps, model, gate).values())
@@ -236,6 +241,11 @@ class TestRunEnsemble:
         )
         assert got_discarded == discarded
         assert got.tolist() == want
+        if discarded > DISCARD_TOLERANCE * 200:
+            with pytest.raises(TooManyDiscardedReplicas, match=f"{discarded} of 200"):
+                run_ensemble(theta, eps, model, shots, 200, base_seed=seed,
+                             gate_params=gate, mode=mode)
+            return
         stats = run_ensemble(theta, eps, model, shots, 200, base_seed=seed,
                              gate_params=gate, mode=mode)
         assert stats.mean_eps_hat == np.mean(want)
