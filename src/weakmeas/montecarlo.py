@@ -7,13 +7,21 @@ high 64 bits; distinct keys give independent streams by construction, and
 the output is bit-stable across platforms and process layouts.
 ``sample_counts`` uses stream 0, replica r of ``run_ensemble`` uses
 stream 1 + r, so ensembles are reproducible bit-exactly from
-(base_seed, parameters) regardless of execution order. ``run_ensemble``
-moves one generator to each replica's key (:func:`_rekey`) instead of
-building one per replica.
+(base_seed, parameters) regardless of execution order.
+
+One Philox generator serves all draws of a call: before each draw its
+state is set to the start of the draw's stream. The counts are drawn by
+``random_multinomial`` and ``random_poisson``, the functions of numpy's
+C distribution API (``numpy/random/distributions.h``) that
+``Generator.multinomial`` and ``Generator.poisson`` call, so they are
+the bits those methods return, without their per-call argument checks.
+numpy's checks run once per call, by one Generator draw before the first.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,10 @@ from .weakmodel import CELLS, JointDistribution, MeterOutcome, PostSelectOutcome
 #: Replicas with unusable counts may be discarded up to this fraction.
 DISCARD_TOLERANCE = 0.01
 
+#: Most replicas one ensemble may run. Each keeps two int64 counts, so
+#: the bound holds the counts to 160 MB.
+MAX_REPLICAS = 10**7
+
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator over Philox4x64 keyed by (seed, stream); the seed must
@@ -38,35 +50,98 @@ def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekey(bit_generator: np.random.Philox, seed: int, stream: int) -> None:
-    """Reset a Philox bit generator to the start of stream (seed, stream):
-    counter 0, no buffered output. The draws that follow equal those of
-    ``philox_generator(seed, stream)``, without building a new generator."""
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed, stream)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+class _Binomial(ctypes.Structure):
+    """``binomial_t`` of numpy/random/distributions.h: the set-up that
+    ``random_binomial`` caches for its last (n, p)."""
+
+    _fields_ = [("has_binomial", ctypes.c_int), ("psave", ctypes.c_double),
+                ("nsave", ctypes.c_int64), ("r", ctypes.c_double), ("q", ctypes.c_double),
+                ("fm", ctypes.c_double), ("m", ctypes.c_int64)] + [
+        (name, ctypes.c_double)
+        for name in ("p1", "xm", "xl", "xr", "c", "laml", "lamr", "p2", "p3", "p4")
+    ]
+
+
+@functools.cache
+def _distributions():
+    """(random_multinomial, random_poisson) from the module that holds
+    numpy's Generator, which exports its C distribution functions."""
+    lib = ctypes.CDLL(np.random._generator.__file__)
+    multinomial, poisson = lib.random_multinomial, lib.random_poisson
+    multinomial.restype = None
+    poisson.restype = ctypes.c_int64
+    return multinomial, poisson
 
 
 def _sampler(mode: str, n: int):
-    """The draw of one count vector over CELLS, as f(gen, pvec).
+    """The draws of count vectors over CELLS, as streams(seed, pvec) -> draw.
 
     ``multinomial`` distributes exactly n events over the four cells;
     ``poisson`` draws each cell independently with mean n * p, as for
     rate-based counting. The mode and n are checked here, before any
     draw; n must lie in [1, 2^63), the range of the generator's counts.
+
+    ``streams(seed, pvec)`` builds one generator and runs numpy's checks
+    of n and pvec by one Generator draw. ``draw(stream)`` then returns
+    the counts ``philox_generator(seed, stream).multinomial(n, pvec)``
+    (or ``.poisson(n * pvec)``) would return, as an int64[4] buffer that
+    the next draw overwrites.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"shots must lie in [1, 2^63), got {n!r}")
-    if mode == "multinomial":
-        return lambda gen, pvec: gen.multinomial(n, pvec)
-    if mode == "poisson":
-        return lambda gen, pvec: gen.poisson(n * pvec)
-    raise ValueError(f"unknown sampling mode {mode!r}")
+    if mode not in ("multinomial", "poisson"):
+        raise ValueError(f"unknown sampling mode {mode!r}")
+
+    def streams(seed: int, pvec: np.ndarray):
+        gen = philox_generator(seed)
+        bits = gen.bit_generator
+        bitgen = bits.ctypes.bit_generator
+        multinomial, poisson = _distributions()
+        # the start of stream (seed, key[1]); only the key changes
+        key = [seed, 0]
+        start = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        counts = (ctypes.c_int64 * len(CELLS))()
+
+        if mode == "poisson":
+            lam = n * pvec
+            gen.poisson(lam)
+            lam = [ctypes.c_double(x) for x in lam.tolist()]
+
+            def draw(stream: int):
+                key[1] = stream
+                bits.state = start
+                for i, x in enumerate(lam):
+                    counts[i] = poisson(bitgen, x)
+                return counts
+
+            return draw
+
+        gen.multinomial(n, pvec)
+        # data_as keeps the array alive with the pointer
+        pix = np.ascontiguousarray(pvec, dtype=np.float64).ctypes.data_as(ctypes.c_void_p)
+        args = (bitgen, ctypes.c_int64(n), counts, pix, ctypes.c_ssize_t(len(pvec)),
+                ctypes.byref(_Binomial()))
+        zeros = (0,) * len(counts)
+
+        def draw(stream: int):
+            key[1] = stream
+            bits.state = start
+            # the C loop stops once all n events are placed and leaves
+            # the later cells as they were
+            counts[:] = zeros
+            multinomial(*args)
+            return counts
+
+        return draw
+
+    return streams
 
 
 def _probabilities(dist: JointDistribution) -> np.ndarray:
@@ -101,10 +176,9 @@ def sample_counts(
     :func:`_sampler`); in ``poisson`` mode n_total is the realized sum.
     Identical (seed, inputs) give bit-identical counts.
     """
-    draw = _sampler(mode, n)
-    drawn = draw(philox_generator(seed, stream=0), _probabilities(dist))
-    counts = {cell: int(k) for cell, k in zip(CELLS, drawn)}
-    return CountRecord(counts, int(drawn.sum()), int(seed), model_tag, mode)
+    draw = _sampler(mode, n)(seed, _probabilities(dist))
+    drawn = draw(0)
+    return CountRecord(dict(zip(CELLS, drawn)), sum(drawn), int(seed), model_tag, mode)
 
 
 @dataclass(frozen=True)
@@ -141,7 +215,9 @@ def run_ensemble(
     """
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
-    draw = _sampler(mode, n_per_replica)
+    if n_replicas > MAX_REPLICAS:
+        raise ValueError(f"replicas must not exceed {MAX_REPLICAS}, got {n_replicas}")
+    streams = _sampler(mode, n_per_replica)
     pvec = _probabilities(model_distribution(theta, eps_true, model, gate_params))
 
     psi = linear_pol_state(theta)
@@ -153,7 +229,7 @@ def run_ensemble(
         FisherReport({f: report.per_f[f]}, report.per_f[f]), n_per_replica
     )
 
-    arr, discarded = _replica_estimates(draw, pvec, wv_ref, f, n_replicas, base_seed)
+    arr, discarded = _replica_estimates(streams, pvec, wv_ref, f, n_replicas, base_seed)
     if discarded > DISCARD_TOLERANCE * n_replicas:
         raise TooManyDiscardedReplicas(
             f"{discarded} of {n_replicas} replicas had a zero count in the "
@@ -170,27 +246,25 @@ def run_ensemble(
     )
 
 
-def _replica_estimates(draw, pvec: np.ndarray, wv_ref: float, f: PostSelectOutcome,
+def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: PostSelectOutcome,
                        n_replicas: int, base_seed: int) -> tuple[np.ndarray, int]:
     """Moment estimates of the replicas with a positive count in both the
     (D, f) and (A, f) cells, in replica order, and the number of replicas
-    discarded. Replica r draws ``draw(gen, pvec)`` from stream
-    (base_seed, 1 + r) of one rekeyed generator.
+    discarded. Replica r draws stream (base_seed, 1 + r) of
+    ``streams(base_seed, pvec)`` (see :func:`_sampler`).
 
     The estimate is the expression of :func:`estimate_epsilon`, so each
     equals the one computed from that replica's counts by
     ``estimate_epsilon(ConditionalPair.from_counts(n_d, n_a), wv_ref)``
     bit for bit while n_d + n_a stays below 2^53.
     """
-    gen = philox_generator(base_seed, stream=1)
-    bits = gen.bit_generator
+    draw = streams(base_seed, pvec)
     idx_d = CELLS.index((MeterOutcome.D, f))
     idx_a = CELLS.index((MeterOutcome.A, f))
     n_d = np.empty(n_replicas, dtype=np.int64)
     n_a = np.empty(n_replicas, dtype=np.int64)
     for replica in range(n_replicas):
-        _rekey(bits, base_seed, 1 + replica)
-        drawn = draw(gen, pvec)
+        drawn = draw(1 + replica)
         n_d[replica], n_a[replica] = drawn[idx_d], drawn[idx_a]
     usable = (n_d != 0) & (n_a != 0)
     n_d, n_a = n_d[usable], n_a[usable]

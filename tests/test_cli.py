@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from weakmeas.cli import MAX_SWEEP_ROWS, SWEEP_COLUMNS, _theta_grid, main
+from weakmeas.montecarlo import MAX_REPLICAS
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +349,17 @@ class TestMonteCarloCommand:
             assert "Traceback" not in proc.stderr
         else:
             assert json.loads(proc.stdout)["shots"] == int(shots)
+
+    def test_replicas_bound(self):
+        # 10^8 replicas of counts would not fit in the child's 1 GiB
+        proc = run_module(
+            "montecarlo", "--theta", "0", "--epsilon", "0.08", "--shots", "10",
+            "--replicas", "100000000", "--seed", "0",
+        )
+        assert proc.returncode == 2
+        assert f"replicas must not exceed {MAX_REPLICAS}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_zero_reference_wins_over_discards(self, capsys):
         # wv_A = 0 at 270 deg, and one shot leaves an empty cell in every

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from weakmeas import (
 )
 from weakmeas.estimation import ConditionalPair, estimate_epsilon
 from weakmeas.kernel import weak_value
-from weakmeas.montecarlo import DISCARD_TOLERANCE, _rekey, _replica_estimates, _sampler
+from weakmeas.montecarlo import DISCARD_TOLERANCE, _replica_estimates, _sampler
 from weakmeas.qstate import diag_states, stokes_hv
 
 F_A = PostSelectOutcome.A
@@ -107,6 +108,20 @@ class TestSampleCounts:
         assert rec.n_total == sum(rec.counts.values())
         assert rec.mode == "poisson"
 
+    def test_poisson_counts_summing_past_int64(self):
+        # at the largest shots the four Poisson counts often sum past
+        # 2^63 - 1; n_total is their exact sum
+        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.08)
+        pvec = np.array(dist.values())
+        pvec = pvec / pvec.sum()
+        totals = []
+        for seed in range(4):
+            rec = sample_counts(dist, 2**63 - 1, seed=seed, mode="poisson")
+            want = philox_generator(seed).poisson((2**63 - 1) * pvec).tolist()
+            assert list(rec.counts.values()) == want
+            totals.append(rec.n_total)
+        assert max(totals) >= 2**63
+
     def test_rejects_bad_mode(self):
         dist = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
         with pytest.raises(ValueError):
@@ -139,19 +154,47 @@ class TestPhiloxStreams:
                 philox_generator(seed)
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(1, 2**32),
-           used=st.integers(0, 5), n=st.integers(1, 10**9))
-    def test_rekey_equals_fresh_generator(self, seed, stream, used, n):
-        pvec = np.array([0.29, 0.21, 0.29, 0.21])
-        gen = philox_generator(seed, stream=stream + 1)
-        # leave a partly used buffer and a cached 32-bit half behind
-        gen.integers(0, 2**32, size=used, dtype=np.uint32)
-        gen.random(used)
-        for draw in ("multinomial", "poisson"):
-            _rekey(gen.bit_generator, seed, stream)
-            got = _sampler(draw, n)(gen, pvec)
-            want = _sampler(draw, n)(philox_generator(seed, stream), pvec)
-            assert got.tolist() == want.tolist()
+    @given(seed=st.integers(0, 2**64 - 1),
+           streams=st.lists(st.integers(1, 2**32), min_size=1, max_size=3),
+           n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
+           weights=st.one_of(
+               st.just([29, 21, 29, 21]),
+               st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
+           ))
+    def test_rekey_equals_fresh_generator(self, seed, streams, n, weights):
+        # the loop's own path: one generator moved from stream to stream
+        # (back to the first, too), drawn through the C functions
+        pvec = np.array(weights, dtype=float) / sum(weights)
+        for mode in ("multinomial", "poisson"):
+            try:
+                want = [getattr(philox_generator(seed, stream), mode)(
+                    *((n, pvec) if mode == "multinomial" else (n * pvec,))).tolist()
+                    for stream in streams + streams[:1]]
+            except ValueError as exc:
+                # n * p past the largest Poisson mean numpy draws
+                assert mode == "poisson"
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    _sampler(mode, n)(seed, pvec)
+                continue
+            draw = _sampler(mode, n)(seed, pvec)
+            got = [list(draw(stream)) for stream in streams + streams[:1]]
+            assert got == want
+
+    @pytest.mark.parametrize("mode, n, pvec", [
+        ("multinomial", 10, [0.5, 0.5, 0.5, -0.5]),
+        ("multinomial", 10, [0.6, 0.6, 0.0, 0.0]),
+        ("multinomial", 10, [np.nan, 0.5, 0.5, 0.0]),
+        ("poisson", 10, [0.5, 0.5, 0.5, -0.5]),
+        ("poisson", 10, [np.nan, 0.5, 0.5, 0.0]),
+        ("poisson", 2**63 - 1, [1.0, 0.0, 0.0, 0.0]),
+    ])
+    def test_numpy_checks_run_before_any_draw(self, mode, n, pvec):
+        pvec = np.array(pvec)
+        args = (n, pvec) if mode == "multinomial" else (n * pvec,)
+        with pytest.raises(ValueError) as want:
+            getattr(philox_generator(0), mode)(*args)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            _sampler(mode, n)(0, pvec)
 
 
 class TestRunEnsemble:
@@ -288,6 +331,14 @@ class TestRunEnsemble:
         monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
         with pytest.raises(ValueError, match="shots"):
             run_ensemble(0.0, 0.0, ModelTag.LINEAR, shots, 2, base_seed=0)
+
+    def test_replicas_bound(self, monkeypatch):
+        monkeypatch.setattr("weakmeas.montecarlo.MAX_REPLICAS", 4)
+        assert run_ensemble(0.0, 0.0, ModelTag.LINEAR, 100, 4, base_seed=0).n_replicas == 4
+        # refused before the model is evaluated
+        monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
+        with pytest.raises(ValueError, match="replicas must not exceed 4, got 5"):
+            run_ensemble(0.0, 0.0, ModelTag.LINEAR, 100, 5, base_seed=0)
 
     def test_rejects_single_replica(self):
         with pytest.raises(ValueError):
