@@ -65,7 +65,12 @@ class _Binomial(ctypes.Structure):
 @functools.cache
 def _distributions():
     """(random_multinomial, random_poisson) from the module that holds
-    numpy's Generator, which exports its C distribution functions."""
+    numpy's Generator, which exports its C distribution functions.
+
+    argtypes stay unset: callers pass every argument as a ctypes object
+    of its C type, built once, because converting arguments through
+    argtypes on each call costs about as much as the draw itself.
+    """
     lib = ctypes.CDLL(np.random._generator.__file__)
     multinomial, poisson = lib.random_multinomial, lib.random_poisson
     multinomial.restype = None
@@ -107,7 +112,7 @@ def _sampler(mode: str, n: int):
             "has_uint32": 0,
             "uinteger": 0,
         }
-        counts = (ctypes.c_int64 * len(CELLS))()
+        counts = (ctypes.c_int64 * len(pvec))()
 
         if mode == "poisson":
             lam = n * pvec
