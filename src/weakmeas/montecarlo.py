@@ -117,12 +117,12 @@ def _sampler(mode: str, n: int):
         if mode == "poisson":
             lam = n * pvec
             gen.poisson(lam)
-            lam = [ctypes.c_double(x) for x in lam.tolist()]
+            lams = [ctypes.c_double(x) for x in lam.tolist()]
 
             def draw(stream: int):
                 key[1] = stream
                 bits.state = start
-                for i, x in enumerate(lam):
+                for i, x in enumerate(lams):
                     counts[i] = poisson(bitgen, x)
                 return counts
 

@@ -165,11 +165,10 @@ class TestPhiloxStreams:
         # the loop's own path: one generator moved from stream to stream
         # (back to the first, too), drawn through the C functions
         pvec = np.array(weights, dtype=float) / sum(weights)
-        for mode in ("multinomial", "poisson"):
+        order = streams + streams[:1]
+        for mode, args in (("multinomial", (n, pvec)), ("poisson", (n * pvec,))):
             try:
-                want = [getattr(philox_generator(seed, stream), mode)(
-                    *((n, pvec) if mode == "multinomial" else (n * pvec,))).tolist()
-                    for stream in streams + streams[:1]]
+                want = [getattr(philox_generator(seed, s), mode)(*args).tolist() for s in order]
             except ValueError as exc:
                 # n * p past the largest Poisson mean numpy draws
                 assert mode == "poisson"
@@ -177,8 +176,7 @@ class TestPhiloxStreams:
                     _sampler(mode, n)(seed, pvec)
                 continue
             draw = _sampler(mode, n)(seed, pvec)
-            got = [list(draw(stream)) for stream in streams + streams[:1]]
-            assert got == want
+            assert [list(draw(s)) for s in order] == want
 
     @pytest.mark.parametrize("mode, n, pvec", [
         ("multinomial", 10, [0.5, 0.5, 0.5, -0.5]),
