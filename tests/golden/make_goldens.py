@@ -3,8 +3,9 @@
 Each case is one sweep at 0..359 deg in 1 deg steps, eps = 0.08. Its
 golden is every numeric cell as a (column, row) float64 array, NaN where
 the cell is empty, stored xz-compressed as ``<case>.npy.xz``, plus the
-sha256 of the CSV bytes in ``SHA256SUMS``. The cells are read from the
-JSON output, which prints each float in full; the CSV prints the same
+sha256 of the CSV and of the JSON bytes in ``SHA256SUMS`` (as
+``<case>.csv`` and ``<case>.json``). The cells are read from the JSON
+output, which prints each float in full; the CSV prints the same
 values to 12 significant digits, so the CSV of the goldens can be
 rebuilt from them, and a changed CSV cell shows with its ulp distance.
 
@@ -61,10 +62,15 @@ def run_case(name: str, fmt: str) -> bytes:
         return out.read_bytes()
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not JSON; an undefined cell is null")
+
+
 def json_cells(data: bytes) -> np.ndarray:
     """Numeric cells of a JSON sweep as a (column, row) array, NaN where
-    null. ``format_version`` is not numeric and is left out."""
-    rows = json.loads(data)["rows"]
+    null. ``format_version`` is not numeric and is left out. A NaN or
+    Infinity token is refused."""
+    rows = json.loads(data, parse_constant=_refuse_constant)["rows"]
     keys = list(rows[0])[:-1]
     return np.array([[math.nan if r[k] is None else r[k] for k in keys] for r in rows]).T
 
@@ -89,6 +95,7 @@ def load_cells(name: str) -> np.ndarray:
 
 
 def load_sums() -> dict[str, str]:
+    """``<case>.<fmt>`` -> sha256 of those bytes."""
     pairs = (line.split() for line in SUMS.read_text(encoding="ascii").splitlines())
     return {name: digest for digest, name in pairs}
 
@@ -102,28 +109,35 @@ def ulp_distance(a: float, b: float) -> int:
 def write() -> None:
     sums = []
     for name in CASES:
-        cells = json_cells(run_case(name, "json"))
+        data = run_case(name, "json")
+        cells = json_cells(data)
         csv = run_case(name, "csv")
         if csv_cells(csv) != [[printed(v) for v in col] for col in cells]:
             raise RuntimeError(f"case {name}: the CSV does not print the JSON values")
         buf = io.BytesIO()
         np.save(buf, cells)
         golden_path(name).write_bytes(lzma.compress(buf.getvalue(), preset=9))
-        sums.append(f"{hashlib.sha256(csv).hexdigest()}  {name}\n")
+        sums.append(f"{hashlib.sha256(csv).hexdigest()}  {name}.csv\n")
+        sums.append(f"{hashlib.sha256(data).hexdigest()}  {name}.json\n")
     SUMS.write_text("".join(sums), encoding="ascii")
 
 
 def compare() -> int:
     """Print every CSV cell that differs from the golden's, with the ulp
-    distance between the full-precision values."""
+    distance between the full-precision values, and every case whose JSON
+    bytes differ from their recorded sha256."""
     from weakmeas.cli import SWEEP_COLUMNS
 
     sums, changed = load_sums(), 0
     for name in CASES:
+        data = run_case(name, "json")
+        if hashlib.sha256(data).hexdigest() != sums[f"{name}.json"]:
+            changed += 1
+            print(f"{name}: the JSON bytes differ from SHA256SUMS")
         csv = run_case(name, "csv")
-        if hashlib.sha256(csv).hexdigest() == sums[name]:
+        if hashlib.sha256(csv).hexdigest() == sums[f"{name}.csv"]:
             continue
-        want, got = load_cells(name), json_cells(run_case(name, "json"))
+        want, got = load_cells(name), json_cells(data)
         for col, texts in enumerate(csv_cells(csv)):
             for row, text in enumerate(texts):
                 if text != printed(want[col, row]):
@@ -132,7 +146,7 @@ def compare() -> int:
                           f"{printed(want[col, row])} -> {text} "
                           f"({want[col, row]!r} -> {got[col, row]!r}, "
                           f"{ulp_distance(want[col, row], got[col, row])} ulp)")
-    print(f"{changed} printed cells differ")
+    print(f"{changed} printed cells or JSON files differ")
     return 1 if changed else 0
 
 

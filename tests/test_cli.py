@@ -4,9 +4,13 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from weakmeas.cli import MAX_SWEEP_ROWS, SWEEP_COLUMNS, _theta_grid, main
+from weakmeas import cli
+from weakmeas.cli import (
+    MAX_SWEEP_ROWS, SWEEP_COLUMNS, SWEEP_FORMAT_VERSION, _fmt, _theta_grid, main,
+)
 from weakmeas.montecarlo import MAX_REPLICAS
 
 
@@ -35,6 +39,42 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+#: Rows the sweep writer formats per call.
+BLOCK_ROWS = 256
+
+
+def _synthetic_columns(rows):
+    """Sweep columns of ``rows`` rows: signed zeros, infinities, NaN, the
+    smallest subnormal and the largest normal float, integers and values
+    over the whole exponent range, and a last row of NaN only."""
+    rng = np.random.default_rng(rows)
+    cells = rng.standard_normal((rows, 12)) * 10.0 ** rng.integers(-300, 300, (rows, 12))
+    cells[:, ::3] = rng.integers(-10**6, 10**6, (rows, 4))
+    specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                -5e-324, 1.797e308, -1.797e308, 1e16, 1e-5, 0.1]
+    cells.reshape(-1)[:len(specials)] = specials
+    if rows > 1:
+        cells[-1] = math.nan
+    return {name: cells[:, i].copy() for i, name in enumerate(SWEEP_COLUMNS[:-1])}
+
+
+def _printed_sweep(columns, fmt):
+    """The sweep file of ``columns``: each CSV cell by _fmt, the JSON by
+    json.dumps(indent=2), an undefined cell empty or null."""
+    names = SWEEP_COLUMNS[:-1]
+    rows = [
+        {name: None if math.isnan(v) else v for name, v in zip(names, values)}
+        for values in zip(*(columns[name].tolist() for name in names))
+    ]
+    if fmt == "csv":
+        lines = [",".join(SWEEP_COLUMNS)]
+        lines += [",".join([*(_fmt(r[name]) for name in names), SWEEP_FORMAT_VERSION])
+                  for r in rows]
+        return "\n".join(lines) + "\n"
+    rows = [{**r, "format_version": SWEEP_FORMAT_VERSION} for r in rows]
+    return json.dumps({"format": SWEEP_FORMAT_VERSION, "rows": rows}, indent=2) + "\n"
 
 
 class TestProbs:
@@ -175,6 +215,25 @@ class TestSweep:
         )
         text = out_file.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_prints_synthetic_columns(self, monkeypatch, tmp_path, capsys, fmt, rows):
+        columns = _synthetic_columns(rows)
+        monkeypatch.setattr(cli, "sweep_columns", lambda *args: columns)
+        out_file = tmp_path / f"sweep.{fmt}"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--theta-stop", str(rows - 1), "--epsilon", "0.08",
+            "--format", fmt, "--out", str(out_file),
+        )
+        assert code == 0
+        assert out_file.read_bytes() == _printed_sweep(columns, fmt).encode("utf-8")
+
+    def test_names_hold_no_float_token(self):
+        # the writer prints nan and inf and then rewrites them in its text
+        for name in (*SWEEP_COLUMNS, SWEEP_FORMAT_VERSION, "format", "rows"):
+            assert "nan" not in name.lower() and "inf" not in name.lower()
 
     @pytest.mark.parametrize("start, stop, step", [
         (0.0, 359.95, 0.05), (0.0, 359.9, 0.1), (0.0, 359.0, 1.0), (-30.0, 30.0, 0.7),

@@ -17,6 +17,7 @@ ABS_FLOOR = 1e-14
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cells_match_golden(name):
+    # an undefined cell must print as null: json_cells refuses NaN and Infinity
     got, want = json_cells(run_case(name, "json")), load_cells(name)
     assert got.shape == want.shape
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
@@ -26,4 +27,9 @@ def test_cells_match_golden(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_bytes_match_recorded_sha256(name):
-    assert hashlib.sha256(run_case(name, "csv")).hexdigest() == load_sums()[name]
+    assert hashlib.sha256(run_case(name, "csv")).hexdigest() == load_sums()[f"{name}.csv"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_bytes_match_recorded_sha256(name):
+    assert hashlib.sha256(run_case(name, "json")).hexdigest() == load_sums()[f"{name}.json"]
