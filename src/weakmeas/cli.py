@@ -6,6 +6,12 @@ row, comma separators, LF line endings and floats printed with 12
 significant digits; undefined cells are emitted as empty fields. JSON
 output is a single object or array with stable key order. Identical
 invocations produce identical bytes.
+
+The sweep writer formats a block of rows per % call and holds the text
+of one block at a time. Its bytes are those of the output contract
+above: each CSV cell as ``f"{x:.12g}"``, the JSON as
+``json.dumps(indent=2)`` of the whole file, an undefined cell empty or
+null.
 """
 
 from __future__ import annotations
@@ -149,14 +155,36 @@ def _theta_grid(start: float, stop: float, step: float) -> np.ndarray:
     return theta[theta <= limit]
 
 
-#: A sweep row as json.dumps(indent=2) prints it inside the rows array.
-_JSON_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{}}' for c in SWEEP_COLUMNS) + "\n    }}"
+#: Rows formatted by one % call of the sweep writer. The writer holds the
+#: text of one block at a time, whatever the size of the grid.
+_BLOCK_ROWS = 256
+
+_NUMERIC_COLUMNS = SWEEP_COLUMNS[:-1]
+
+#: A CSV row as _fmt prints its cells: '%.12g' % x is f"{x:.12g}".
+_CSV_ROW = ",".join(["%.12g"] * len(_NUMERIC_COLUMNS) + [SWEEP_FORMAT_VERSION])
+
+#: A row as json.dumps(indent=2) prints it inside the rows array: json
+#: prints a finite float as its repr.
+_JSON_ROW = (
+    "    {\n"
+    + "".join(f'      "{c}": %r,\n' for c in _NUMERIC_COLUMNS)
+    + f'      "format_version": "{SWEEP_FORMAT_VERSION}"\n    }}'
+)
 
 
-def _json_row(row) -> str:
-    # json.dumps of the row as a list prints each value as it prints it in
-    # a dict; no value contains ", ", the list's item separator
-    return _JSON_ROW.format(*json.dumps(row)[1:-1].split(", "))
+def _write_rows(handle, columns, row: str, sep: str, words: tuple[tuple[str, str], ...]) -> None:
+    """Write the numeric columns as ``row % cells`` per row, rows separated
+    by ``sep``, one block of rows per % call. % prints NaN and the
+    infinities as nan, inf and -inf, which ``words`` rewrites in the text;
+    no column name, version token or finite float contains them."""
+    cols = [columns[c] for c in _NUMERIC_COLUMNS]
+    for start in range(0, len(cols[0]), _BLOCK_ROWS):
+        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in cols])
+        text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+        for word, printed in words:
+            text = text.replace(word, printed)
+        handle.write(sep + text if start else text)
 
 
 def cmd_sweep(args) -> int:
@@ -167,22 +195,15 @@ def cmd_sweep(args) -> int:
         _gate_params(args),
         args.postselect,
     )
-    numeric = [columns[c].tolist() for c in SWEEP_COLUMNS[:-1]]
-    rows = (
-        [None if v != v else v for v in values] + [SWEEP_FORMAT_VERSION]
-        for values in zip(*numeric)
-    )
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         if args.format == "csv":
             handle.write(",".join(SWEEP_COLUMNS) + "\n")
-            for row in rows:
-                handle.write(",".join(map(_fmt, row)) + "\n")
+            _write_rows(handle, columns, _CSV_ROW, "\n", (("nan", ""),))
+            handle.write("\n")
         else:
-            # json.dumps(indent=2) of {"format": ..., "rows": [...]}, a row at a time
+            # json.dumps(indent=2) of {"format": ..., "rows": [...]}
             handle.write(f'{{\n  "format": "{SWEEP_FORMAT_VERSION}",\n  "rows": [\n')
-            handle.write(_json_row(next(rows)))
-            for row in rows:
-                handle.write(",\n" + _json_row(row))
+            _write_rows(handle, columns, _JSON_ROW, ",\n", (("nan", "null"), ("inf", "Infinity")))
             handle.write("\n  ]\n}\n")
     return 0
 

@@ -42,7 +42,7 @@ def read_csv(path):
 
 
 #: Rows the sweep writer formats per call.
-BLOCK_ROWS = 256
+BLOCK_ROWS = cli._BLOCK_ROWS
 
 
 def _synthetic_columns(rows):
