@@ -330,6 +330,21 @@ class TestWeakValue:
         assert code == 4
         assert "error" in err
 
+    @pytest.mark.parametrize("eps_probe, code", [
+        ("1e-6", 0), ("-1e-6", 0), ("1e-7", 2), ("1e-17", 2), ("0", 2),
+    ])
+    def test_eps_probe_bound(self, eps_probe, code):
+        # below 1e-6 the finite difference is round-off: 1e-17 prints 0.0
+        proc = run_module("weakvalue", "--theta", "30", f"--eps-probe={eps_probe}")
+        assert proc.returncode == code
+        if code:
+            assert "--eps-probe" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+        else:
+            payload = json.loads(proc.stdout)
+            assert payload["wv_finite_difference"] == pytest.approx(math.sqrt(3.0), rel=1e-10)
+
 
 class TestFisher:
     def test_report_with_crb(self, capsys):
@@ -342,6 +357,26 @@ class TestFisher:
         assert payload["F_A"] == pytest.approx(3.7321, abs=5e-5)
         assert payload["crb_total"] == pytest.approx(2.5e-7)
         assert payload["crb_A"] == pytest.approx(2.679e-7, rel=2e-4)
+
+
+#: --shots values at and past the ends of [1, 2^63), with their exit codes.
+SHOTS_RANGE = [("0", 2), (str(2**63 - 1), 0), (str(2**63), 2), (str(10**400), 2)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("fisher", "--theta", "30"),
+    ("estimate", "--theta", "30", "--epsilon", "0.08"),
+])
+@pytest.mark.parametrize("shots, code", SHOTS_RANGE)
+def test_shots_range(argv, shots, code):
+    proc = run_module(*argv, "--shots", shots)
+    assert proc.returncode == code
+    if code:
+        assert "--shots" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+    else:
+        json.loads(proc.stdout)
 
 
 class TestEstimate:
