@@ -359,26 +359,6 @@ class TestFisher:
         assert payload["crb_A"] == pytest.approx(2.679e-7, rel=2e-4)
 
 
-#: --shots values at and past the ends of [1, 2^63), with their exit codes.
-SHOTS_RANGE = [("0", 2), (str(2**63 - 1), 0), (str(2**63), 2), (str(10**400), 2)]
-
-
-@pytest.mark.parametrize("argv", [
-    ("fisher", "--theta", "30"),
-    ("estimate", "--theta", "30", "--epsilon", "0.08"),
-])
-@pytest.mark.parametrize("shots, code", SHOTS_RANGE)
-def test_shots_range(argv, shots, code):
-    proc = run_module(*argv, "--shots", shots)
-    assert proc.returncode == code
-    if code:
-        assert "--shots" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-    else:
-        json.loads(proc.stdout)
-
-
 class TestEstimate:
     def test_linear_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -502,6 +482,24 @@ class TestErrorExitCodes:
         assert code == 2
         assert "exact-ppbs" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("fisher", "--theta", "30"),
+        ("estimate", "--theta", "30", "--epsilon", "0.08"),
+    ], ids=["fisher", "estimate"])
+    @pytest.mark.parametrize("shots, code", [
+        ("0", 2), (str(2**63 - 1), 0), (str(2**63), 2), (str(10**400), 2),
+    ], ids=["0", "2^63-1", "2^63", "10^400"])
+    def test_shots_range(self, argv, shots, code):
+        # montecarlo's range; 10^400 used to overflow converting to float
+        proc = run_module(*argv, "--shots", shots)
+        assert proc.returncode == code
+        if code:
+            assert "--shots" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+        else:
+            json.loads(proc.stdout)
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:
