@@ -320,7 +320,7 @@ MIN_EPS_PROBE = 1e-6
 
 def _eps_probe(text: str) -> float:
     value = _finite(text)
-    if not abs(value) >= MIN_EPS_PROBE:
+    if abs(value) < MIN_EPS_PROBE:
         raise argparse.ArgumentTypeError(
             f"must be at least {MIN_EPS_PROBE:g} in magnitude, got {text!r}: "
             "a smaller probe leaves only round-off in the finite difference"
