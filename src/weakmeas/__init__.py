@@ -24,52 +24,20 @@ from .estimation import (
     cramer_rao_bound,
     estimate_epsilon,
     extract_weak_value,
-)
-from .gatesim import (
-    COMPENSATED_PPBS,
-    UNCOMPENSATED_PPBS,
-    GateParams,
-    ppbs_coincidence_operator,
-    probe_state,
-)
-from .kernel import (
-    ModelTag,
-    exact_joint_probabilities,
     fisher_information,
-    joint_probabilities_linear,
-    log_derivative,
+)
+from .gatesim import COMPENSATED_PPBS, UNCOMPENSATED_PPBS, GateParams
+from .kernel import (
+    CELLS,
+    SINGULARITY_THRESHOLD,
+    WEAKNESS_GUARD,
+    ModelTag,
+    Outcome,
+    linear_states,
     model_distribution,
     weak_value,
 )
-from .montecarlo import (
-    CountRecord,
-    EnsembleStats,
-    philox_generator,
-    run_ensemble,
-    sample_counts,
-)
-from .qstate import (
-    Observable,
-    PolarAngle,
-    QubitState,
-    diag_states,
-    inner_product,
-    linear_pol_state,
-    matrix_element,
-    stokes_hv,
-)
-from .weakmodel import (
-    CELLS,
-    DEFAULT_METER,
-    SINGULARITY_THRESHOLD,
-    WEAKNESS_GUARD,
-    JointDistribution,
-    MeterModel,
-    MeterOutcome,
-    PostSelectOutcome,
-    measurement_operator,
-    weakness_margin,
-)
+from .montecarlo import EnsembleStats, philox_generator, run_ensemble, sample_counts
 
 __version__ = "0.1.0"
 
@@ -77,24 +45,16 @@ __all__ = [
     "CELLS",
     "COMPENSATED_PPBS",
     "ConditionalPair",
-    "CountRecord",
     "CouplingTooStrong",
-    "DEFAULT_METER",
     "EnsembleStats",
     "EstimateResult",
     "FisherReport",
     "GateParams",
-    "JointDistribution",
     "LinearizationInvalid",
-    "MeterModel",
-    "MeterOutcome",
     "ModelTag",
     "NonOrthonormalBasis",
-    "Observable",
-    "PolarAngle",
-    "PostSelectOutcome",
+    "Outcome",
     "PostselectionSingular",
-    "QubitState",
     "SINGULARITY_THRESHOLD",
     "TooManyDiscardedReplicas",
     "UNCOMPENSATED_PPBS",
@@ -107,24 +67,13 @@ __all__ = [
     "ZeroProbeCoupling",
     "apparent_fisher",
     "cramer_rao_bound",
-    "diag_states",
     "estimate_epsilon",
-    "exact_joint_probabilities",
     "extract_weak_value",
     "fisher_information",
-    "inner_product",
-    "joint_probabilities_linear",
-    "linear_pol_state",
-    "log_derivative",
-    "matrix_element",
-    "measurement_operator",
+    "linear_states",
     "model_distribution",
     "philox_generator",
-    "ppbs_coincidence_operator",
-    "probe_state",
     "run_ensemble",
     "sample_counts",
-    "stokes_hv",
     "weak_value",
-    "weakness_margin",
 ]

@@ -17,6 +17,7 @@ null.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,14 +33,14 @@ from .estimation import (
     cramer_rao_bound,
     estimate_epsilon,
     extract_weak_value,
+    fisher_information,
 )
 from .gatesim import COMPENSATED_PPBS, GateParams
 from .kernel import (
-    ModelTag, analyzer_basis, fisher_information, model_distribution, sweep_columns, weak_value,
+    ModelTag, Outcome, analyzer_basis, linear_states, model_distribution, sweep_columns,
+    weak_value,
 )
 from .montecarlo import run_ensemble
-from .qstate import linear_pol_state, stokes_hv
-from .weakmodel import JointDistribution, PostSelectOutcome
 
 SWEEP_FORMAT_VERSION = "sweep-1"
 
@@ -102,7 +103,7 @@ def _gate_params(args) -> GateParams | None:
     return GateParams(t_h=t_h, t_v=t_v, a_h=a_h)
 
 
-def _distribution(args, theta: float, eps: float) -> JointDistribution:
+def _distribution(args, theta: float, eps: float) -> np.ndarray:
     basis = analyzer_basis(args.postselect)
     return model_distribution(theta, eps, args.model, _gate_params(args), basis)
 
@@ -112,8 +113,7 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_probs(args) -> int:
-    dist = _distribution(args, args.theta, args.epsilon)
-    p_da, p_aa, p_dd, p_ad = dist.values()
+    p_da, p_aa, p_dd, p_ad = _distribution(args, args.theta, args.epsilon).tolist()
     payload = {
         "theta_deg": args.theta,
         "epsilon": args.epsilon,
@@ -209,12 +209,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_weakvalue(args) -> int:
-    psi = linear_pol_state(args.theta)
+    psi = linear_states(args.theta)
     basis = analyzer_basis(args.postselect)
-    analytic = weak_value(psi, basis[1], stokes_hv()).real
+    analytic = weak_value(psi, basis[1]).real
     p_eps = model_distribution(args.theta, args.eps_probe, ModelTag.LINEAR, f_basis=basis)
     p_zero = model_distribution(args.theta, 0.0, ModelTag.LINEAR, f_basis=basis)
-    finite_diff = extract_weak_value(p_eps, p_zero, PostSelectOutcome.A, args.eps_probe)
+    finite_diff = extract_weak_value(p_eps, p_zero, Outcome.A, args.eps_probe)
     _print_json(
         {
             "theta_deg": args.theta,
@@ -228,37 +228,35 @@ def cmd_weakvalue(args) -> int:
 
 
 def cmd_fisher(args) -> int:
-    psi = linear_pol_state(args.theta)
-    report = fisher_information(psi, analyzer_basis(args.postselect))
+    report = fisher_information(linear_states(args.theta), analyzer_basis(args.postselect))
     payload = {
         "theta_deg": args.theta,
         "postselect_deg": args.postselect,
-        "F_A": report.per_f[PostSelectOutcome.A],
-        "F_D": report.per_f[PostSelectOutcome.D],
+        "F_A": report.per_f[Outcome.A],
+        "F_D": report.per_f[Outcome.D],
         "F_total": report.total,
     }
     if args.shots is not None:
         payload["crb_total"] = cramer_rao_bound(report, args.shots)
-        f_a = report.per_f[PostSelectOutcome.A]
+        f_a = report.per_f[Outcome.A]
         payload["crb_A"] = cramer_rao_bound(
-            FisherReport({PostSelectOutcome.A: f_a}, f_a), args.shots
+            FisherReport({Outcome.A: f_a}, f_a), args.shots
         )
     _print_json(payload)
     return 0
 
 
 def cmd_estimate(args) -> int:
-    psi = linear_pol_state(args.theta)
+    psi = linear_states(args.theta)
     basis = analyzer_basis(args.postselect)
-    dist = _distribution(args, args.theta, args.epsilon)
-    wv_ref = weak_value(psi, basis[1], stokes_hv()).real
-    p_d, p_a = dist.conditional(PostSelectOutcome.A)
-    n_events = None
+    p = _distribution(args, args.theta, args.epsilon)
+    wv_ref = weak_value(psi, basis[1]).real
+    cond = ConditionalPair.from_joint(p, Outcome.A)
     if args.shots is not None:
-        # expected number of post-selected events among the shots
-        n_events = args.shots * dist.marginal_f(PostSelectOutcome.A)
-    cond = ConditionalPair(p_d, p_a, n_events=n_events)
-    result = estimate_epsilon(cond, wv_ref, PostSelectOutcome.A)
+        # expected number of post-selected events among the shots, with
+        # p(f = A) = p(D, A) + p(A, A), the first two cells
+        cond = dataclasses.replace(cond, n_events=args.shots * (p[0] + p[1]).item())
+    result = estimate_epsilon(cond, wv_ref, Outcome.A)
     payload = {
         "theta_deg": args.theta,
         "epsilon_set": args.epsilon,
@@ -281,7 +279,7 @@ def cmd_montecarlo(args) -> int:
         n_per_replica=args.shots,
         n_replicas=args.replicas,
         base_seed=args.seed,
-        f=PostSelectOutcome(args.f),
+        f=Outcome(args.f),
         gate_params=_gate_params(args),
         mode=args.mode,
     )
@@ -311,6 +309,7 @@ def _finite(text: str) -> float:
     return value
 
 
+
 #: Smallest --eps-probe magnitude. The finite difference divides a
 #: difference of logarithms by eps_probe, so round-off grows as the probe
 #: shrinks: at theta = 30 deg its relative error is 9e-12 at 1e-6, 5e-6
@@ -328,12 +327,14 @@ def _eps_probe(text: str) -> float:
     return value
 
 
+
 def _shots(text: str) -> int:
     """A shot count in [1, 2^63), the range of the generator's counts."""
     value = int(text)
     if not 1 <= value < 1 << 63:
         raise argparse.ArgumentTypeError(f"must lie in [1, 2^63), got {text}")
     return value
+
 
 
 def _add_model_args(sub) -> None:

@@ -21,12 +21,18 @@ which for any orthonormal basis with real weak values collapses to
 4 <psi|A^2|psi>, independent of the basis choice. For the Stokes
 observable this is 4 for every input state: post-selection redistributes
 sensitivity between outcomes without changing the total.
-:func:`weakmeas.kernel.fisher_information` computes the split.
+:func:`fisher_information` reports the split that
+:func:`weakmeas.kernel.fisher_split` computes.
 
 Weak values themselves can be recovered from measured probabilities by a
 finite-difference version of the logarithmic derivative, averaging the
 two meter outcomes; the averaging cancels the term linear in the probe
 coupling, leaving a quadratic finite-coupling error (4/3) (eps wv)^2.
+
+A joint table is p[4] in :data:`weakmeas.kernel.CELLS` order. Each
+function checks a table it is given once: four cells, each at least
+-1e-12 (a cell above that but below 0 is read as 0), summing to 1 within
+1e-9.
 """
 
 from __future__ import annotations
@@ -36,16 +42,46 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .errors import (
     WeakValueReferenceZero,
     ZeroInformation,
     ZeroProbability,
     ZeroProbeCoupling,
 )
-from .weakmodel import JointDistribution, PostSelectOutcome
+from .kernel import (
+    CELLS, DIAG_BASIS, WV_REFERENCE_FLOOR, Outcome, _check_orthonormal, _state, fisher_split,
+)
 
-#: |wv_ref| below this cannot be inverted meaningfully.
-WV_REFERENCE_FLOOR = 1e-8
+
+def _cells(p: np.ndarray) -> list[float]:
+    """A caller's joint table p[4] in CELLS order as floats, checked."""
+    values = np.asarray(p, dtype=float)
+    if values.shape != (len(CELLS),):
+        raise ValueError(f"a joint table has {len(CELLS)} cells, got shape {values.shape}")
+    for value, cell in zip(values.tolist(), CELLS):
+        if value < -1e-12:
+            raise ValueError(f"negative probability {value!r} for cell {cell}")
+    # a cell in [-1e-12, 0) is round-off and is read as 0
+    cells = [max(value, 0.0) for value in values.tolist()]
+    total = sum(cells)
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    return cells
+
+
+#: The cells (D, f) and (A, f) in CELLS order of each post-selection outcome f.
+_COLUMN = {f: (CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))) for f in Outcome}
+
+
+def _conditional(cells: list[float], f: Outcome) -> tuple[float, float]:
+    """(p(D|f), p(A|f)). Raises ZeroProbability when p(f) = 0."""
+    i_d, i_a = _COLUMN[f]
+    pf = cells[i_d] + cells[i_a]
+    if pf <= 0.0:
+        raise ZeroProbability(f"post-selection probability p(f={f.value}) is zero")
+    return cells[i_d] / pf, cells[i_a] / pf
 
 
 @dataclass(frozen=True)
@@ -75,9 +111,9 @@ class ConditionalPair:
         return cls(n_d / total, n_a / total, n_events=total)
 
     @classmethod
-    def from_joint(cls, dist: JointDistribution, f: PostSelectOutcome) -> "ConditionalPair":
-        p_d, p_a = dist.conditional(f)
-        return cls(p_d, p_a)
+    def from_joint(cls, p: np.ndarray, f: Outcome) -> "ConditionalPair":
+        """The conditionals of outcome f in the joint table p[4]."""
+        return cls(*_conditional(_cells(p), f))
 
 
 @dataclass(frozen=True)
@@ -87,7 +123,7 @@ class EstimateResult:
 
     epsilon_hat: float
     sigma_epsilon: float | None
-    f_used: PostSelectOutcome | None
+    f_used: Outcome | None
     wv_reference: float
 
 
@@ -95,7 +131,7 @@ class EstimateResult:
 class FisherReport:
     """Per-post-selection Fisher contributions and their total."""
 
-    per_f: Mapping[PostSelectOutcome, float]
+    per_f: Mapping[Outcome, float]
     total: float
 
     def __post_init__(self) -> None:
@@ -117,7 +153,7 @@ def _check_wv_reference(wv_reference: float) -> None:
 def estimate_epsilon(
     cond: ConditionalPair,
     wv_reference: float,
-    f: PostSelectOutcome | None = None,
+    f: Outcome | None = None,
 ) -> EstimateResult:
     """Moment estimate of the coupling from one post-selected conditional pair.
 
@@ -136,13 +172,14 @@ def estimate_epsilon(
 
 
 def extract_weak_value(
-    p_at_eps: JointDistribution,
-    p_at_zero: JointDistribution,
-    f: PostSelectOutcome,
+    p_at_eps: np.ndarray,
+    p_at_zero: np.ndarray,
+    f: Outcome,
     eps_probe: float,
 ) -> float:
     """Weak value from the change of conditional probabilities between a
-    finite probe coupling and zero coupling.
+    finite probe coupling and zero coupling, given the joint tables p[4]
+    at both.
 
     Averages the two meter outcomes with the response-sign convention
     (+ for D, - for A): the result is
@@ -154,8 +191,8 @@ def extract_weak_value(
     """
     if eps_probe == 0.0:
         raise ZeroProbeCoupling("eps_probe must be nonzero")
-    pd_e, pa_e = p_at_eps.conditional(f)
-    pd_0, pa_0 = p_at_zero.conditional(f)
+    pd_e, pa_e = _conditional(_cells(p_at_eps), f)
+    pd_0, pa_0 = _conditional(_cells(p_at_zero), f)
     for name, value in (("p(D|f;eps)", pd_e), ("p(A|f;eps)", pa_e),
                         ("p(D|f;0)", pd_0), ("p(A|f;0)", pa_0)):
         if value <= 0.0:
@@ -163,6 +200,18 @@ def extract_weak_value(
     return (math.log(pd_e) - math.log(pd_0) - math.log(pa_e) + math.log(pa_0)) / (
         4.0 * eps_probe
     )
+
+
+def fisher_information(psi, f_basis=None) -> FisherReport:
+    """Fisher information about eps at eps = 0 of the state psi, a (2,)
+    amplitude array, split by post-selection outcome (see
+    :func:`weakmeas.kernel.fisher_split`). ``f_basis`` is an orthonormal
+    (2, 2) basis, the diagonal pair by default. It takes no meter: with
+    the meter's normalization sum_m w_m kappa_m^2 = 1 the result is the
+    same for every meter."""
+    basis = DIAG_BASIS if f_basis is None else _check_orthonormal(f_basis)
+    f_d, f_a = fisher_split(_state(psi)[None], basis)[0].tolist()
+    return FisherReport({Outcome.D: f_d, Outcome.A: f_a}, f_d + f_a)
 
 
 def cramer_rao_bound(report: FisherReport, n_trials: int) -> float:
@@ -176,13 +225,14 @@ def cramer_rao_bound(report: FisherReport, n_trials: int) -> float:
 
 
 def apparent_fisher(
-    p_at_eps: JointDistribution,
-    p_at_zero: JointDistribution,
+    p_at_eps: np.ndarray,
+    p_at_zero: np.ndarray,
     eps_probe: float,
 ) -> FisherReport:
-    """Fisher information as an experiment would reconstruct it: weak
-    values extracted by the finite-difference procedure, combined with the
-    zero-coupling post-selection probabilities via 4 p(f) wv^2.
+    """Fisher information as an experiment would reconstruct it from the
+    joint tables p[4] at a finite probe coupling and at zero: weak
+    values extracted by the finite-difference procedure, combined with
+    the zero-coupling post-selection probabilities via 4 p(f) wv^2.
 
     This is the analysis pipeline applied to real or imperfect-gate data;
     on distributions that deviate from the first-order model it produces
@@ -190,9 +240,11 @@ def apparent_fisher(
     away from the true bound). Outcomes with zero post-selection
     probability contribute zero.
     """
+    at_zero = _cells(p_at_zero)
     per = {}
-    for f in (PostSelectOutcome.D, PostSelectOutcome.A):
-        pf0 = p_at_zero.marginal_f(f)
+    for f in (Outcome.D, Outcome.A):
+        i_d, i_a = _COLUMN[f]
+        pf0 = at_zero[i_d] + at_zero[i_a]
         if pf0 <= 0.0:
             per[f] = 0.0
             continue

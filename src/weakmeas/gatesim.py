@@ -21,11 +21,11 @@ Conventions:
   two-photon amplitudes, discarding the norm deficit, exactly as
   coincidence-count analysis does;
 * the probe carrying the coupling eps enters as (|H> + eps |V>)
-  normalized.
+  normalized (:func:`weakmeas.kernel.probe_state`).
 
 :mod:`weakmeas.kernel` computes the coincidence distributions from this
 operator without linearizing, so they expose the quadratic corrections
-that the first-order model of :mod:`weakmeas.weakmodel` drops.
+that its first-order model drops.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .qstate import QubitState
 
 #: Coincidence norm below this raises ZeroCoincidenceNorm.
 COINCIDENCE_FLOOR = 1e-30
@@ -69,11 +67,6 @@ COMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0 / math.
 
 #: Single PPBS without H-compensation elements.
 UNCOMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0)
-
-
-def probe_state(eps: float) -> QubitState:
-    """Probe polarization |H> + eps |V>, normalized."""
-    return QubitState(1.0, float(eps))
 
 
 def ppbs_coincidence_operator(params: GateParams) -> np.ndarray:

@@ -1,15 +1,46 @@
 """The model kernel: the 2x2 joint table p(m, f) of each model, weak
 values and the Fisher split, computed for many input states at once.
 
-Input states are the rows of an (N, 2) complex array of (H, V)
-amplitudes. The call-level parameters (bases, meter, observable, gate)
-are the validated objects of the other modules; a rule they break
-raises at once. A rule that fails for one row leaves that row NaN, and
-its ``status`` is the exit code of the error the scalar function raises
-for it (0 where the row is defined). The arithmetic is elementwise, so a
-row's value does not depend on N and uses no BLAS kernel. The scalar
-functions at the end are N = 1 calls of the array functions, so each
-model has one implementation.
+The first-order model. The Stokes observable A = |H><H| - |V><V| of the
+system photon couples to a two-outcome meter, the diagonal analysis of
+the probe photon, through a small dimensionless interaction parameter
+eps. To first order in eps the measurement operators read
+
+    E_m = sqrt(w_m) (I + eps kappa_m A),    m in {D, A},
+
+where w_m is the outcome probability without interaction and kappa_m
+the response coefficient of outcome m. The meter is balanced,
+w_D = w_A = 1/2 and kappa_D = -kappa_A = 1: it is normalized,
+sum_m w_m kappa_m^2 = 1, and the operators are complete to first order,
+sum_m w_m kappa_m = 0, so sum_m E_m^dag E_m = I + eps^2 A^2.
+
+Post-selecting a final state |f> after the interaction gives the joint
+probabilities
+
+    p(m, f) = w_m |<f|psi>|^2 (1 + 2 eps kappa_m Re wv_f),
+
+with the weak value wv_f = <f|A|psi> / <f|psi>. The expression drops the
+quadratic back-action term and is therefore only valid for sufficiently
+weak coupling: the guard refuses |eps| >= WEAKNESS_GUARD for the whole
+call (CouplingTooStrong), and a row with a negative cell is
+LinearizationInvalid, never clamped. The logarithmic derivative of
+p(m, f) with respect to eps at eps = 0 equals 2 kappa_m Re wv_f, which is
+what makes weak values the natural sensitivity measure for estimating
+eps. The exact models (:func:`exact_table`) apply the two-photon gate of
+:mod:`weakmeas.gatesim` to the probe |H> + eps |V> without linearizing.
+
+Arrays. A state is a (2,) complex array of (H, V) amplitudes, a basis a
+(2, 2) complex array whose rows map positionally to the outcomes (D, A),
+and a joint table is p[4] in CELLS order. The array functions take input
+states as the rows of an (N, 2) array; a rule that fails for one row
+leaves that row NaN, and its ``status`` is the exit code of the error
+the scalar function raises for it (0 where the row is defined). The
+arithmetic is elementwise, so a row's value does not depend on N and
+uses no BLAS kernel. States built here (:func:`linear_states`, the probe)
+are unit vectors by construction. A caller's own input is checked once,
+at the scalar functions: a state must be finite and nonzero and is
+normalized, a basis must be orthonormal. The scalar functions are N = 1
+calls of the array functions, so each model has one implementation.
 """
 
 from __future__ import annotations
@@ -19,24 +50,65 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import LinearizationInvalid, PostselectionSingular, ZeroCoincidenceNorm
-from .estimation import WV_REFERENCE_FLOOR, FisherReport
-from .gatesim import (
-    COINCIDENCE_FLOOR, COMPENSATED_PPBS, GateParams, ppbs_coincidence_operator, probe_state,
+from .errors import (
+    CouplingTooStrong, LinearizationInvalid, NonOrthonormalBasis, PostselectionSingular,
+    ZeroCoincidenceNorm,
 )
-from .qstate import (
-    Observable, PolarAngle, QubitState, diag_states, inner_product, linear_pol_state, stokes_hv,
-)
-from .weakmodel import (
-    CELLS, DEFAULT_METER, SINGULARITY_THRESHOLD, WEAKNESS_GUARD, JointDistribution, MeterModel,
-    MeterOutcome, PostSelectOutcome, _check_orthonormal, _require_weak,
-)
+from .gatesim import COINCIDENCE_FLOOR, COMPENSATED_PPBS, ppbs_coincidence_operator
+
+#: |<f|psi>| below this is treated as singular post-selection.
+SINGULARITY_THRESHOLD = 1e-8
+
+#: Bound on |eps| * max|kappa_m| * spectral radius of A, which is |eps|
+#: for this meter and observable. Conservative: keeps the dropped
+#: second-order terms below 25% of the first-order ones.
+WEAKNESS_GUARD = 0.5
+
+#: Tolerance for the orthonormality of a post-selection basis pair.
+ORTHONORMAL_TOL = 1e-10
+
+#: |wv_ref| below this cannot be inverted meaningfully.
+WV_REFERENCE_FLOOR = 1e-8
+
+#: A state whose norm is below this is refused as the zero vector.
+_NORM_FLOOR = 1e-12
 
 #: Coincidence amplitudes of the ideal controlled-sign gate over
 #: {HH, HV, VH, VV}: the VV amplitude changes sign.
 IDEAL_GATE = np.array([1.0, 1.0, 1.0, -1.0])
 
-_OUTCOMES = (PostSelectOutcome.D, PostSelectOutcome.A)
+#: The Stokes observable A = |H><H| - |V><V| (eigenvalues +-1).
+_STOKES = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+#: The diagonal pair (|D>, |A>) = ((|H>+|V>)/sqrt2, (|H>-|V>)/sqrt2): the
+#: meter basis of the probe photon and the default post-selection basis.
+#: It is not analyzer_basis(270), which differs from it in the last bit
+#: and in the sign of |A>.
+DIAG_BASIS = (np.array([[1, 1], [1, -1]]) / np.sqrt(2)).astype(complex)
+DIAG_BASIS.flags.writeable = False
+
+
+class Outcome(Enum):
+    """Outcome label of the meter (m) or of the post-selection (f)."""
+
+    D = "D"
+    A = "A"
+
+
+#: Canonical cell order of the 2x2 joint table, used for serialization,
+#: sampling and CSV columns: (m, f) = (D,A), (A,A), (D,D), (A,D).
+CELLS = (
+    (Outcome.D, Outcome.A),
+    (Outcome.A, Outcome.A),
+    (Outcome.D, Outcome.D),
+    (Outcome.A, Outcome.D),
+)
+
+_OUTCOMES = (Outcome.D, Outcome.A)
+
+#: The meter's baseline probabilities w_m and response coefficients kappa_m.
+_W = 0.5
+_KAPPA = {Outcome.D: 1.0, Outcome.A: -1.0}
 
 
 class ModelTag(Enum):
@@ -49,23 +121,68 @@ class ModelTag(Enum):
         return text if isinstance(text, cls) else cls(text.strip().lower().replace("-", "_"))
 
 
+def _norm(h, v):
+    """sqrt(|h|^2 + |v|^2), elementwise: no BLAS kernel rounds it."""
+    return np.sqrt(h.real * h.real + h.imag * h.imag + (v.real * v.real + v.imag * v.imag))
+
+
+def _unit(h, v) -> np.ndarray:
+    """Rows (h, v) / _norm(h, v), complex."""
+    norm = _norm(h, v)
+    return np.stack([h / norm, v / norm], axis=-1).astype(complex)
+
+
 def linear_states(theta_deg) -> np.ndarray:
-    """Rows cos(theta/2)|H> + sin(theta/2)|V>, normalized, for angles in
-    degrees: the states of :func:`weakmeas.qstate.linear_pol_state`."""
+    """States cos(theta/2)|H> + sin(theta/2)|V>, normalized, for angles in
+    degrees on the linear-polarization circle (reduced mod 360: 0 is H,
+    180 V, 90 D and 270 A): shape (2,) for one angle, (N, 2) for N."""
     theta = np.asarray(theta_deg, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("angle must be finite")
     half = np.radians(np.mod(theta, 360.0)) / 2.0
-    c, s = np.cos(half), np.sin(half)
-    norm = np.sqrt(c * c + s * s)
-    return np.stack([c / norm, s / norm], axis=-1).astype(complex)
+    return _unit(np.cos(half), np.sin(half))
 
 
-def analyzer_basis(postselect_deg: float) -> tuple[QubitState, QubitState]:
-    """Basis pair for a post-selection angle: the orthogonal partner maps
-    to outcome label D, the analyzer state itself to label A. The default
-    270 deg gives the diagonal (D, A) pair."""
-    return linear_pol_state(postselect_deg - 180.0), linear_pol_state(postselect_deg)
+def probe_state(eps: float) -> np.ndarray:
+    """Probe polarization |H> + eps |V>, normalized."""
+    return _unit(1.0, float(eps))
+
+
+def _check_orthonormal(f_basis) -> np.ndarray:
+    """``f_basis`` as a (2, 2) complex array; NonOrthonormalBasis unless
+    its rows are unit vectors and orthogonal within ORTHONORMAL_TOL."""
+    basis = np.asarray(f_basis, dtype=complex)
+    if basis.shape != (2, 2):
+        raise ValueError(f"a basis is a (2, 2) array of two states, got shape {basis.shape}")
+    norms = _norm(basis[:, 0], basis[:, 1])
+    if not (np.abs(norms - 1.0) <= ORTHONORMAL_TOL).all():
+        raise NonOrthonormalBasis(f"basis row norms {norms[0]:.3g}, {norms[1]:.3g}, expected 1")
+    overlap = abs(_braket(basis[0], basis[1:])[0])
+    if not overlap <= ORTHONORMAL_TOL:
+        raise NonOrthonormalBasis(f"basis overlap |<f0|f1>| = {overlap:.3g}")
+    return basis
+
+
+def _state(psi) -> np.ndarray:
+    """A caller's state as a unit (2,) complex array: finite and nonzero,
+    normalized elementwise with its global phase kept."""
+    v = np.asarray(psi, dtype=complex)
+    if v.shape != (2,):
+        raise ValueError(f"a state is a (2,) array of (H, V) amplitudes, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state amplitudes must be finite")
+    if _norm(v[0], v[1]) < _NORM_FLOOR:
+        raise ValueError("cannot normalize the zero vector")
+    return _unit(v[0], v[1])
+
+
+def analyzer_basis(postselect_deg: float) -> np.ndarray:
+    """Basis for a post-selection angle: row 0, the orthogonal partner,
+    maps to outcome label D, row 1, the analyzer state itself, to label A.
+    The default 270 deg gives the diagonal (D, A) pair up to the sign of
+    A. An angle so large that the partner's angle rounds to a different
+    ray gives a pair that is not orthonormal, which is refused."""
+    return _check_orthonormal(linear_states(np.array([postselect_deg - 180.0, postselect_deg])))
 
 
 def _braket(f: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -73,29 +190,28 @@ def _braket(f: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.conj(f[0]) * states[:, 0] + np.conj(f[1]) * states[:, 1]
 
 
-def _transitions(f: QubitState, obs: Observable, states: np.ndarray):
+def _transitions(f: np.ndarray, states: np.ndarray):
     """(<f|A|psi>, <f|psi>) for every row psi; <f|A|psi> = <A^dag f|psi>."""
-    v = f.vector()
-    a_dag_f = (np.conj(obs.matrix) * v[:, None]).sum(axis=0)
-    return _braket(a_dag_f, states), _braket(v, states)
+    a_dag_f = (np.conj(_STOKES) * f[:, None]).sum(axis=0)
+    return _braket(a_dag_f, states), _braket(f, states)
 
 
-def weak_values(states: np.ndarray, f: QubitState, obs: Observable) -> np.ndarray:
+def weak_values(states: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Weak values <f|A|psi> / <f|psi>, NaN where |<f|psi>| is below
     SINGULARITY_THRESHOLD (PostselectionSingular)."""
-    num, den = _transitions(f, obs, states)
+    num, den = _transitions(f, states)
     singular = np.abs(den) < SINGULARITY_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(singular, np.nan, num / np.where(singular, 1.0, den))
 
 
-def fisher_split(states: np.ndarray, f_basis=None, obs: Observable | None = None) -> np.ndarray:
+def fisher_split(states: np.ndarray, f_basis: np.ndarray = DIAG_BASIS) -> np.ndarray:
     """(N, 2) Fisher contributions 4 p(f) (Re wv_f)^2 for f = (D, A), as
     4 (Re(<f|A|psi> conj<f|psi>))^2 / |<f|psi>|^2, continuously extended
     to p(f) -> 0 where the product stays finite."""
-    out, obs = np.empty((len(states), 2)), obs or stokes_hv()
-    for col, f in enumerate(f_basis or diag_states()):
-        num, den = _transitions(f, obs, states)
+    out = np.empty((len(states), 2))
+    for col, f in enumerate(f_basis):
+        num, den = _transitions(f, states)
         mag = np.abs(den)
         with np.errstate(divide="ignore", invalid="ignore"):
             regular = 4.0 * (num * np.conj(den)).real ** 2 / (mag * mag)
@@ -118,7 +234,7 @@ def _checked(p: np.ndarray, status: np.ndarray):
     return p, status
 
 
-def linear_table(states, eps: float, f_basis=None, meter=None, obs=None, guard=WEAKNESS_GUARD):
+def linear_table(states, eps: float, f_basis: np.ndarray = DIAG_BASIS):
     """First-order table p(m, f) = w_m |<f|psi>|^2 (1 + 2 eps kappa_m Re wv_f)
     in CELLS order, and the row status.
 
@@ -128,14 +244,13 @@ def linear_table(states, eps: float, f_basis=None, meter=None, obs=None, guard=W
     exact there to the order retained. A negative cell marks the breakdown
     of the weak-coupling premise: the row is LinearizationInvalid.
     """
-    f_basis, meter, obs = f_basis or diag_states(), meter or DEFAULT_METER, obs or stokes_hv()
-    _check_orthonormal(f_basis)
-    _require_weak(eps, meter, obs, guard)
+    if not abs(eps) < WEAKNESS_GUARD:
+        raise CouplingTooStrong(f"weakness margin {abs(eps):.6g} exceeds guard {WEAKNESS_GUARD:.6g}")
     pf, re_wv = {}, {}
     for f_out, f in zip(_OUTCOMES, f_basis):
-        pf[f_out] = np.abs(_braket(f.vector(), states)) ** 2
-        re_wv[f_out] = np.nan_to_num(weak_values(states, f, obs).real, nan=0.0)
-    cells = [meter.w(m) * pf[f] * (1.0 + 2.0 * eps * meter.kappa(m) * re_wv[f]) for m, f in CELLS]
+        pf[f_out] = np.abs(_braket(f, states)) ** 2
+        re_wv[f_out] = np.nan_to_num(weak_values(states, f).real, nan=0.0)
+    cells = [_W * pf[f] * (1.0 + 2.0 * eps * _KAPPA[m] * re_wv[f]) for m, f in CELLS]
     p = np.stack(cells, axis=1)
     return _checked(p, np.where((p < 0.0).any(axis=1), LinearizationInvalid.exit_code, 0))
 
@@ -146,27 +261,28 @@ def two_photon_amplitudes(states: np.ndarray, probe: np.ndarray, gate: np.ndarra
     return (states[:, :, None] * probe[None, None, :]).reshape(-1, 4) * gate
 
 
-def exact_table(states, eps: float, gate: np.ndarray, f_basis=None, meter_basis=None):
+def exact_table(states, eps: float, gate: np.ndarray, f_basis: np.ndarray = DIAG_BASIS):
     """Coincidence table p(m, f) of the exact gate model in CELLS order,
     and the row status.
 
     The probe enters as |H> + eps |V> normalized. The post-selection basis
-    acts on the system photon, the meter basis on the probe photon; both
-    default to the diagonal pair and map positionally onto (D, A).
-    Probabilities are renormalized over coincidence events; a row with no
-    coincidence amplitude left is ZeroCoincidenceNorm.
+    acts on the system photon and defaults to the diagonal pair; the
+    meter basis, the diagonal pair, acts on the probe photon. Both map
+    positionally onto (D, A). Probabilities are renormalized over
+    coincidence events; a row with no coincidence amplitude left is
+    ZeroCoincidenceNorm.
     """
     if not math.isfinite(eps * eps):
         raise ValueError(f"coupling eps={eps!r}: the probe |H> + eps|V> cannot be normalized")
-    amps = two_photon_amplitudes(states, probe_state(eps).vector(), gate)
+    amps = two_photon_amplitudes(states, probe_state(eps), gate)
     weights = np.abs(amps) ** 2
     norm = weights[:, 0] + weights[:, 1] + weights[:, 2] + weights[:, 3]
-    f_states = dict(zip(_OUTCOMES, f_basis or diag_states()))
-    m_states = dict(zip((MeterOutcome.D, MeterOutcome.A), meter_basis or diag_states()))
+    f_states = dict(zip(_OUTCOMES, f_basis))
+    m_states = dict(zip(_OUTCOMES, DIAG_BASIS))
     p = np.empty((len(states), 4))
     with np.errstate(divide="ignore", invalid="ignore"):
         for col, (m, f) in enumerate(CELLS):
-            a = np.conj(np.kron(f_states[f].vector(), m_states[m].vector()))
+            a = np.conj(np.kron(f_states[f], m_states[m]))
             amp = a[0] * amps[:, 0] + a[1] * amps[:, 1] + a[2] * amps[:, 2] + a[3] * amps[:, 3]
             p[:, col] = (amp.real**2 + amp.imag**2) / norm
     return _checked(p, np.where(norm < COINCIDENCE_FLOOR, ZeroCoincidenceNorm.exit_code, 0))
@@ -194,10 +310,10 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     outcomes, the moment estimate from the f = A conditionals, the
     relative error scale 1 / sqrt(F_A) and the Fisher split."""
     theta = np.asarray(theta_deg, dtype=float)
-    states, basis, obs = linear_states(theta), analyzer_basis(postselect_deg), stokes_hv()
+    states, basis = linear_states(theta), analyzer_basis(postselect_deg)
     p, _ = _table(states, eps, ModelTag.parse(model), gate_params, basis)
-    wv_d, wv_a = (weak_values(states, f, obs).real for f in basis)
-    f_d, f_a = fisher_split(states, basis, obs).T
+    wv_d, wv_a = (weak_values(states, f).real for f in basis)
+    f_d, f_a = fisher_split(states, basis).T
     # estimate_epsilon on ConditionalPair.from_joint, with their checks
     pf_a = p[:, 0] + p[:, 1]
     usable = (pf_a > 0.0) & (np.abs(wv_a) >= WV_REFERENCE_FLOOR)
@@ -214,12 +330,38 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     }
 
 
-# -- the scalar API: N = 1 calls on state.vector()[None] ---------------------
+# -- the scalar API: N = 1 calls -------------------------------------------
 
 
-def _distribution(table, eps: float) -> JointDistribution:
-    """The row of an N = 1 table, or the error of its status."""
-    p, status = table
+def _weak_value(psi: np.ndarray, f: np.ndarray) -> complex:
+    """Weak value of one unit state; PostselectionSingular where singular."""
+    wv = complex(weak_values(psi[None], f)[0])
+    if math.isnan(wv.real):
+        raise PostselectionSingular(
+            f"|<f|psi>| = {abs(_braket(f, psi[None])[0]):.3g} below threshold "
+            f"{SINGULARITY_THRESHOLD:g}"
+        )
+    return wv
+
+
+def weak_value(psi, f) -> complex:
+    """Weak value <f|A|psi> / <f|psi> of the Stokes observable for
+    preparation psi and post-selection f, both (2,) amplitude arrays.
+    Raises PostselectionSingular when |<f|psi>| is below the singularity
+    threshold (the divergence there is physical, but a float result past
+    measurement precision would be meaningless)."""
+    return _weak_value(_state(psi), _state(f))
+
+
+def model_distribution(
+    theta: float, eps: float, model: ModelTag | str, gate_params=None, f_basis=None,
+) -> np.ndarray:
+    """Joint table p[4] in CELLS order of the selected model at
+    (theta, eps). ``f_basis`` overrides the post-selection basis, the
+    diagonal pair by default, and must be orthonormal. A row the model
+    leaves undefined raises the error of its status."""
+    basis = DIAG_BASIS if f_basis is None else _check_orthonormal(f_basis)
+    p, status = _table(linear_states([theta]), eps, ModelTag.parse(model), gate_params, basis)
     if status[0] == LinearizationInvalid.exit_code:
         raise LinearizationInvalid(
             f"a first-order probability is negative; coupling eps={eps:g} is too strong "
@@ -227,68 +369,4 @@ def _distribution(table, eps: float) -> JointDistribution:
         )
     if status[0] == ZeroCoincidenceNorm.exit_code:
         raise ZeroCoincidenceNorm("no coincidence amplitude left after the gate")
-    return JointDistribution(dict(zip(CELLS, p[0].tolist())))
-
-
-def weak_value(psi: QubitState, f: QubitState, obs: Observable) -> complex:
-    """Weak value <f|A|psi> / <f|psi> of obs for preparation psi and
-    post-selection f. Raises PostselectionSingular when |<f|psi>| is below
-    the singularity threshold (the divergence there is physical, but a
-    float result past measurement precision would be meaningless)."""
-    wv = complex(weak_values(psi.vector()[None], f, obs)[0])
-    if math.isnan(wv.real):
-        raise PostselectionSingular(
-            f"|<f|psi>| = {abs(inner_product(f, psi)):.3g} below threshold {SINGULARITY_THRESHOLD:g}"
-        )
-    return wv
-
-
-def log_derivative(psi: QubitState, f: QubitState, m: MeterOutcome, meter=None, obs=None) -> float:
-    """d ln p(m, f) / d eps at eps = 0, i.e. 2 kappa_m Re wv_f."""
-    return 2.0 * (meter or DEFAULT_METER).kappa(m) * weak_value(psi, f, obs or stokes_hv()).real
-
-
-def joint_probabilities_linear(
-    psi: QubitState, eps: float, f_basis: tuple[QubitState, QubitState] | None = None,
-    meter: MeterModel | None = None, obs: Observable | None = None, guard: float = WEAKNESS_GUARD,
-) -> JointDistribution:
-    """First-order joint probabilities p(m, f) for all four outcome pairs
-    (see :func:`linear_table`). A negative first-order probability raises
-    LinearizationInvalid instead of being clamped."""
-    return _distribution(linear_table(psi.vector()[None], eps, f_basis, meter, obs, guard), eps)
-
-
-def exact_joint_probabilities(
-    theta: float | PolarAngle, eps: float, params: GateParams | None = None,
-    meter_basis: tuple[QubitState, QubitState] | None = None,
-    postselect_basis: tuple[QubitState, QubitState] | None = None,
-) -> JointDistribution:
-    """Coincidence joint probabilities p(m, f) of the exact gate model for
-    the system in the linear-polarization state at ``theta`` (see
-    :func:`exact_table`). ``params=None`` applies the ideal controlled-sign
-    gate; a :class:`GateParams` applies the PPBS coincidence operator."""
-    states = linear_pol_state(theta).vector()[None]
-    gate = IDEAL_GATE if params is None else ppbs_coincidence_operator(params)
-    return _distribution(exact_table(states, eps, gate, postselect_basis, meter_basis), eps)
-
-
-def fisher_information(
-    psi: QubitState, f_basis: tuple[QubitState, QubitState] | None = None,
-    obs: Observable | None = None,
-) -> FisherReport:
-    """Fisher information about eps at eps = 0, split by post-selection
-    outcome (see :func:`fisher_split`). It takes no meter: every
-    :class:`MeterModel` enforces sum_m w_m kappa_m^2 = 1, and with that
-    normalization the result is the same for all of them."""
-    f_d, f_a = fisher_split(psi.vector()[None], f_basis, obs)[0].tolist()
-    return FisherReport(dict(zip(_OUTCOMES, (f_d, f_a))), f_d + f_a)
-
-
-def model_distribution(
-    theta: float | PolarAngle, eps: float, model: ModelTag | str,
-    gate_params: GateParams | None = None, f_basis=None,
-) -> JointDistribution:
-    """Joint distribution p(m, f) of the selected model at (theta, eps).
-    ``f_basis`` overrides the post-selection basis pair (default: diagonal)."""
-    states = linear_pol_state(theta).vector()[None]
-    return _distribution(_table(states, eps, ModelTag.parse(model), gate_params, f_basis), eps)
+    return p[0]

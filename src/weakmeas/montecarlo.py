@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooManyDiscardedReplicas, ZeroProbability
-from .estimation import FisherReport, _check_wv_reference, cramer_rao_bound
+from .estimation import _COLUMN, FisherReport, _cells, _check_wv_reference, cramer_rao_bound
 from .gatesim import GateParams
-from .kernel import ModelTag, fisher_information, model_distribution, weak_value
-from .qstate import PolarAngle, diag_states, linear_pol_state, stokes_hv
-from .weakmodel import CELLS, JointDistribution, MeterOutcome, PostSelectOutcome
+from .kernel import (
+    DIAG_BASIS, ModelTag, Outcome, _weak_value, fisher_split, linear_states, model_distribution,
+)
 
 #: Replicas with unusable counts may be discarded up to this fraction.
 DISCARD_TOLERANCE = 0.01
@@ -149,41 +149,25 @@ def _sampler(mode: str, n: int):
     return streams
 
 
-def _probabilities(dist: JointDistribution) -> np.ndarray:
-    """The cell probabilities of ``dist`` in CELLS order, summing to 1."""
-    pvec = np.array(dist.values())
+def _probabilities(p: np.ndarray) -> np.ndarray:
+    """The cells of the joint table p[4], checked, scaled to sum to 1."""
+    pvec = np.array(_cells(p))
     return pvec / pvec.sum()
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Coincidence counts per (m, f) cell from one simulated acquisition."""
-
-    counts: dict[tuple[MeterOutcome, PostSelectOutcome], int]
-    n_total: int
-    seed: int
-    model_tag: ModelTag | None = None
-    mode: str = "multinomial"
-
-    def __post_init__(self) -> None:
-        if sum(self.counts.values()) != self.n_total:
-            raise ValueError("counts must sum to n_total")
-
-
 def sample_counts(
-    dist: JointDistribution,
+    p: np.ndarray,
     n: int,
     seed: int,
     mode: str = "multinomial",
-    model_tag: ModelTag | None = None,
-) -> CountRecord:
-    """Draw coincidence counts from ``dist`` in ``mode`` (see
-    :func:`_sampler`); in ``poisson`` mode n_total is the realized sum.
-    Identical (seed, inputs) give bit-identical counts.
+) -> np.ndarray:
+    """Coincidence counts int64[4] in CELLS order drawn from the joint
+    table p[4] in ``mode`` (see :func:`_sampler`); in ``poisson`` mode
+    their sum is the realized total. Identical (seed, inputs) give
+    bit-identical counts.
     """
-    draw = _sampler(mode, n)(seed, _probabilities(dist))
-    drawn = draw(0)
-    return CountRecord(dict(zip(CELLS, drawn)), sum(drawn), int(seed), model_tag, mode)
+    draw = _sampler(mode, n)(seed, _probabilities(p))
+    return np.array(draw(0)[:], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -199,13 +183,13 @@ class EnsembleStats:
 
 
 def run_ensemble(
-    theta: float | PolarAngle,
+    theta: float,
     eps_true: float,
     model: ModelTag | str,
     n_per_replica: int,
     n_replicas: int,
     base_seed: int,
-    f: PostSelectOutcome = PostSelectOutcome.A,
+    f: Outcome = Outcome.A,
     gate_params: GateParams | None = None,
     mode: str = "multinomial",
 ) -> EnsembleStats:
@@ -225,14 +209,12 @@ def run_ensemble(
     streams = _sampler(mode, n_per_replica)
     pvec = _probabilities(model_distribution(theta, eps_true, model, gate_params))
 
-    psi = linear_pol_state(theta)
-    f_state = diag_states()[0 if f is PostSelectOutcome.D else 1]
-    wv_ref = weak_value(psi, f_state, stokes_hv()).real
+    psi = linear_states(theta)
+    col = 0 if f is Outcome.D else 1
+    wv_ref = _weak_value(psi, DIAG_BASIS[col]).real
     _check_wv_reference(wv_ref)
-    report = fisher_information(psi)
-    crb = cramer_rao_bound(
-        FisherReport({f: report.per_f[f]}, report.per_f[f]), n_per_replica
-    )
+    per_f = fisher_split(psi[None])[0, col].item()
+    crb = cramer_rao_bound(FisherReport({f: per_f}, per_f), n_per_replica)
 
     arr, discarded = _replica_estimates(streams, pvec, wv_ref, f, n_replicas, base_seed)
     if discarded > DISCARD_TOLERANCE * n_replicas:
@@ -251,7 +233,7 @@ def run_ensemble(
     )
 
 
-def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: PostSelectOutcome,
+def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: Outcome,
                        n_replicas: int, base_seed: int) -> tuple[np.ndarray, int]:
     """Moment estimates of the replicas with a positive count in both the
     (D, f) and (A, f) cells, in replica order, and the number of replicas
@@ -264,8 +246,7 @@ def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: PostSelectOu
     bit for bit while n_d + n_a stays below 2^53.
     """
     draw = streams(base_seed, pvec)
-    idx_d = CELLS.index((MeterOutcome.D, f))
-    idx_a = CELLS.index((MeterOutcome.A, f))
+    idx_d, idx_a = _COLUMN[f]
     n_d = np.empty(n_replicas, dtype=np.int64)
     n_a = np.empty(n_replicas, dtype=np.int64)
     for replica in range(n_replicas):

@@ -42,23 +42,21 @@ from weakmeas import (
     ConditionalPair,
     LinearizationInvalid,
     ModelTag,
-    PostSelectOutcome,
+    Outcome,
     WeakMeasError,
     apparent_fisher,
-    diag_states,
     estimate_epsilon,
-    exact_joint_probabilities,
     extract_weak_value,
     fisher_information,
-    joint_probabilities_linear,
-    linear_pol_state,
+    linear_states,
+    model_distribution,
     run_ensemble,
-    stokes_hv,
     weak_value,
 )
 from weakmeas.cli import main as cli_main
+from weakmeas.kernel import DIAG_BASIS
 
-F_D, F_A = PostSelectOutcome.D, PostSelectOutcome.A
+F_D, F_A = Outcome.D, Outcome.A
 EPS_OP = 0.08  # operating coupling
 
 
@@ -77,7 +75,7 @@ def test_criterion_1_fisher_constancy():
     worst_total = 0.0
     worst_split = 0.0
     for deg in range(360):
-        report = fisher_information(linear_pol_state(float(deg)))
+        report = fisher_information(linear_states(float(deg)))
         worst_total = max(worst_total, abs(report.total - 4.0))
         worst_split = max(
             worst_split, abs(report.per_f[F_A] + report.per_f[F_D] - report.total)
@@ -94,11 +92,10 @@ def test_criterion_1_fisher_constancy():
 
 
 def test_criterion_2_closed_form_weak_value():
-    _, a_state = diag_states()
-    obs = stokes_hv()
+    a_state = DIAG_BASIS[1]
     worst = 0.0
     for deg in list(range(0, 86)) + list(range(95, 360)):
-        got = weak_value(linear_pol_state(float(deg)), a_state, obs).real
+        got = weak_value(linear_states(float(deg)), a_state).real
         want = math.tan(math.radians(deg / 2.0 + 45.0))
         worst = max(worst, abs(got - want))
     below = [abs(wv_a(float(d))) for d in range(60, 86)]
@@ -117,9 +114,8 @@ def test_criterion_3_finite_difference_extraction():
     # limit consistency at eps_probe = 1e-6
     limit_ok = True
     for deg in range(0, 61, 5):
-        psi = linear_pol_state(float(deg))
-        p_e = joint_probabilities_linear(psi, 1e-6)
-        p_0 = joint_probabilities_linear(psi, 0.0)
+        p_e = model_distribution(float(deg), 1e-6, "linear")
+        p_0 = model_distribution(float(deg), 0.0, "linear")
         got = extract_weak_value(p_e, p_0, F_A, 1e-6)
         if abs(got / wv_a(float(deg)) - 1.0) > 1e-6:
             limit_ok = False
@@ -128,9 +124,8 @@ def test_criterion_3_finite_difference_extraction():
     residuals = []
     at_zero = None
     for deg in range(0, 61, 5):
-        psi = linear_pol_state(float(deg))
-        p_e = joint_probabilities_linear(psi, EPS_OP)
-        p_0 = joint_probabilities_linear(psi, 0.0)
+        p_e = model_distribution(float(deg), EPS_OP, "linear")
+        p_0 = model_distribution(float(deg), 0.0, "linear")
         got = extract_weak_value(p_e, p_0, F_A, EPS_OP)
         want = math.atanh(2.0 * EPS_OP * wv_a(float(deg))) / (2.0 * EPS_OP)
         residuals.append((abs(got / want - 1.0), deg))
@@ -153,13 +148,13 @@ def test_criterion_3_finite_difference_extraction():
 
 def test_criterion_4_estimator_round_trip():
     # clause 1: linearized conditionals return the set eps to 1e-12
-    _, a_state = diag_states()
+    a_state = DIAG_BASIS[1]
     round_trip_ok = True
     for deg in range(0, 360):
-        psi = linear_pol_state(float(deg))
+        psi = linear_states(float(deg))
         try:
-            wv_ref = weak_value(psi, a_state, stokes_hv()).real
-            dist = joint_probabilities_linear(psi, EPS_OP)
+            wv_ref = weak_value(psi, a_state).real
+            dist = model_distribution(float(deg), EPS_OP, "linear")
             cond = ConditionalPair.from_joint(dist, F_A)
             result = estimate_epsilon(cond, wv_ref, F_A)
         except WeakMeasError:
@@ -171,7 +166,7 @@ def test_criterion_4_estimator_round_trip():
     # for theta <= 45 deg
     residuals = []
     for deg in (0, 15, 30, 45):
-        dist = exact_joint_probabilities(float(deg), EPS_OP)
+        dist = model_distribution(float(deg), EPS_OP, "exact-ideal")
         cond = ConditionalPair.from_joint(dist, F_A)
         eps_hat = estimate_epsilon(cond, wv_a(float(deg)), F_A).epsilon_hat
         want = EPS_OP / (1.0 + (EPS_OP * wv_a(float(deg))) ** 2)
@@ -182,7 +177,7 @@ def test_criterion_4_estimator_round_trip():
     # clause 3: |bias| nondecreasing toward the orthogonality point
     biases = []
     for deg in (0, 30, 60, 80, 85):
-        dist = exact_joint_probabilities(float(deg), EPS_OP)
+        dist = model_distribution(float(deg), EPS_OP, "exact-ideal")
         cond = ConditionalPair.from_joint(dist, F_A)
         eps_hat = estimate_epsilon(cond, wv_a(float(deg)), F_A).epsilon_hat
         biases.append(abs(eps_hat - EPS_OP))
@@ -203,7 +198,7 @@ def test_criterion_5_error_information_duality():
     n = 10**6
     worst = 0.0
     for deg in (0.0, 30.0, 60.0):
-        psi = linear_pol_state(deg)
+        psi = linear_states(deg)
         report = fisher_information(psi)
         half = math.radians(deg) / 2.0
         pf = (math.cos(half) - math.sin(half)) ** 2 / 2.0
@@ -251,15 +246,12 @@ def test_criterion_7_linear_vs_exact_order():
     def max_gap(eps):
         gap = 0.0
         for deg in range(0, 76, 15):
-            exact = exact_joint_probabilities(float(deg), eps)
+            exact = model_distribution(float(deg), eps, "exact-ideal")
             try:
-                linear = joint_probabilities_linear(linear_pol_state(float(deg)), eps)
+                linear = model_distribution(float(deg), eps, "linear")
             except LinearizationInvalid:
                 continue  # linear model undefined at this grid point
-            gap = max(
-                gap,
-                max(abs(exact.p(m, f) - linear.p(m, f)) for m, f in exact.as_dict()),
-            )
+            gap = max(gap, max(abs(exact - linear)))
         return gap
 
     ratio = max_gap(0.08) / max_gap(0.04)
@@ -277,32 +269,26 @@ def test_criterion_8_gate_model_identity_and_imperfection():
     worst = 0.0
     for deg in (0.0, 40.0, 80.0, 120.0, 160.0):
         for eps in (0.04, 0.08):
-            via_gate = exact_joint_probabilities(deg, eps, params=COMPENSATED_PPBS)
-            via_csign = exact_joint_probabilities(deg, eps, params=None)
-            worst = max(
-                worst,
-                max(
-                    abs(via_gate.p(m, f) - via_csign.p(m, f))
-                    for m, f in via_gate.as_dict()
-                ),
-            )
+            via_gate = model_distribution(deg, eps, "exact-ppbs", COMPENSATED_PPBS)
+            via_csign = model_distribution(deg, eps, "exact-ideal")
+            worst = max(worst, max(abs(via_gate - via_csign)))
     identity_ok = worst <= 1e-12
 
     # uncompensated PPBS analyzed with the ideal pipeline: per-row deviation
     # asymmetry and apparent total away from 4
     deg = 30.0
-    p_e = exact_joint_probabilities(deg, EPS_OP, params=UNCOMPENSATED_PPBS)
-    p_0 = exact_joint_probabilities(deg, 0.0, params=UNCOMPENSATED_PPBS)
+    p_e = model_distribution(deg, EPS_OP, "exact-ppbs", UNCOMPENSATED_PPBS)
+    p_0 = model_distribution(deg, 0.0, "exact-ppbs", UNCOMPENSATED_PPBS)
     got = apparent_fisher(p_e, p_0, EPS_OP)
-    want = fisher_information(linear_pol_state(deg))
+    want = fisher_information(linear_states(deg))
     dev_a = got.per_f[F_A] / want.per_f[F_A]
     dev_d = got.per_f[F_D] / want.per_f[F_D]
     asymmetry_ok = abs(dev_a - dev_d) > 0.05
     total_off = abs(got.total - 4.0) > 0.5
 
     # apparent F > 4 artifact of the finite-coupling analysis at large wv
-    p_e = exact_joint_probabilities(80.0, EPS_OP, params=COMPENSATED_PPBS)
-    p_0 = exact_joint_probabilities(80.0, 0.0, params=COMPENSATED_PPBS)
+    p_e = model_distribution(80.0, EPS_OP, "exact-ppbs", COMPENSATED_PPBS)
+    p_0 = model_distribution(80.0, 0.0, "exact-ppbs", COMPENSATED_PPBS)
     artifact = apparent_fisher(p_e, p_0, EPS_OP).total
     artifact_ok = artifact > 4.0
 

@@ -308,6 +308,46 @@ class TestSweep:
         assert "theta-start" in err
 
 
+class TestScalarCommandsMatchSweep:
+    """A point command prints the very bits of the sweep cell at the same
+    point: both build the state and the basis the same way."""
+
+    @pytest.mark.parametrize("postselect", ["270", "300", "200", "45.5"])
+    @pytest.mark.parametrize("model", [
+        ("--model", "linear"), ("--model", "exact-ideal"),
+        ("--model", "exact-ppbs", "--tv", "0.6", "--ah", "0.55"),
+    ])
+    def test_bit_equal(self, tmp_path, capsys, postselect, model):
+        out_file = tmp_path / "sweep.json"
+        code, _, _ = run_cli(capsys, "sweep", "--theta-stop", "355", "--theta-step", "15",
+                             "--epsilon", "0.08", "--postselect", postselect, *model,
+                             "--format", "json", "--out", str(out_file))
+        assert code == 0
+        point = ("--postselect", postselect)
+        checked = 0
+        for row in json.loads(out_file.read_text(encoding="utf-8"))["rows"]:
+            theta = ("--theta", repr(row["theta_deg"]))
+            code, out, _ = run_cli(capsys, "probs", *theta, "--epsilon", "0.08", *model, *point)
+            if row["p_DA"] is not None:
+                got = json.loads(out)
+                assert [got[k] for k in ("p_DA", "p_AA", "p_DD", "p_AD")] == [
+                    row[k] for k in ("p_DA", "p_AA", "p_DD", "p_AD")]
+                checked += 1
+            code, out, _ = run_cli(capsys, "estimate", *theta, "--epsilon", "0.08", *model, *point)
+            if row["eps_hat_A"] is not None:
+                assert json.loads(out)["eps_hat"] == row["eps_hat_A"]
+            if model[1] != "linear":
+                continue  # fisher and weakvalue take no model
+            code, out, _ = run_cli(capsys, "fisher", *theta, *point)
+            got = json.loads(out)
+            assert [got["F_A"], got["F_D"], got["F_total"]] == [row["F_A"], row["F_D"], row["F_total"]]
+            # the finite difference may refuse a point where wv_A is defined
+            code, out, _ = run_cli(capsys, "weakvalue", *theta, *point)
+            if code == 0:
+                assert json.loads(out)["wv_analytic"] == row["wv_A"]
+        assert checked >= 16
+
+
 class TestWeakValue:
     def test_horizontal(self, capsys):
         code, out, _ = run_cli(capsys, "weakvalue", "--theta", "0")

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from weakmeas import (
     ConditionalPair,
     FisherReport,
-    PostSelectOutcome,
+    Outcome,
     WeakValueReferenceZero,
     ZeroInformation,
     ZeroProbability,
@@ -14,18 +15,27 @@ from weakmeas import (
     COMPENSATED_PPBS,
     UNCOMPENSATED_PPBS,
     cramer_rao_bound,
-    diag_states,
     estimate_epsilon,
-    exact_joint_probabilities,
     extract_weak_value,
     fisher_information,
-    joint_probabilities_linear,
-    linear_pol_state,
-    stokes_hv,
+    linear_states,
+    model_distribution,
     weak_value,
 )
+from weakmeas.kernel import DIAG_BASIS
 
-F_D, F_A = PostSelectOutcome.D, PostSelectOutcome.A
+F_D, F_A = Outcome.D, Outcome.A
+
+
+def linear(deg, eps):
+    return model_distribution(deg, eps, "linear")
+
+
+def exact(deg, eps, params=None):
+    """The ideal gate, or the PPBS with ``params``."""
+    if params is None:
+        return model_distribution(deg, eps, "exact-ideal")
+    return model_distribution(deg, eps, "exact-ppbs", params)
 
 
 def wv_a(theta_deg):
@@ -55,10 +65,15 @@ class TestConditionalPair:
             ConditionalPair.from_counts(10, 0)
 
     def test_from_joint(self):
-        d = joint_probabilities_linear(linear_pol_state(0.0), 0.08)
+        d = linear(0.0, 0.08)
         c = ConditionalPair.from_joint(d, F_A)
         assert c.p_d == pytest.approx(0.58)
+        assert c.p_a == pytest.approx(0.42)
         assert c.n_events is None
+
+    def test_from_joint_zero_marginal(self):
+        with pytest.raises(ZeroProbability, match="p\\(f=A\\)"):
+            ConditionalPair.from_joint([0.0, 0.0, 0.5, 0.5], F_A)
 
 
 class TestEstimateEpsilon:
@@ -73,7 +88,7 @@ class TestEstimateEpsilon:
 
     def test_exact_model_bias_at_zero_theta(self):
         eps = 0.08
-        d = exact_joint_probabilities(0.0, eps)
+        d = exact(0.0, eps)
         cond = ConditionalPair.from_joint(d, F_A)
         assert cond.p_d == pytest.approx(0.57949, abs=5e-6)
         r = estimate_epsilon(cond, 1.0, F_A)
@@ -91,8 +106,8 @@ class TestEstimateEpsilon:
     @pytest.mark.parametrize("deg", [0.0, 10.0, 30.0, 45.0, 60.0, 130.0, 200.0])
     def test_round_trip_on_linear_conditionals(self, deg):
         eps = 0.03
-        d = joint_probabilities_linear(linear_pol_state(deg), eps)
-        if d.marginal_f(F_A) <= 0.0:
+        d = linear(deg, eps)
+        if d[0] + d[1] <= 0.0:  # p(f = A)
             return
         cond = ConditionalPair.from_joint(d, F_A)
         r = estimate_epsilon(cond, wv_a(deg), F_A)
@@ -102,7 +117,7 @@ class TestEstimateEpsilon:
         eps = 0.08
         biases = []
         for deg in (0.0, 30.0, 60.0, 80.0, 85.0):
-            d = exact_joint_probabilities(deg, eps)
+            d = exact(deg, eps)
             r = estimate_epsilon(ConditionalPair.from_joint(d, F_A), wv_a(deg), F_A)
             assert r.epsilon_hat == pytest.approx(exact_eps_hat(deg, eps), abs=1e-12)
             biases.append(abs(r.epsilon_hat - eps))
@@ -112,8 +127,8 @@ class TestEstimateEpsilon:
 class TestExtractWeakValue:
     def test_operating_point_value(self):
         eps = 0.08
-        p_e = joint_probabilities_linear(linear_pol_state(0.0), eps)
-        p_0 = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
+        p_e = linear(0.0, eps)
+        p_0 = linear(0.0, 0.0)
         got = extract_weak_value(p_e, p_0, F_A, eps)
         want = (math.log(1.16) - math.log(0.84)) / (4.0 * eps)
         assert got == pytest.approx(want, abs=1e-12)
@@ -122,15 +137,15 @@ class TestExtractWeakValue:
     @pytest.mark.parametrize("deg", [0.0, 20.0, 45.0, 60.0])
     def test_small_probe_limit(self, deg):
         eps = 1e-6
-        p_e = joint_probabilities_linear(linear_pol_state(deg), eps)
-        p_0 = joint_probabilities_linear(linear_pol_state(deg), 0.0)
+        p_e = linear(deg, eps)
+        p_0 = linear(deg, 0.0)
         got = extract_weak_value(p_e, p_0, F_A, eps)
         assert got == pytest.approx(wv_a(deg), rel=1e-6)
 
     def test_vertical_input(self):
         eps = 0.08
-        p_e = joint_probabilities_linear(linear_pol_state(180.0), eps)
-        p_0 = joint_probabilities_linear(linear_pol_state(180.0), 0.0)
+        p_e = linear(180.0, eps)
+        p_0 = linear(180.0, 0.0)
         got = extract_weak_value(p_e, p_0, F_A, eps)
         assert got == pytest.approx(-1.0, abs=0.01)
 
@@ -140,42 +155,34 @@ class TestExtractWeakValue:
         deg = 30.0
         errors = []
         for eps in (1e-3, 1e-4, 1e-5):
-            p_e = joint_probabilities_linear(linear_pol_state(deg), eps)
-            p_0 = joint_probabilities_linear(linear_pol_state(deg), 0.0)
+            p_e = linear(deg, eps)
+            p_0 = linear(deg, 0.0)
             errors.append(abs(extract_weak_value(p_e, p_0, F_A, eps) - wv_a(deg)))
         assert errors[0] / errors[1] > 10.0
         assert errors[1] / errors[2] > 10.0
 
     def test_zero_probe_coupling_raises(self):
-        p_0 = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
+        p_0 = linear(0.0, 0.0)
         with pytest.raises(ZeroProbeCoupling):
             extract_weak_value(p_0, p_0, F_A, 0.0)
 
     def test_zero_probability_raises(self):
-        from weakmeas import CELLS, JointDistribution, MeterOutcome
-
         # an exactly-zero count cell makes the log-ratio undefined
-        zero_cell = {
-            (MeterOutcome.D, F_A): 0.0,
-            (MeterOutcome.A, F_A): 0.5,
-            (MeterOutcome.D, F_D): 0.25,
-            (MeterOutcome.A, F_D): 0.25,
-        }
-        p_e = JointDistribution(zero_cell)
-        p_0 = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
+        p_e = np.array([0.0, 0.5, 0.25, 0.25])
+        p_0 = linear(0.0, 0.0)
         with pytest.raises(ZeroProbability):
             extract_weak_value(p_e, p_0, F_A, 0.08)
 
 
 class TestFisherInformation:
     def test_horizontal_input(self):
-        r = fisher_information(linear_pol_state(0.0))
+        r = fisher_information(linear_states(0.0))
         assert r.per_f[F_A] == pytest.approx(2.0, abs=1e-12)
         assert r.per_f[F_D] == pytest.approx(2.0, abs=1e-12)
         assert r.total == pytest.approx(4.0, abs=1e-12)
 
     def test_sixty_degrees_closed_form(self):
-        r = fisher_information(linear_pol_state(60.0))
+        r = fisher_information(linear_states(60.0))
         sin60 = math.sin(math.radians(60.0))
         assert r.per_f[F_A] == pytest.approx(2.0 * (1.0 + sin60), abs=1e-12)
         assert r.per_f[F_D] == pytest.approx(2.0 * (1.0 - sin60), abs=1e-12)
@@ -185,12 +192,12 @@ class TestFisherInformation:
 
     def test_total_constant_on_fine_grid(self):
         for deg in range(0, 360):
-            r = fisher_information(linear_pol_state(float(deg)))
+            r = fisher_information(linear_states(float(deg)))
             assert r.total == pytest.approx(4.0, abs=1e-9)
             assert r.per_f[F_A] + r.per_f[F_D] == pytest.approx(r.total, abs=1e-9)
 
     def test_orthogonal_postselection_defined_by_continuity(self):
-        r = fisher_information(linear_pol_state(90.0))
+        r = fisher_information(linear_states(90.0))
         assert r.per_f[F_A] == pytest.approx(4.0, abs=1e-12)
         assert r.per_f[F_D] == pytest.approx(0.0, abs=1e-12)
 
@@ -205,7 +212,7 @@ class TestCramerRaoBound:
         assert cramer_rao_bound(r, 10**6) == pytest.approx(2.5e-7)
 
     def test_postselected_strategy(self):
-        per_a = fisher_information(linear_pol_state(60.0)).per_f[F_A]
+        per_a = fisher_information(linear_states(60.0)).per_f[F_A]
         bound = cramer_rao_bound(FisherReport({F_A: per_a}, per_a), 10**6)
         assert bound == pytest.approx(2.679e-7, rel=2e-4)
 
@@ -223,10 +230,8 @@ class TestErrorInformationDuality:
     @pytest.mark.parametrize("deg", [0.0, 30.0, 60.0])
     def test_inverse_variance_equals_fisher_contribution(self, deg):
         n = 10**6
-        psi = linear_pol_state(deg)
-        pf = abs(
-            (linear_pol_state(deg).amp_h - linear_pol_state(deg).amp_v)
-        ) ** 2 / 2.0
+        psi = linear_states(deg)
+        pf = abs(psi[0] - psi[1]) ** 2 / 2.0
         report = fisher_information(psi)
         cond = ConditionalPair(0.5, 0.5, n_events=n * pf)
         sigma = estimate_epsilon(cond, wv_a(deg), F_A).sigma_epsilon
@@ -237,20 +242,20 @@ class TestApparentFisher:
     def test_small_probe_recovers_analytic_curve(self):
         eps = 1e-5
         for deg in (0.0, 30.0, 60.0):
-            p_e = exact_joint_probabilities(deg, eps)
-            p_0 = exact_joint_probabilities(deg, 0.0)
+            p_e = exact(deg, eps)
+            p_0 = exact(deg, 0.0)
             r = apparent_fisher(p_e, p_0, eps)
-            want = fisher_information(linear_pol_state(deg))
+            want = fisher_information(linear_states(deg))
             assert r.per_f[F_A] == pytest.approx(want.per_f[F_A], rel=1e-6)
             assert r.per_f[F_D] == pytest.approx(want.per_f[F_D], rel=1e-6)
 
     def test_uncompensated_gate_produces_asymmetric_deviation(self):
         eps = 0.08
         deg = 30.0
-        p_e = exact_joint_probabilities(deg, eps, params=UNCOMPENSATED_PPBS)
-        p_0 = exact_joint_probabilities(deg, 0.0, params=UNCOMPENSATED_PPBS)
+        p_e = exact(deg, eps, params=UNCOMPENSATED_PPBS)
+        p_0 = exact(deg, 0.0, params=UNCOMPENSATED_PPBS)
         got = apparent_fisher(p_e, p_0, eps)
-        want = fisher_information(linear_pol_state(deg))
+        want = fisher_information(linear_states(deg))
         dev_a = got.per_f[F_A] / want.per_f[F_A]
         dev_d = got.per_f[F_D] / want.per_f[F_D]
         assert abs(dev_a - dev_d) > 0.05
@@ -258,16 +263,15 @@ class TestApparentFisher:
 
     def test_ideal_gate_total_stays_close(self):
         eps = 0.08
-        p_e = exact_joint_probabilities(30.0, eps, params=COMPENSATED_PPBS)
-        p_0 = exact_joint_probabilities(30.0, 0.0, params=COMPENSATED_PPBS)
+        p_e = exact(30.0, eps, params=COMPENSATED_PPBS)
+        p_0 = exact(30.0, 0.0, params=COMPENSATED_PPBS)
         got = apparent_fisher(p_e, p_0, eps)
         assert abs(got.total - 4.0) < 0.1
 
 
 class TestWeakValueReference:
     def test_reference_matches_weak_value_module(self):
-        _, a = diag_states()
         for deg in (0.0, 25.0, 60.0):
-            assert weak_value(linear_pol_state(deg), a, stokes_hv()).real == pytest.approx(
+            assert weak_value(linear_states(deg), DIAG_BASIS[1]).real == pytest.approx(
                 wv_a(deg), abs=1e-12
             )

@@ -4,25 +4,37 @@ import numpy as np
 import pytest
 
 from weakmeas import (
+    CELLS,
     COMPENSATED_PPBS,
     LinearizationInvalid,
     UNCOMPENSATED_PPBS,
     GateParams,
-    MeterOutcome,
-    PostSelectOutcome,
+    Outcome,
     ZeroCoincidenceNorm,
-    diag_states,
-    exact_joint_probabilities,
-    joint_probabilities_linear,
-    linear_pol_state,
-    ppbs_coincidence_operator,
-    probe_state,
+    linear_states,
+    model_distribution,
 )
-from weakmeas.kernel import IDEAL_GATE, two_photon_amplitudes
+from weakmeas.gatesim import ppbs_coincidence_operator
+from weakmeas.kernel import IDEAL_GATE, probe_state, two_photon_amplitudes
 
-D_OUT, A_OUT = MeterOutcome.D, MeterOutcome.A
-F_D, F_A = PostSelectOutcome.D, PostSelectOutcome.A
+D_OUT, A_OUT = Outcome.D, Outcome.A
+F_D, F_A = Outcome.D, Outcome.A
 SQRT3 = math.sqrt(3.0)
+
+
+def exact(deg, eps, params=None, f_basis=None):
+    """The exact table of the ideal gate, or of the PPBS with ``params``."""
+    if params is None:
+        return model_distribution(deg, eps, "exact-ideal", f_basis=f_basis)
+    return model_distribution(deg, eps, "exact-ppbs", params, f_basis)
+
+
+def cell(p, m, f):
+    return p[CELLS.index((m, f))]
+
+
+def marginal(p, f):
+    return cell(p, D_OUT, f) + cell(p, A_OUT, f)
 
 
 class TestGateParams:
@@ -45,8 +57,7 @@ def ideal_csign(system, probe):
 
 class TestIdealCsign:
     def test_hh_unchanged(self):
-        h = linear_pol_state(0.0).vector()
-        out = ideal_csign(h, probe_state(0.0).vector())
+        out = ideal_csign(linear_states(0.0), probe_state(0.0))
         assert np.allclose(out, [1.0, 0.0, 0.0, 0.0])
 
     def test_vv_negated(self):
@@ -79,45 +90,38 @@ class TestExactJointProbabilities:
     def test_horizontal_operating_point(self):
         # system |H> is untouched; meter outcome follows (1 +- eps)^2 / (2 (1 + eps^2))
         eps = 0.08
-        d = exact_joint_probabilities(0.0, eps)
+        d = exact(0.0, eps)
         p_plus = (1.0 + eps) ** 2 / (2.0 * (1.0 + eps**2)) / 2.0
         p_minus = (1.0 - eps) ** 2 / (2.0 * (1.0 + eps**2)) / 2.0
-        assert d.p(D_OUT, F_A) == pytest.approx(p_plus, abs=1e-15)
-        assert d.p(D_OUT, F_D) == pytest.approx(p_plus, abs=1e-15)
-        assert d.p(A_OUT, F_A) == pytest.approx(p_minus, abs=1e-15)
-        assert d.p(A_OUT, F_D) == pytest.approx(p_minus, abs=1e-15)
+        np.testing.assert_allclose(d, [p_plus, p_minus, p_plus, p_minus], rtol=0.0, atol=1e-15)
         assert p_plus == pytest.approx(0.28975, abs=5e-6)
 
     @pytest.mark.parametrize("deg", [0.0, 30.0, 60.0, 110.0, 245.0])
     def test_zero_coupling_matches_linear_model(self, deg):
-        exact = exact_joint_probabilities(deg, 0.0)
-        linear = joint_probabilities_linear(linear_pol_state(deg), 0.0)
-        for (m, f), p in exact.as_dict().items():
-            assert p == pytest.approx(linear.p(m, f), abs=1e-12)
+        np.testing.assert_allclose(exact(deg, 0.0), model_distribution(deg, 0.0, "linear"),
+                                   rtol=0.0, atol=1e-12)
 
     def test_orthogonal_postselection_survives_at_second_order(self):
         eps = 0.08
-        d = exact_joint_probabilities(90.0, eps)
+        d = exact(90.0, eps)
         # the linearized model gives exactly zero here
-        assert d.marginal_f(F_A) == pytest.approx(eps**2 / (1.0 + eps**2), abs=1e-15)
-        assert d.marginal_f(F_A) > 0.0
+        assert marginal(d, F_A) == pytest.approx(eps**2 / (1.0 + eps**2), abs=1e-15)
+        assert marginal(d, F_A) > 0.0
 
     @pytest.mark.parametrize("deg", [0.0, 25.0, 90.0, 180.0, 300.0])
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
     def test_valid_distribution(self, deg, eps):
         for params in (None, COMPENSATED_PPBS, UNCOMPENSATED_PPBS):
-            d = exact_joint_probabilities(deg, eps, params=params)
-            values = d.values()
-            assert all(v >= 0.0 for v in values)
-            assert sum(values) == pytest.approx(1.0, abs=1e-12)
+            d = exact(deg, eps, params=params)
+            assert (d >= 0.0).all()
+            assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("deg", [0.0, 20.0, 55.0, 130.0, 275.0])
     @pytest.mark.parametrize("eps", [0.0, 0.08, 0.2])
     def test_compensated_ppbs_equals_ideal_csign(self, deg, eps):
-        via_gate = exact_joint_probabilities(deg, eps, params=COMPENSATED_PPBS)
-        via_csign = exact_joint_probabilities(deg, eps, params=None)
-        for cell, p in via_gate.as_dict().items():
-            assert p == pytest.approx(via_csign.as_dict()[cell], abs=1e-12)
+        via_gate = exact(deg, eps, params=COMPENSATED_PPBS)
+        via_csign = exact(deg, eps, params=None)
+        np.testing.assert_allclose(via_gate, via_csign, rtol=0.0, atol=1e-12)
 
     def test_quadratic_convergence_to_linear_model(self):
         # max discrepancy over the grid scales as eps^2: halving eps divides
@@ -126,18 +130,11 @@ class TestExactJointProbabilities:
         def max_gap(eps):
             gap = 0.0
             for deg in range(0, 76, 15):
-                exact = exact_joint_probabilities(deg, eps)
                 try:
-                    linear = joint_probabilities_linear(linear_pol_state(deg), eps)
+                    linear = model_distribution(deg, eps, "linear")
                 except LinearizationInvalid:
                     continue
-                gap = max(
-                    gap,
-                    max(
-                        abs(exact.p(m, f) - linear.p(m, f))
-                        for m, f in exact.as_dict()
-                    ),
-                )
+                gap = max(gap, np.abs(exact(deg, eps) - linear).max())
             return gap
 
         for eps in (0.08, 0.04):
@@ -146,27 +143,26 @@ class TestExactJointProbabilities:
 
     def test_uncompensated_gate_shifts_postselection_asymmetrically(self):
         # relative change of p(f) under the imperfection differs between rows
-        ideal = exact_joint_probabilities(45.0, 0.0, params=COMPENSATED_PPBS)
-        uncomp = exact_joint_probabilities(45.0, 0.0, params=UNCOMPENSATED_PPBS)
-        ratio_a = uncomp.marginal_f(F_A) / ideal.marginal_f(F_A)
-        ratio_d = uncomp.marginal_f(F_D) / ideal.marginal_f(F_D)
+        ideal = exact(45.0, 0.0, params=COMPENSATED_PPBS)
+        uncomp = exact(45.0, 0.0, params=UNCOMPENSATED_PPBS)
+        ratio_a = marginal(uncomp, F_A) / marginal(ideal, F_A)
+        ratio_d = marginal(uncomp, F_D) / marginal(ideal, F_D)
         assert abs(ratio_a - ratio_d) > 0.5
 
     def test_zero_coincidence_norm(self):
         # a symmetric 50:50 splitter nulls every coincidence amplitude
         with pytest.raises(ZeroCoincidenceNorm):
-            exact_joint_probabilities(
+            exact(
                 30.0, 0.05, params=GateParams(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0)
             )
 
     def test_custom_bases_reduce_to_marginals(self):
         # post-selecting in the H/V basis at eps=0 reproduces |<f|psi>|^2
-        h, v = linear_pol_state(0.0), linear_pol_state(180.0)
-        d = exact_joint_probabilities(60.0, 0.0, postselect_basis=(h, v))
-        assert d.marginal_f(F_D) == pytest.approx(
+        d = exact(60.0, 0.0, f_basis=linear_states([0.0, 180.0]))
+        assert marginal(d, F_D) == pytest.approx(
             math.cos(math.radians(30.0)) ** 2, abs=1e-12
         )
-        assert d.marginal_f(F_A) == pytest.approx(
+        assert marginal(d, F_A) == pytest.approx(
             math.sin(math.radians(30.0)) ** 2, abs=1e-12
         )
 
@@ -175,10 +171,9 @@ class TestProbeState:
     def test_normalization(self):
         p = probe_state(0.08)
         n = 1.0 / math.sqrt(1.0 + 0.08**2)
-        assert p.amp_h == pytest.approx(n, abs=1e-15)
-        assert p.amp_v == pytest.approx(0.08 * n, abs=1e-15)
+        np.testing.assert_allclose(p, [n, 0.08 * n], rtol=0.0, atol=1e-15)
 
     def test_kron_ordering(self):
-        out = ideal_csign(linear_pol_state(180.0).vector(), probe_state(0.0).vector())
+        out = ideal_csign(linear_states(180.0), probe_state(0.0))
         # system V, probe H lands on the VH slot
         assert np.allclose(out, [0.0, 0.0, 1.0, 0.0])

@@ -8,20 +8,20 @@ from weakmeas import (
     GateParams,
     LinearizationInvalid,
     ModelTag,
-    PostSelectOutcome,
+    NonOrthonormalBasis,
+    Outcome,
     WeakMeasError,
     ZeroCoincidenceNorm,
     estimate_epsilon,
     fisher_information,
-    linear_pol_state,
+    linear_states,
     model_distribution,
-    stokes_hv,
     weak_value,
 )
 from weakmeas.estimation import ConditionalPair
-from weakmeas.kernel import analyzer_basis, joint_table, sweep_columns
+from weakmeas.kernel import DIAG_BASIS, analyzer_basis, joint_table, sweep_columns
 
-F_A = PostSelectOutcome.A
+F_A = Outcome.A
 MODELS = [
     (ModelTag.LINEAR, None),
     (ModelTag.EXACT_IDEAL, None),
@@ -30,27 +30,34 @@ MODELS = [
 GRID = np.concatenate([np.arange(0.0, 360.0, 2.5), [88.0, 90.0, 92.0, 270.0]])
 
 
+def assert_same_ray(state, amp_h, amp_v, tol=1e-12):
+    """States are physically identical up to a global phase."""
+    want = np.array([amp_h, amp_v], dtype=complex)
+    want /= np.linalg.norm(want)
+    assert abs(np.vdot(want, state)) == pytest.approx(1.0, abs=tol)
+
+
 def reference_row(theta, eps, model, gate, postselect):
     """One sweep row from the scalar API, one call per quantity."""
-    psi, basis, obs = linear_pol_state(theta), analyzer_basis(postselect), stokes_hv()
+    psi, basis = linear_states(theta), analyzer_basis(postselect)
     row = {}
-    report = fisher_information(psi, basis, obs=obs)
-    row["F_D"], row["F_A"] = report.per_f[PostSelectOutcome.D], report.per_f[F_A]
+    report = fisher_information(psi, basis)
+    row["F_D"], row["F_A"] = report.per_f[Outcome.D], report.per_f[F_A]
     row["sigma_rel_A"] = 1.0 / math.sqrt(row["F_A"]) if row["F_A"] > 1e-8 else None
     for key, f in (("wv_D", basis[0]), ("wv_A", basis[1])):
         try:
-            row[key] = weak_value(psi, f, obs).real
+            row[key] = weak_value(psi, f).real
         except WeakMeasError:
             row[key] = None
     try:
-        dist = model_distribution(theta, eps, model, gate, f_basis=basis)
+        p = model_distribution(theta, eps, model, gate, f_basis=basis)
     except WeakMeasError:
-        dist = None
-    row["p_DA"], row["p_AA"], row["p_DD"], row["p_AD"] = dist.values() if dist else [None] * 4
+        p = None
+    row["p_DA"], row["p_AA"], row["p_DD"], row["p_AD"] = [None] * 4 if p is None else p
     row["eps_hat_A"] = None
-    if dist is not None and row["wv_A"] is not None and dist.marginal_f(F_A) > 0.0:
+    if p is not None and row["wv_A"] is not None and p[0] + p[1] > 0.0:
         try:
-            cond = ConditionalPair.from_joint(dist, F_A)
+            cond = ConditionalPair.from_joint(p, F_A)
             row["eps_hat_A"] = estimate_epsilon(cond, row["wv_A"], F_A).epsilon_hat
         except WeakMeasError:
             pass
@@ -111,3 +118,37 @@ def test_unnormalizable_probe_is_refused(model):
 def test_non_finite_angle_refused():
     with pytest.raises(ValueError):
         joint_table([0.0, math.nan], 0.08, ModelTag.LINEAR)
+
+
+class TestBases:
+    def test_diagonal_pair(self):
+        assert_same_ray(DIAG_BASIS[0], 1.0, 1.0)
+        assert_same_ray(DIAG_BASIS[1], 1.0, -1.0)
+        assert abs(np.vdot(DIAG_BASIS[0], DIAG_BASIS[1])) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("postselect", [270.0, 300.0, 200.0, 45.5, 0.0])
+    def test_analyzer_basis_is_orthonormal(self, postselect):
+        basis = analyzer_basis(postselect)
+        np.testing.assert_allclose(basis @ basis.conj().T, np.eye(2), atol=1e-15)
+        np.testing.assert_array_equal(basis[1], linear_states(postselect))
+
+    def test_huge_angle_refused(self):
+        # 1e300 - 180 rounds to 1e300: both rows are the same state
+        with pytest.raises(NonOrthonormalBasis, match="overlap"):
+            analyzer_basis(1e300)
+
+    @pytest.mark.parametrize("basis, match", [
+        (linear_states([0.0, 10.0]), "overlap"),
+        (2.0 * DIAG_BASIS, "norms"),
+        (np.full((2, 2), np.nan), "norms"),
+    ])
+    def test_non_orthonormal_basis_raises(self, basis, match):
+        with pytest.raises(NonOrthonormalBasis, match=match):
+            model_distribution(30.0, 0.05, "linear", f_basis=basis)
+        with pytest.raises(NonOrthonormalBasis, match=match):
+            fisher_information(linear_states(30.0), basis)
+
+    def test_basis_shape_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            model_distribution(30.0, 0.05, "linear", f_basis=DIAG_BASIS[0])
+

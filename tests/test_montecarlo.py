@@ -10,35 +10,30 @@ from weakmeas import (
     CELLS,
     EnsembleStats,
     GateParams,
-    JointDistribution,
-    MeterOutcome,
     ModelTag,
-    PostSelectOutcome,
+    Outcome,
     TooManyDiscardedReplicas,
     WeakValueReferenceZero,
-    exact_joint_probabilities,
     fisher_information,
-    joint_probabilities_linear,
-    linear_pol_state,
+    linear_states,
     model_distribution,
     philox_generator,
     run_ensemble,
     sample_counts,
 )
 from weakmeas.estimation import ConditionalPair, estimate_epsilon
-from weakmeas.kernel import weak_value
+from weakmeas.kernel import DIAG_BASIS, _weak_value
 from weakmeas.montecarlo import DISCARD_TOLERANCE, _replica_estimates, _sampler
-from weakmeas.qstate import diag_states, stokes_hv
 
-F_A = PostSelectOutcome.A
+F_A = Outcome.A
 
 # Frozen Philox regression vector: seed 42, linear model, theta=0,
 # eps=0.08, n=1e4, multinomial. Pins the generator and the substream rule.
 FROZEN_COUNTS_SEED42 = {
-    (MeterOutcome.D, PostSelectOutcome.A): 2874,
-    (MeterOutcome.A, PostSelectOutcome.A): 2123,
-    (MeterOutcome.D, PostSelectOutcome.D): 2897,
-    (MeterOutcome.A, PostSelectOutcome.D): 2106,
+    (Outcome.D, Outcome.A): 2874,
+    (Outcome.A, Outcome.A): 2123,
+    (Outcome.D, Outcome.D): 2897,
+    (Outcome.A, Outcome.D): 2106,
 }
 
 # Exact ensemble statistics, made before the model kernel was batched:
@@ -59,14 +54,18 @@ PINNED_ENSEMBLES = [
 ]
 
 
+def linear(deg, eps):
+    return model_distribution(deg, eps, ModelTag.LINEAR)
+
+
 class TestModelDistribution:
     def test_tags_dispatch(self):
         lin = model_distribution(0.0, 0.08, ModelTag.LINEAR)
         ideal = model_distribution(0.0, 0.08, ModelTag.EXACT_IDEAL)
         ppbs = model_distribution(0.0, 0.08, ModelTag.EXACT_PPBS)
-        assert lin.p(*CELLS[0]) == pytest.approx(0.29)
-        assert ideal.p(*CELLS[0]) == pytest.approx(0.289746, abs=5e-7)
-        assert ppbs.p(*CELLS[0]) == pytest.approx(ideal.p(*CELLS[0]), abs=1e-12)
+        assert lin[0] == pytest.approx(0.29)
+        assert ideal[0] == pytest.approx(0.289746, abs=5e-7)
+        assert ppbs[0] == pytest.approx(ideal[0], abs=1e-12)
 
     def test_parse_accepts_dashes(self):
         assert ModelTag.parse("exact-ideal") is ModelTag.EXACT_IDEAL
@@ -75,67 +74,63 @@ class TestModelDistribution:
 
 class TestSampleCounts:
     def test_degenerate_distribution(self):
-        probs = dict.fromkeys(CELLS, 0.0)
-        probs[CELLS[2]] = 1.0
-        rec = sample_counts(JointDistribution(probs), 100, seed=1)
-        assert rec.counts[CELLS[2]] == 100
-        assert rec.n_total == 100
+        counts = sample_counts([0.0, 0.0, 1.0, 0.0], 100, seed=1)
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 100, 0]
 
     def test_uniform_within_binomial_bounds(self):
-        probs = dict.fromkeys(CELLS, 0.25)
         n = 10**6
-        rec = sample_counts(JointDistribution(probs), n, seed=2718)
+        counts = sample_counts([0.25] * 4, n, seed=2718)
         sigma = math.sqrt(n * 0.25 * 0.75)
-        for cell in CELLS:
-            assert abs(rec.counts[cell] - n * 0.25) < 5.0 * sigma
+        assert (np.abs(counts - n * 0.25) < 5.0 * sigma).all()
 
     def test_deterministic_regression_vector(self):
-        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.08)
-        rec = sample_counts(dist, 10**4, seed=42)
-        assert rec.counts == FROZEN_COUNTS_SEED42
-        again = sample_counts(dist, 10**4, seed=42)
-        assert again.counts == rec.counts
+        dist = linear(0.0, 0.08)
+        counts = sample_counts(dist, 10**4, seed=42)
+        assert dict(zip(CELLS, counts.tolist())) == FROZEN_COUNTS_SEED42
+        np.testing.assert_array_equal(sample_counts(dist, 10**4, seed=42), counts)
 
     def test_seeds_differ(self):
-        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.08)
+        dist = linear(0.0, 0.08)
         a = sample_counts(dist, 10**4, seed=1)
         b = sample_counts(dist, 10**4, seed=2)
-        assert a.counts != b.counts
+        assert a.tolist() != b.tolist()
 
     def test_poisson_mode_totals_fluctuate(self):
-        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.08)
-        rec = sample_counts(dist, 10**4, seed=5, mode="poisson")
-        assert rec.n_total == sum(rec.counts.values())
-        assert rec.mode == "poisson"
+        dist = linear(0.0, 0.08)
+        totals = {int(sample_counts(dist, 10**4, seed=s, mode="poisson").sum()) for s in range(5)}
+        assert len(totals) > 1
 
     def test_poisson_counts_summing_past_int64(self):
         # at the largest shots the four Poisson counts often sum past
-        # 2^63 - 1; n_total is their exact sum
-        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.08)
-        pvec = np.array(dist.values())
-        pvec = pvec / pvec.sum()
+        # 2^63 - 1; each count stays below it
+        dist = linear(0.0, 0.08)
+        pvec = dist / dist.sum()
         totals = []
         for seed in range(4):
-            rec = sample_counts(dist, 2**63 - 1, seed=seed, mode="poisson")
+            counts = sample_counts(dist, 2**63 - 1, seed=seed, mode="poisson")
             want = philox_generator(seed).poisson((2**63 - 1) * pvec).tolist()
-            assert list(rec.counts.values()) == want
-            totals.append(rec.n_total)
+            assert counts.tolist() == want
+            totals.append(sum(counts.tolist()))
         assert max(totals) >= 2**63
 
     def test_rejects_bad_mode(self):
-        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
         with pytest.raises(ValueError):
-            sample_counts(dist, 10, seed=0, mode="bootstrap")
+            sample_counts(linear(0.0, 0.0), 10, seed=0, mode="bootstrap")
 
     @pytest.mark.parametrize("n", [0, -1, 2**63, 2**64])
     def test_rejects_shots_out_of_range(self, n):
-        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
         with pytest.raises(ValueError, match="shots"):
-            sample_counts(dist, n, seed=0)
+            sample_counts(linear(0.0, 0.0), n, seed=0)
+
+    @pytest.mark.parametrize("table, match", [
+        ([0.5, 0.5], "4 cells"), ([-0.01, 0.51, 0.25, 0.25], "negative"), ([0.3] * 4, "sum to"),
+    ])
+    def test_rejects_invalid_table(self, table, match):
+        with pytest.raises(ValueError, match=match):
+            sample_counts(table, 10, seed=0)
 
     def test_largest_shots(self):
-        dist = joint_probabilities_linear(linear_pol_state(0.0), 0.0)
-        assert sample_counts(dist, 2**63 - 1, seed=0).n_total == 2**63 - 1
+        assert sample_counts(linear(0.0, 0.0), 2**63 - 1, seed=0).sum() == 2**63 - 1
 
 
 class TestPhiloxStreams:
@@ -210,13 +205,13 @@ class TestRunEnsemble:
         # fixed seed; the 200-replica variance estimate itself has ~10%
         # sampling error, so the window is checked at a pinned stream
         stats = run_ensemble(deg, 0.0, ModelTag.LINEAR, 10**5, 200, base_seed=7)
-        per_a = fisher_information(linear_pol_state(deg)).per_f[F_A]
+        per_a = fisher_information(linear_states(deg)).per_f[F_A]
         assert stats.var_eps_hat * 10**5 * per_a == pytest.approx(1.0, abs=0.1)
 
     def test_exact_model_reproduces_deterministic_bias(self):
         deg, eps = 60.0, 0.08
         stats = run_ensemble(deg, eps, ModelTag.EXACT_IDEAL, 10**6, 200, base_seed=3)
-        dist = exact_joint_probabilities(deg, eps)
+        dist = model_distribution(deg, eps, ModelTag.EXACT_IDEAL)
         half = math.radians(deg) / 2.0
         wv = (math.cos(half) + math.sin(half)) / (math.cos(half) - math.sin(half))
         expected = estimate_epsilon(
@@ -260,10 +255,12 @@ class TestRunEnsemble:
     ])
     def test_estimates_equal_reference_loop(self, params):
         theta, eps, model, gate, shots, mode, seed = params
-        pvec = np.array(model_distribution(theta, eps, model, gate).values())
+        pvec = model_distribution(theta, eps, model, gate)
         pvec = pvec / pvec.sum()
-        wv_ref = weak_value(linear_pol_state(theta), diag_states()[1], stokes_hv()).real
-        i_d, i_a = CELLS.index((MeterOutcome.D, F_A)), CELLS.index((MeterOutcome.A, F_A))
+        # run_ensemble's reference: DIAG_BASIS[1] as it is, not renormalized
+        # as weak_value would renormalize a caller's state
+        wv_ref = _weak_value(linear_states(theta), DIAG_BASIS[1]).real
+        i_d, i_a = CELLS.index((Outcome.D, F_A)), CELLS.index((Outcome.A, F_A))
         want, discarded = [], 0
         for r in range(200):
             gen = philox_generator(seed, stream=1 + r)
@@ -296,9 +293,9 @@ class TestRunEnsemble:
         # near the A state nearly every event lands in the f = A column, so
         # at the largest shots n_d + n_a exceeds 2^63 - 1 in some replicas
         theta, shots = 270.001, 2**63 - 1
-        pvec = np.array(model_distribution(theta, 0.0, ModelTag.LINEAR).values())
+        pvec = model_distribution(theta, 0.0, ModelTag.LINEAR)
         pvec = pvec / pvec.sum()
-        wv_ref = weak_value(linear_pol_state(theta), diag_states()[1], stokes_hv()).real
+        wv_ref = _weak_value(linear_states(theta), DIAG_BASIS[1]).real
         want, past = [], 0
         for r in range(20):
             drawn = philox_generator(5, stream=1 + r).poisson(shots * pvec)

@@ -27,7 +27,7 @@ couplings = st.floats(-0.3, 0.3)
 ppbs_gates = st.builds(GateParams, t_h=st.just(1.0), t_v=st.floats(1e-3, 1.0),
                        a_h=st.floats(1e-3, 1.0))
 
-PROPERTY = settings(max_examples=200, deadline=None)
+PROPERTY = settings(max_examples=100, deadline=None)
 
 
 @PROPERTY
