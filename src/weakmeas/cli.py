@@ -71,13 +71,18 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
+#: Errors only a library caller can meet: ``--eps-probe`` refuses a probe
+#: small enough to raise ZeroProbeCoupling.
+_LIBRARY_ONLY = (errors.ZeroProbeCoupling,)
+
+
 def _exit_code_table() -> list[tuple[int, str]]:
     rows = [
         (err.exit_code, name)
         for name, err in vars(errors).items()
         if isinstance(err, type)
         and issubclass(err, WeakMeasError)
-        and err is not WeakMeasError
+        and err not in (WeakMeasError, *_LIBRARY_ONLY)
     ]
     rows.append((_IO_EXIT_CODE, "I/O error"))
     rows.append((2, "invalid arguments"))
@@ -309,6 +314,9 @@ def _finite(text: str) -> float:
     return value
 
 
+# argparse names a type function in "invalid <name> value: ..."
+_finite.__name__ = "number"
+
 
 #: Smallest --eps-probe magnitude. The finite difference divides a
 #: difference of logarithms by eps_probe, so round-off grows as the probe
@@ -327,6 +335,8 @@ def _eps_probe(text: str) -> float:
     return value
 
 
+_eps_probe.__name__ = "number"
+
 
 def _shots(text: str) -> int:
     """A shot count in [1, 2^63), the range of the generator's counts."""
@@ -335,6 +345,8 @@ def _shots(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must lie in [1, 2^63), got {text}")
     return value
 
+
+_shots.__name__ = "integer"
 
 
 def _add_model_args(sub) -> None:

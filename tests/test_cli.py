@@ -498,6 +498,28 @@ class TestMonteCarloCommand:
         assert "error" in err
 
 
+#: One real invocation per exit code that ``weakmeas --help`` lists.
+EXIT_CODE_INVOCATIONS = {
+    2: ("probs", "--theta", "x", "--epsilon", "0.08"),
+    3: ("probs", "--theta", "0", "--epsilon", "0.6", "--model", "linear"),
+    4: ("weakvalue", "--theta", "90"),
+    5: ("probs", "--theta", "80", "--epsilon", "0.3", "--model", "linear"),
+    # 1e300 - 180 rounds to 1e300: the analyzer and its partner coincide
+    6: ("fisher", "--theta", "0", "--postselect", "1e300"),
+    # t_H = t_V = 1/sqrt 2: a 50:50 splitter leaves no coincidence amplitude
+    7: ("probs", "--theta", "30", "--epsilon", "0.05", "--model", "exact-ppbs",
+        "--th", "0.7071067811865476", "--tv", "0.7071067811865476", "--ah", "1"),
+    8: ("estimate", "--theta", "270", "--epsilon", "0.08"),
+    # wv_A = 1 + sqrt 2 at 45 deg: 2 eps wv rounds to 1, so p(A, A) is 0
+    9: ("weakvalue", "--theta", "45", "--eps-probe", "0.2071067811865475"),
+    # the analyzer at 30 deg is orthogonal to S|psi> at 150 deg: F_A = 0
+    11: ("fisher", "--theta", "150", "--postselect", "30", "--shots", "100"),
+    12: ("montecarlo", "--theta", "2", "--epsilon", "0", "--shots", "10",
+         "--replicas", "50", "--seed", "1"),
+    20: ("sweep", "--epsilon", "0.08", "--out", "{tmp}/missing/sweep.csv"),
+}
+
+
 class TestErrorExitCodes:
     def test_coupling_too_strong(self, capsys):
         code, _, _ = run_cli(
@@ -550,6 +572,36 @@ class TestErrorExitCodes:
         assert "exit codes" in out
         for token in ("3", "5", "12"):
             assert token in out
+        # --eps-probe refuses a probe small enough to raise it
+        assert "ZeroProbeCoupling" not in out
+
+    def test_every_listed_code_has_an_invocation(self):
+        assert sorted(EXIT_CODE_INVOCATIONS) == [code for code, _ in cli._exit_code_table()]
+
+    @pytest.mark.parametrize("code", sorted(EXIT_CODE_INVOCATIONS))
+    def test_listed_code_is_returned(self, capsys, tmp_path, code):
+        argv = [a.format(tmp=tmp_path) for a in EXIT_CODE_INVOCATIONS[code]]
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            got = exc.code
+        assert got == code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fisher", "--theta", "30", "--shots", "abc"),
+         "argument --shots: invalid integer value: 'abc'"),
+        (("probs", "--theta", "x", "--epsilon", "0.08"),
+         "argument --theta: invalid number value: 'x'"),
+        (("weakvalue", "--theta", "30", "--eps-probe", "y"),
+         "argument --eps-probe: invalid number value: 'y'"),
+    ])
+    def test_unparsable_numbers_are_named_readably(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "_shots" not in err and "_finite" not in err and "_eps_probe" not in err
 
 
 class TestEntryPoint:
