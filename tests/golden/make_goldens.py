@@ -15,7 +15,10 @@ rebuilt from them, and a changed CSV cell shows with its ulp distance.
 The goldens pin the output of the commit they were made at. Rewriting
 them is a change of the recorded behaviour: a commit that does so names
 every cell that changed (the compare mode lists them with their ulp
-distance).
+distance). ``--write`` always rewrites ``SHA256SUMS``, but rewrites a
+case's cells only where they no longer match by the rule of
+``test_golden.py`` (:func:`same_cells`), so equal goldens keep the
+commit they were made at.
 """
 
 from __future__ import annotations
@@ -41,6 +44,13 @@ _MODELS = {
     "exact-ideal": ("--model", "exact-ideal"),
     "exact-ppbs": ("--model", "exact-ppbs", "--tv", "0.6", "--ah", "0.55"),
 }
+#: Relative tolerance of a defined cell against its golden.
+REL_TOL = 1e-12
+#: Absolute floor of that tolerance: cells whose exact value is 0, such
+#: as wv_D at 90 deg, hold round-off of order 1e-16 that any reordering
+#: of the arithmetic changes.
+ABS_FLOOR = 1e-14
+
 #: Case name -> sweep argv without ``--format`` and ``--out``.
 CASES = {
     f"{model}-ps{ps}": ("sweep", *_GRID, *args, "--postselect", str(ps))
@@ -94,6 +104,15 @@ def load_cells(name: str) -> np.ndarray:
     return np.load(io.BytesIO(lzma.decompress(golden_path(name).read_bytes())))
 
 
+def same_cells(got: np.ndarray, want: np.ndarray) -> bool:
+    """Whether ``got`` matches the golden ``want``: the same shape and
+    empty cells, and each defined cell within REL_TOL, or ABS_FLOOR."""
+    if got.shape != want.shape or not np.array_equal(np.isnan(got), np.isnan(want)):
+        return False
+    defined = ~np.isnan(want)
+    return np.allclose(got[defined], want[defined], rtol=REL_TOL, atol=ABS_FLOOR)
+
+
 def load_sums() -> dict[str, str]:
     """``<case>.<fmt>`` -> sha256 of those bytes."""
     pairs = (line.split() for line in SUMS.read_text(encoding="ascii").splitlines())
@@ -114,9 +133,10 @@ def write() -> None:
         csv = run_case(name, "csv")
         if csv_cells(csv) != [[printed(v) for v in col] for col in cells]:
             raise RuntimeError(f"case {name}: the CSV does not print the JSON values")
-        buf = io.BytesIO()
-        np.save(buf, cells)
-        golden_path(name).write_bytes(lzma.compress(buf.getvalue(), preset=9))
+        if not golden_path(name).exists() or not same_cells(cells, load_cells(name)):
+            buf = io.BytesIO()
+            np.save(buf, cells)
+            golden_path(name).write_bytes(lzma.compress(buf.getvalue(), preset=9))
         sums.append(f"{hashlib.sha256(csv).hexdigest()}  {name}.csv\n")
         sums.append(f"{hashlib.sha256(data).hexdigest()}  {name}.json\n")
     SUMS.write_text("".join(sums), encoding="ascii")

@@ -7,12 +7,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from golden.make_goldens import CASES, json_cells, load_cells, load_sums, run_case
-
-REL_TOL = 1e-12
-# Cells whose exact value is 0, such as wv_D at 90 deg, hold round-off of
-# order 1e-16 that any reordering of the arithmetic changes.
-ABS_FLOOR = 1e-14
+from golden.make_goldens import (
+    ABS_FLOOR, CASES, REL_TOL, json_cells, load_cells, load_sums, run_case, same_cells,
+)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -23,6 +20,7 @@ def test_cells_match_golden(name):
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     defined = ~np.isnan(want)
     np.testing.assert_allclose(got[defined], want[defined], rtol=REL_TOL, atol=ABS_FLOOR)
+    assert same_cells(got, want)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -33,3 +31,13 @@ def test_csv_bytes_match_recorded_sha256(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_bytes_match_recorded_sha256(name):
     assert hashlib.sha256(run_case(name, "json")).hexdigest() == load_sums()[f"{name}.json"]
+
+
+def test_same_cells_rule():
+    want = np.array([[0.0, 1.0, np.nan], [2.0, 3.0, 4.0]])
+    assert same_cells(want.copy(), want)
+    assert same_cells(want + [[1e-15, 1e-12, 0.0], [0.0, 0.0, 0.0]], want)
+    assert not same_cells(want + [[1e-13, 0.0, 0.0], [0.0, 0.0, 0.0]], want)
+    assert not same_cells(want * (1.0 + np.array([[0.0, 2e-12, 0.0], [0.0, 0.0, 0.0]])), want)
+    assert not same_cells(np.nan_to_num(want), want)
+    assert not same_cells(want[:, :2], want)
