@@ -171,8 +171,13 @@ def _state(psi) -> np.ndarray:
         raise ValueError(f"a state is a (2,) array of (H, V) amplitudes, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("state amplitudes must be finite")
-    if _norm(v[0], v[1]) < _NORM_FLOOR:
+    with np.errstate(over="ignore"):
+        norm = _norm(v[0], v[1])
+    if norm < _NORM_FLOOR:
         raise ValueError("cannot normalize the zero vector")
+    if not np.isfinite(norm):
+        # the elementwise norm squares the amplitudes, which overflows past ~1e154
+        v = v / np.abs(v).max()
     return _unit(v[0], v[1])
 
 

@@ -62,6 +62,10 @@ class TestQubitState:
             with pytest.raises(ValueError, match="finite"):
                 weak_value(A_STATE, psi)
 
+    def test_normalizes_past_overflow_of_the_squares(self):
+        np.testing.assert_allclose(_state([1e200, 2e200j]), _state([1.0, 2.0j]), rtol=1e-15)
+        assert weak_value([1e200, 2e200], A_STATE) == pytest.approx(weak_value([1.0, 2.0], A_STATE))
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             weak_value([1.0, 0.0, 0.0], A_STATE)
