@@ -9,13 +9,21 @@ the output is bit-stable across platforms and process layouts.
 stream 1 + r, so ensembles are reproducible bit-exactly from
 (base_seed, parameters) regardless of execution order.
 
-One Philox generator serves all draws of a call: before each draw its
-state is set to the start of the draw's stream. The counts are drawn by
+One Philox generator serves all draws of a call. Before each draw it is
+rekeyed to the start of the draw's stream by three writes into its C
+state, numpy's ``philox_state`` (``numpy/random/src/philox/philox.h``,
+mapped here as ``_PhiloxState``): the high key word, the counter and
+``buffer_pos``, which empties the output buffer. That layout is private
+to numpy, so it is checked once per call: after one rekey, numpy's own
+``bits.state`` must read back the key, a zero counter and an empty
+buffer, or RuntimeError is raised. The counts are drawn by
 ``random_multinomial`` and ``random_poisson``, the functions of numpy's
 C distribution API (``numpy/random/distributions.h``) that
 ``Generator.multinomial`` and ``Generator.poisson`` call, so they are
 the bits those methods return, without their per-call argument checks.
 numpy's checks run once per call, by one Generator draw before the first.
+An ensemble draws its replicas in blocks of consecutive streams, each
+row of counts written by the C function straight into a zeroed block.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ DISCARD_TOLERANCE = 0.01
 #: Most replicas one ensemble may run. Each keeps two int64 counts, so
 #: the bound holds the counts to 160 MB.
 MAX_REPLICAS = 10**7
+
+#: Replicas drawn per block of counts: 4,096 rows of four int64 counts
+#: take 128 KB.
+_BLOCK_ROWS = 4096
 
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -78,6 +90,52 @@ def _distributions():
     return multinomial, poisson
 
 
+class _PhiloxState(ctypes.Structure):
+    """``philox_state`` of numpy/random/src/philox/philox.h, the struct
+    at ``bits.ctypes.state_address`` that a Philox bit generator's draws
+    read and advance: pointers to its counter (4 x uint64) and key
+    (2 x uint64), then the buffered output block and the cached 32-bit
+    half."""
+
+    _fields_ = [("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("buffer_pos", ctypes.c_int), ("buffer", ctypes.c_uint64 * 4),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+
+def _philox_words(bits: np.random.Philox, seed: int):
+    """The state struct of ``bits``, a Philox keyed by (seed, some
+    stream), mapped as :class:`_PhiloxState`, with its counter and key
+    words: (state, counter, key).
+
+    Rekeying through them takes three writes: ``key[1] = stream``,
+    ``counter[0] = 0`` and ``state.buffer_pos = 4`` (the buffer is
+    empty). The draws of one stream advance only the counter's low word
+    (a carry needs 2^64 blocks), and no draw of ours reads a 32-bit
+    half, so the result is the start of stream (seed, stream). The
+    mapping is checked here once: after a rekey to stream 1, numpy's
+    own ``bits.state`` must read back key [seed, 1], counter 0,
+    ``buffer_pos`` 4 and ``has_uint32`` 0, or RuntimeError is raised.
+    """
+    state = _PhiloxState.from_address(bits.ctypes.state_address)
+    # the struct and the words it points to live in bits
+    state.bits = bits
+    counter, key = state.ctr.contents, state.key.contents
+    key[1] = 1
+    counter[0] = 0
+    state.buffer_pos = 4
+    got = bits.state
+    if (got["state"]["key"].tolist() != [seed, 1]
+            or got["state"]["counter"].tolist() != [0, 0, 0, 0]
+            or got["buffer_pos"] != 4 or got["has_uint32"] != 0):
+        raise RuntimeError(
+            f"numpy {np.__version__}: the Philox state does not have the "
+            "philox_state layout of numpy/random/src/philox/philox.h that "
+            "weakmeas.montecarlo rekeys through"
+        )
+    return state, counter, key
+
+
 def _sampler(mode: str, n: int):
     """The draws of count vectors over CELLS, as streams(seed, pvec) -> draw.
 
@@ -86,11 +144,12 @@ def _sampler(mode: str, n: int):
     rate-based counting. The mode and n are checked here, before any
     draw; n must lie in [1, 2^63), the range of the generator's counts.
 
-    ``streams(seed, pvec)`` builds one generator and runs numpy's checks
-    of n and pvec by one Generator draw. ``draw(stream)`` then returns
-    the counts ``philox_generator(seed, stream).multinomial(n, pvec)``
-    (or ``.poisson(n * pvec)``) would return, as an int64[4] buffer that
-    the next draw overwrites.
+    ``streams(seed, pvec)`` builds one generator, runs numpy's checks of
+    n and pvec by one Generator draw and checks the Philox state layout
+    (:func:`_philox_words`). ``draw(first, rows)`` then returns a new
+    int64 (rows, len(pvec)) array whose row k holds the counts
+    ``philox_generator(seed, first + k).multinomial(n, pvec)`` (or
+    ``.poisson(n * pvec)``) would return.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"shots must lie in [1, 2^63), got {n!r}")
@@ -99,50 +158,55 @@ def _sampler(mode: str, n: int):
 
     def streams(seed: int, pvec: np.ndarray):
         gen = philox_generator(seed)
-        bits = gen.bit_generator
-        bitgen = bits.ctypes.bit_generator
-        multinomial, poisson = _distributions()
-        # the start of stream (seed, key[1]); only the key changes
-        key = [seed, 0]
-        start = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": key},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        counts = (ctypes.c_int64 * len(pvec))()
-
         if mode == "poisson":
             lam = n * pvec
             gen.poisson(lam)
+        else:
+            gen.multinomial(n, pvec)
+        bits = gen.bit_generator
+        state, counter, key = _philox_words(bits, seed)
+        bitgen = bits.ctypes.bit_generator
+        multinomial, poisson = _distributions()
+        cells = len(pvec)
+
+        if mode == "poisson":
             lams = [ctypes.c_double(x) for x in lam.tolist()]
 
-            def draw(stream: int):
-                key[1] = stream
-                bits.state = start
-                for i, x in enumerate(lams):
-                    counts[i] = poisson(bitgen, x)
-                return counts
+            def draw(first: int, rows: int) -> np.ndarray:
+                out = np.empty((rows, cells), dtype=np.int64)
+                flat = (ctypes.c_int64 * out.size).from_buffer(out)
+                i = 0
+                for stream in range(first, first + rows):
+                    key[1] = stream
+                    counter[0] = 0
+                    state.buffer_pos = 4
+                    for x in lams:
+                        flat[i] = poisson(bitgen, x)
+                        i += 1
+                return out
 
             return draw
 
-        gen.multinomial(n, pvec)
         # data_as keeps the array alive with the pointer
         pix = np.ascontiguousarray(pvec, dtype=np.float64).ctypes.data_as(ctypes.c_void_p)
-        args = (bitgen, ctypes.c_int64(n), counts, pix, ctypes.c_ssize_t(len(pvec)),
+        row = ctypes.c_void_p()
+        args = (bitgen, ctypes.c_int64(n), row, pix, ctypes.c_ssize_t(cells),
                 ctypes.byref(_Binomial()))
-        zeros = (0,) * len(counts)
+        stride = 8 * cells
 
-        def draw(stream: int):
-            key[1] = stream
-            bits.state = start
-            # the C loop stops once all n events are placed and leaves
-            # the later cells as they were
-            counts[:] = zeros
-            multinomial(*args)
-            return counts
+        def draw(first: int, rows: int) -> np.ndarray:
+            # zeroed: the C loop stops once all n events are placed and
+            # leaves the later cells as they were
+            out = np.zeros((rows, cells), dtype=np.int64)
+            base = out.ctypes.data
+            # row.value: where the C function writes this stream's counts
+            for stream, row.value in zip(range(first, first + rows),
+                                         range(base, base + rows * stride, stride)):
+                key[1] = stream
+                counter[0] = 0
+                state.buffer_pos = 4
+                multinomial(*args)
+            return out
 
         return draw
 
@@ -166,8 +230,7 @@ def sample_counts(
     their sum is the realized total. Identical (seed, inputs) give
     bit-identical counts.
     """
-    draw = _sampler(mode, n)(seed, _probabilities(p))
-    return np.array(draw(0)[:], dtype=np.int64)
+    return _sampler(mode, n)(seed, _probabilities(p))(0, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -249,9 +312,10 @@ def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: Outcome,
     idx_d, idx_a = _COLUMN[f]
     n_d = np.empty(n_replicas, dtype=np.int64)
     n_a = np.empty(n_replicas, dtype=np.int64)
-    for replica in range(n_replicas):
-        drawn = draw(1 + replica)
-        n_d[replica], n_a[replica] = drawn[idx_d], drawn[idx_a]
+    for first in range(0, n_replicas, _BLOCK_ROWS):
+        counts = draw(1 + first, min(_BLOCK_ROWS, n_replicas - first))
+        n_d[first:first + len(counts)] = counts[:, idx_d]
+        n_a[first:first + len(counts)] = counts[:, idx_a]
     usable = (n_d != 0) & (n_a != 0)
     n_d, n_a = n_d[usable], n_a[usable]
     # in float: two Poisson counts can sum past 2^63

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import re
 
@@ -23,7 +24,9 @@ from weakmeas import (
 )
 from weakmeas.estimation import ConditionalPair, estimate_epsilon
 from weakmeas.kernel import DIAG_BASIS, _weak_value
-from weakmeas.montecarlo import DISCARD_TOLERANCE, _replica_estimates, _sampler
+from weakmeas.montecarlo import (
+    DISCARD_TOLERANCE, _BLOCK_ROWS, _PhiloxState, _philox_words, _replica_estimates, _sampler,
+)
 
 F_A = Outcome.A
 
@@ -150,20 +153,23 @@ class TestPhiloxStreams:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
-           streams=st.lists(st.integers(1, 2**32), min_size=1, max_size=3),
+           starts=st.lists(st.integers(1, 2**32), min_size=1, max_size=3),
+           rows=st.integers(1, 3),
            n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
            weights=st.one_of(
                st.just([29, 21, 29, 21]),
                st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
            ))
-    def test_rekey_equals_fresh_generator(self, seed, streams, n, weights):
-        # the loop's own path: one generator moved from stream to stream
-        # (back to the first, too), drawn through the C functions
+    def test_rekey_equals_fresh_generator(self, seed, starts, rows, n, weights):
+        # the loop's own path: one generator rekeyed through runs of
+        # consecutive streams (back to the first run, too), drawn through
+        # the C functions into one block per run
         pvec = np.array(weights, dtype=float) / sum(weights)
-        order = streams + streams[:1]
+        order = starts + starts[:1]
         for mode, args in (("multinomial", (n, pvec)), ("poisson", (n * pvec,))):
             try:
-                want = [getattr(philox_generator(seed, s), mode)(*args).tolist() for s in order]
+                want = [[getattr(philox_generator(seed, s + k), mode)(*args).tolist()
+                         for k in range(rows)] for s in order]
             except ValueError as exc:
                 # n * p past the largest Poisson mean numpy draws
                 assert mode == "poisson"
@@ -171,7 +177,41 @@ class TestPhiloxStreams:
                     _sampler(mode, n)(seed, pvec)
                 continue
             draw = _sampler(mode, n)(seed, pvec)
-            assert [list(draw(s)) for s in order] == want
+            got = [draw(s, rows) for s in order]
+            assert all(block.dtype == np.int64 and block.shape == (rows, 4) for block in got)
+            assert [block.tolist() for block in got] == want
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_layout_check_passes(self, seed):
+        bits = philox_generator(seed).bit_generator
+        bits.random_raw(3)
+        _philox_words(bits, seed)
+        got = bits.state
+        assert got["state"]["key"].tolist() == [seed, 1]
+        assert got["state"]["counter"].tolist() == [0, 0, 0, 0]
+        assert (got["buffer_pos"], got["has_uint32"]) == (4, 0)
+        pvec = np.array([0.29, 0.21, 0.29, 0.21])
+        for mode, args in (("multinomial", (10, pvec)), ("poisson", (10 * pvec,))):
+            want = getattr(philox_generator(seed, 1), mode)(*args).tolist()
+            assert _sampler(mode, 10)(seed, pvec)(1, 1).tolist() == [want]
+
+    def test_layout_check_refuses_a_wrong_mapping(self, monkeypatch):
+        # buffer_pos and has_uint32 swapped: the rekey's buffer_pos write
+        # lands in has_uint32, inside the struct
+        fields = dict(_PhiloxState._fields_)
+        order = ["ctr", "key", "has_uint32", "buffer", "buffer_pos", "uinteger"]
+
+        class Swapped(ctypes.Structure):
+            _fields_ = [(name, fields[name]) for name in order]
+
+        assert ctypes.sizeof(Swapped) == ctypes.sizeof(_PhiloxState)
+        monkeypatch.setattr("weakmeas.montecarlo._PhiloxState", Swapped)
+        pvec = np.array([0.29, 0.21, 0.29, 0.21])
+        for mode in ("multinomial", "poisson"):
+            with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}: ")):
+                _sampler(mode, 10)(0, pvec)
+        with pytest.raises(RuntimeError, match="philox_state layout"):
+            sample_counts(pvec, 10, seed=0)
 
     @pytest.mark.parametrize("mode, n, pvec", [
         ("multinomial", 10, [0.5, 0.5, 0.5, -0.5]),
@@ -288,6 +328,25 @@ class TestRunEnsemble:
                              gate_params=gate, mode=mode)
         assert stats.mean_eps_hat == np.mean(want)
         assert stats.var_eps_hat == np.var(want, ddof=1)
+
+    @pytest.mark.parametrize("mode", ["multinomial", "poisson"])
+    def test_estimates_cross_a_count_block(self, mode):
+        # three replicas past the first block of counts
+        theta, shots, seed, n_replicas = 30.0, 10**5, 2024, _BLOCK_ROWS + 3
+        pvec = linear(theta, 0.08)
+        pvec = pvec / pvec.sum()
+        wv_ref = _weak_value(linear_states(theta), DIAG_BASIS[1]).real
+        i_d, i_a = CELLS.index((Outcome.D, F_A)), CELLS.index((Outcome.A, F_A))
+        want = []
+        for r in range(n_replicas):
+            gen = philox_generator(seed, stream=1 + r)
+            drawn = gen.multinomial(shots, pvec) if mode == "multinomial" else gen.poisson(shots * pvec)
+            cond = ConditionalPair.from_counts(int(drawn[i_d]), int(drawn[i_a]))
+            want.append(estimate_epsilon(cond, wv_ref, F_A).epsilon_hat)
+        got, discarded = _replica_estimates(_sampler(mode, shots), pvec, wv_ref, F_A,
+                                            n_replicas, seed)
+        assert discarded == 0
+        assert got.tolist() == want
 
     def test_poisson_counts_summing_past_int64(self):
         # near the A state nearly every event lands in the f = A column, so
