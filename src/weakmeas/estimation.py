@@ -216,10 +216,17 @@ def fisher_information(psi, f_basis=None) -> FisherReport:
 
 def cramer_rao_bound(report: FisherReport, n_trials: int) -> float:
     """Minimal achievable variance of an unbiased estimate of eps from
-    n_trials independent trials: 1 / (n_trials * F)."""
+    n_trials independent trials: 1 / (n_trials * F). A report of one
+    outcome f is the post-selected strategy's, and a zero F is named as
+    that outcome's."""
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     if report.total <= 0.0:
+        if len(report.per_f) == 1:
+            (f,) = report.per_f
+            raise ZeroInformation(
+                f"Fisher information F_{f.value} of the post-selected f={f.value} events is zero"
+            )
         raise ZeroInformation("total Fisher information is zero")
     return 1.0 / (n_trials * report.total)
 

@@ -587,6 +587,14 @@ class TestErrorExitCodes:
             got = exc.code
         assert got == code, capsys.readouterr().err
 
+    def test_zero_post_selected_information_is_named(self, capsys):
+        # F_total is 4 here; only F_A, the information behind crb_A, is 0
+        code, out, err = run_cli(capsys, *EXIT_CODE_INVOCATIONS[11])
+        assert code == 11
+        assert out == ""
+        assert "Fisher information F_A of the post-selected f=A events is zero" in err
+        assert "total" not in err
+
     @pytest.mark.parametrize("argv, message", [
         (("fisher", "--theta", "30", "--shots", "abc"),
          "argument --shots: invalid integer value: 'abc'"),

@@ -220,6 +220,12 @@ class TestCramerRaoBound:
         with pytest.raises(ZeroInformation):
             cramer_rao_bound(FisherReport({F_A: 0.0}, 0.0), 100)
 
+    def test_zero_information_names_its_report(self):
+        with pytest.raises(ZeroInformation, match=r"^Fisher information F_D of the post-selected f=D"):
+            cramer_rao_bound(FisherReport({F_D: 0.0}, 0.0), 100)
+        with pytest.raises(ZeroInformation, match=r"^total Fisher information is zero$"):
+            cramer_rao_bound(FisherReport({F_A: 0.0, F_D: 0.0}, 0.0), 100)
+
     def test_rejects_nonpositive_trials(self):
         r = FisherReport({F_A: 2.0}, 2.0)
         with pytest.raises(ValueError):
