@@ -184,6 +184,7 @@ class TestPhiloxStreams:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_layout_check_passes(self, seed):
         bits = philox_generator(seed).bit_generator
+        # off the stream's start, so every checked field must be written
         bits.random_raw(3)
         _philox_words(bits, seed)
         got = bits.state
