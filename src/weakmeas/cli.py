@@ -12,13 +12,16 @@ of one block at a time. Its bytes are those of the output contract
 above: each CSV cell as ``f"{x:.12g}"``, the JSON as
 ``json.dumps(indent=2)`` of the whole file, an undefined cell empty or
 null.
+
+Only numpy, ``errors``, ``gatesim`` and ``kernel`` are loaded by every
+command. ``estimation``, ``montecarlo`` and ``json`` are imported inside
+the commands that use them, so ``--help`` and a sweep load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from typing import Sequence
@@ -27,20 +30,11 @@ import numpy as np
 
 from . import errors
 from .errors import WeakMeasError
-from .estimation import (
-    ConditionalPair,
-    FisherReport,
-    cramer_rao_bound,
-    estimate_epsilon,
-    extract_weak_value,
-    fisher_information,
-)
 from .gatesim import COMPENSATED_PPBS, GateParams
 from .kernel import (
     ModelTag, Outcome, analyzer_basis, linear_states, model_distribution, sweep_columns,
     weak_value,
 )
-from .montecarlo import run_ensemble
 
 SWEEP_FORMAT_VERSION = "sweep-1"
 
@@ -114,6 +108,8 @@ def _distribution(args, theta: float, eps: float) -> np.ndarray:
 
 
 def _print_json(payload: dict) -> None:
+    import json
+
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -214,6 +210,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_weakvalue(args) -> int:
+    from .estimation import extract_weak_value
+
     psi = linear_states(args.theta)
     basis = analyzer_basis(args.postselect)
     analytic = weak_value(psi, basis[1]).real
@@ -233,6 +231,8 @@ def cmd_weakvalue(args) -> int:
 
 
 def cmd_fisher(args) -> int:
+    from .estimation import FisherReport, cramer_rao_bound, fisher_information
+
     report = fisher_information(linear_states(args.theta), analyzer_basis(args.postselect))
     payload = {
         "theta_deg": args.theta,
@@ -252,6 +252,8 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .estimation import ConditionalPair, estimate_epsilon
+
     psi = linear_states(args.theta)
     basis = analyzer_basis(args.postselect)
     p = _distribution(args, args.theta, args.epsilon)
@@ -277,6 +279,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    from .montecarlo import run_ensemble
+
     stats = run_ensemble(
         args.theta,
         args.epsilon,
