@@ -48,4 +48,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted([*globals(), *_SOURCES])
+    return sorted({*globals(), *_SOURCES})

@@ -31,10 +31,13 @@ def test_star_import_binds_every_name():
         assert value is getattr(weakmeas, name)
 
 
-def test_dir_lists_every_name(monkeypatch):
+def test_dir_lists_every_name_once(monkeypatch):
     for name in weakmeas.__all__:
         monkeypatch.delitem(vars(weakmeas), name, raising=False)
-    assert set(weakmeas.__all__) <= set(dir(weakmeas))
+    weakmeas.CELLS  # one name cached, the others not
+    listed = dir(weakmeas)
+    assert set(weakmeas.__all__) <= set(listed)
+    assert len(listed) == len(set(listed))
 
 
 def test_unknown_name_is_an_attribute_error():
