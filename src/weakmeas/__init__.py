@@ -21,8 +21,8 @@ _SOURCES = {
         "errors",
     ),
     **dict.fromkeys(
-        ("ConditionalPair", "EstimateResult", "FisherReport", "apparent_fisher",
-         "cramer_rao_bound", "estimate_epsilon", "extract_weak_value", "fisher_information"),
+        ("ConditionalPair", "apparent_fisher", "cramer_rao_bound", "estimate_epsilon",
+         "extract_weak_value", "fisher_information"),
         "estimation",
     ),
     **dict.fromkeys(("COMPENSATED_PPBS", "UNCOMPENSATED_PPBS", "GateParams"), "gatesim"),

@@ -57,14 +57,6 @@ SWEEP_COLUMNS = (
 _IO_EXIT_CODE = 20
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.12g}"
-
-
 #: Errors only a library caller can meet: ``--eps-probe`` refuses a probe
 #: small enough to raise ZeroProbeCoupling.
 _LIBRARY_ONLY = (errors.ZeroProbeCoupling,)
@@ -129,7 +121,7 @@ def cmd_probs(args) -> int:
     else:
         keys = ("p_DA", "p_AA", "p_DD", "p_AD")
         sys.stdout.write(",".join(keys) + "\n")
-        sys.stdout.write(",".join(_fmt(payload[k]) for k in keys) + "\n")
+        sys.stdout.write(",".join("%.12g" % payload[k] for k in keys) + "\n")
     return 0
 
 
@@ -162,7 +154,7 @@ _BLOCK_ROWS = 256
 
 _NUMERIC_COLUMNS = SWEEP_COLUMNS[:-1]
 
-#: A CSV row as _fmt prints its cells: '%.12g' % x is f"{x:.12g}".
+#: A CSV row: '%.12g' % x is f"{x:.12g}".
 _CSV_ROW = ",".join(["%.12g"] * len(_NUMERIC_COLUMNS) + [SWEEP_FORMAT_VERSION])
 
 #: A row as json.dumps(indent=2) prints it inside the rows array: json
@@ -231,22 +223,20 @@ def cmd_weakvalue(args) -> int:
 
 
 def cmd_fisher(args) -> int:
-    from .estimation import FisherReport, cramer_rao_bound, fisher_information
+    from .estimation import cramer_rao_bound, fisher_information
 
-    report = fisher_information(linear_states(args.theta), analyzer_basis(args.postselect))
+    psi, basis = linear_states(args.theta), analyzer_basis(args.postselect)
+    f_d, f_a = fisher_information(psi, basis).tolist()
     payload = {
         "theta_deg": args.theta,
         "postselect_deg": args.postselect,
-        "F_A": report.per_f[Outcome.A],
-        "F_D": report.per_f[Outcome.D],
-        "F_total": report.total,
+        "F_A": f_a,
+        "F_D": f_d,
+        "F_total": f_d + f_a,
     }
     if args.shots is not None:
-        payload["crb_total"] = cramer_rao_bound(report, args.shots)
-        f_a = report.per_f[Outcome.A]
-        payload["crb_A"] = cramer_rao_bound(
-            FisherReport({Outcome.A: f_a}, f_a), args.shots
-        )
+        payload["crb_total"] = cramer_rao_bound(f_d + f_a, args.shots)
+        payload["crb_A"] = cramer_rao_bound(f_a, args.shots, Outcome.A)
     _print_json(payload)
     return 0
 
@@ -263,17 +253,17 @@ def cmd_estimate(args) -> int:
         # expected number of post-selected events among the shots, with
         # p(f = A) = p(D, A) + p(A, A), the first two cells
         cond = dataclasses.replace(cond, n_events=args.shots * (p[0] + p[1]).item())
-    result = estimate_epsilon(cond, wv_ref, Outcome.A)
+    eps_hat, sigma = estimate_epsilon(cond, wv_ref)
     payload = {
         "theta_deg": args.theta,
         "epsilon_set": args.epsilon,
         "model": args.model,
         "f": "A",
-        "wv_reference": result.wv_reference,
-        "eps_hat": result.epsilon_hat,
+        "wv_reference": wv_ref,
+        "eps_hat": eps_hat,
     }
-    if result.sigma_epsilon is not None:
-        payload["sigma_eps"] = result.sigma_epsilon
+    if sigma is not None:
+        payload["sigma_eps"] = sigma
     _print_json(payload)
     return 0
 

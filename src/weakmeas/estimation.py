@@ -21,8 +21,8 @@ which for any orthonormal basis with real weak values collapses to
 4 <psi|A^2|psi>, independent of the basis choice. For the Stokes
 observable this is 4 for every input state: post-selection redistributes
 sensitivity between outcomes without changing the total.
-:func:`fisher_information` reports the split that
-:func:`weakmeas.kernel.fisher_split` computes.
+:func:`fisher_information` returns the split (F_D, F_A) that
+:func:`weakmeas.kernel.fisher_split` computes, as a (2,) array.
 
 Weak values themselves can be recovered from measured probabilities by a
 finite-difference version of the logarithmic derivative, averaging the
@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -116,33 +114,6 @@ class ConditionalPair:
         return cls(*_conditional(_cells(p), f))
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """Moment-estimator output; sigma_epsilon is present only when the
-    conditionals carried an event count."""
-
-    epsilon_hat: float
-    sigma_epsilon: float | None
-    f_used: Outcome | None
-    wv_reference: float
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    """Per-post-selection Fisher contributions and their total."""
-
-    per_f: Mapping[Outcome, float]
-    total: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_f", MappingProxyType(dict(self.per_f)))
-        for f, value in self.per_f.items():
-            if value < 0.0:
-                raise ValueError(f"negative Fisher contribution for f={f.value}")
-        if abs(self.total - sum(self.per_f.values())) > 1e-9:
-            raise ValueError("total must equal the sum of per-f contributions")
-
-
 def _check_wv_reference(wv_reference: float) -> None:
     if abs(wv_reference) < WV_REFERENCE_FLOOR:
         raise WeakValueReferenceZero(
@@ -150,14 +121,12 @@ def _check_wv_reference(wv_reference: float) -> None:
         )
 
 
-def estimate_epsilon(
-    cond: ConditionalPair,
-    wv_reference: float,
-    f: Outcome | None = None,
-) -> EstimateResult:
-    """Moment estimate of the coupling from one post-selected conditional pair.
+def estimate_epsilon(cond: ConditionalPair, wv_reference: float) -> tuple[float, float | None]:
+    """Moment estimate of the coupling from one post-selected conditional
+    pair, and its binomial error, which is None unless ``cond`` carries an
+    event count.
 
-    Returns (p(D|f) - p(A|f)) / (2 wv_reference). On linear-model
+    The estimate is (p(D|f) - p(A|f)) / (2 wv_reference). On linear-model
     conditionals this is the set eps exactly. On exact ideal-gate
     conditionals, with wv_reference the analytic weak value wv, it is
     eps / (1 + eps^2 wv^2) identically: a finite-coupling bias that grows
@@ -168,7 +137,23 @@ def estimate_epsilon(
     sigma = None
     if cond.n_events is not None:
         sigma = math.sqrt(cond.p_d * cond.p_a / cond.n_events) / abs(wv_reference)
-    return EstimateResult(eps_hat, sigma, f, float(wv_reference))
+    return eps_hat, sigma
+
+
+def _finite_difference(at_eps: list[float], at_zero: list[float], f: Outcome,
+                       eps_probe: float) -> float:
+    """:func:`extract_weak_value` on checked tables."""
+    if eps_probe == 0.0:
+        raise ZeroProbeCoupling("eps_probe must be nonzero")
+    pd_e, pa_e = _conditional(at_eps, f)
+    pd_0, pa_0 = _conditional(at_zero, f)
+    for name, value in (("p(D|f;eps)", pd_e), ("p(A|f;eps)", pa_e),
+                        ("p(D|f;0)", pd_0), ("p(A|f;0)", pa_0)):
+        if value <= 0.0:
+            raise ZeroProbability(f"{name} is zero; cannot take its logarithm")
+    return (math.log(pd_e) - math.log(pd_0) - math.log(pa_e) + math.log(pa_0)) / (
+        4.0 * eps_probe
+    )
 
 
 def extract_weak_value(
@@ -189,57 +174,48 @@ def extract_weak_value(
     p(A|f) = (1 - 2 eps wv) / 2, this is exactly atanh(2 eps wv) / (2 eps),
     with relative error (4/3) (eps wv)^2 + O((eps wv)^4) against wv.
     """
-    if eps_probe == 0.0:
-        raise ZeroProbeCoupling("eps_probe must be nonzero")
-    pd_e, pa_e = _conditional(_cells(p_at_eps), f)
-    pd_0, pa_0 = _conditional(_cells(p_at_zero), f)
-    for name, value in (("p(D|f;eps)", pd_e), ("p(A|f;eps)", pa_e),
-                        ("p(D|f;0)", pd_0), ("p(A|f;0)", pa_0)):
-        if value <= 0.0:
-            raise ZeroProbability(f"{name} is zero; cannot take its logarithm")
-    return (math.log(pd_e) - math.log(pd_0) - math.log(pa_e) + math.log(pa_0)) / (
-        4.0 * eps_probe
-    )
+    return _finite_difference(_cells(p_at_eps), _cells(p_at_zero), f, eps_probe)
 
 
-def fisher_information(psi, f_basis=None) -> FisherReport:
+def fisher_information(psi, f_basis=None) -> np.ndarray:
     """Fisher information about eps at eps = 0 of the state psi, a (2,)
-    amplitude array, split by post-selection outcome (see
-    :func:`weakmeas.kernel.fisher_split`). ``f_basis`` is an orthonormal
+    amplitude array, split by post-selection outcome: the (2,) array
+    (F_D, F_A) in the order of the basis rows, a row of
+    :func:`weakmeas.kernel.fisher_split`. ``f_basis`` is an orthonormal
     (2, 2) basis, the diagonal pair by default. It takes no meter: with
     the meter's normalization sum_m w_m kappa_m^2 = 1 the result is the
     same for every meter."""
     basis = DIAG_BASIS if f_basis is None else _check_orthonormal(f_basis)
-    f_d, f_a = fisher_split(_state(psi)[None], basis)[0].tolist()
-    return FisherReport({Outcome.D: f_d, Outcome.A: f_a}, f_d + f_a)
+    return fisher_split(_state(psi)[None], basis)[0]
 
 
-def cramer_rao_bound(report: FisherReport, n_trials: int) -> float:
+def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | None = None) -> float:
     """Minimal achievable variance of an unbiased estimate of eps from
-    n_trials independent trials: 1 / (n_trials * F). A report of one
-    outcome f is the post-selected strategy's, and a zero F is named as
-    that outcome's."""
+    n_trials independent trials that carry the Fisher information
+    ``fisher`` each: 1 / (n_trials * fisher). ``fisher`` is the total, or
+    F_f of the strategy that keeps the post-selected outcome f; a zero
+    information is named as that outcome's when f is given."""
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    if report.total <= 0.0:
-        if len(report.per_f) == 1:
-            (f,) = report.per_f
+    if fisher <= 0.0:
+        if f is not None:
             raise ZeroInformation(
                 f"Fisher information F_{f.value} of the post-selected f={f.value} events is zero"
             )
         raise ZeroInformation("total Fisher information is zero")
-    return 1.0 / (n_trials * report.total)
+    return 1.0 / (n_trials * fisher)
 
 
 def apparent_fisher(
     p_at_eps: np.ndarray,
     p_at_zero: np.ndarray,
     eps_probe: float,
-) -> FisherReport:
-    """Fisher information as an experiment would reconstruct it from the
-    joint tables p[4] at a finite probe coupling and at zero: weak
-    values extracted by the finite-difference procedure, combined with
-    the zero-coupling post-selection probabilities via 4 p(f) wv^2.
+) -> np.ndarray:
+    """Fisher information (F_D, F_A) as a (2,) array, as an experiment
+    would reconstruct it from the joint tables p[4] at a finite probe
+    coupling and at zero: weak values extracted by the finite-difference
+    procedure, combined with the zero-coupling post-selection
+    probabilities via 4 p(f) wv^2.
 
     This is the analysis pipeline applied to real or imperfect-gate data;
     on distributions that deviate from the first-order model it produces
@@ -247,14 +223,12 @@ def apparent_fisher(
     away from the true bound). Outcomes with zero post-selection
     probability contribute zero.
     """
-    at_zero = _cells(p_at_zero)
-    per = {}
-    for f in (Outcome.D, Outcome.A):
+    at_zero, at_eps = _cells(p_at_zero), _cells(p_at_eps)
+    split = np.zeros(2)
+    for col, f in enumerate((Outcome.D, Outcome.A)):
         i_d, i_a = _COLUMN[f]
         pf0 = at_zero[i_d] + at_zero[i_a]
-        if pf0 <= 0.0:
-            per[f] = 0.0
-            continue
-        wv = extract_weak_value(p_at_eps, p_at_zero, f, eps_probe)
-        per[f] = 4.0 * pf0 * wv * wv
-    return FisherReport(per, sum(per.values()))
+        if pf0 > 0.0:
+            wv = _finite_difference(at_eps, at_zero, f, eps_probe)
+            split[col] = 4.0 * pf0 * wv * wv
+    return split

@@ -11,12 +11,15 @@ the |V,V> component only.
 
 Conventions:
 
-* beam-splitter amplitudes are real, r_x = sqrt(1 - t_x^2), and the
-  two-photon both-reflected amplitude enters with a minus sign, giving
-  the t^2 - r^2 form on same-polarization components;
-* for mixed components (HV, VH) the photon-exchange amplitude is folded
-  onto the diagonal, t_H t_V - r_H r_V, which is exact whenever r_H = 0
-  (the experimentally relevant setting);
+* beam-splitter amplitudes are real, r_x = sqrt(1 - t_x^2); a
+  coincidence leaves both photons transmitted (t_x t_y, each photon
+  keeps its port) or both reflected (-r_x r_y, the photons exchange
+  ports), and the compensation multiplies by a_H per output H photon;
+* on same-polarization components (HH, VV) the two paths end in the same
+  state and add to the t^2 - r^2 form; on mixed components the
+  both-reflected path turns HV into VH and back, so the operator is a
+  diagonal d plus a swap coefficient s = -a_H r_H r_V on HV <-> VH,
+  which vanishes whenever r_H = 0 (the experimentally relevant setting);
 * coincidence post-selection is modeled as renormalization over the four
   two-photon amplitudes, discarding the norm deficit, exactly as
   coincidence-count analysis does;
@@ -69,13 +72,14 @@ COMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0 / math.
 UNCOMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0)
 
 
-def ppbs_coincidence_operator(params: GateParams) -> np.ndarray:
-    """Diagonal coincidence amplitudes of the compensated PPBS over
-    {HH, HV, VH, VV}."""
+def ppbs_coincidence_operator(params: GateParams) -> tuple[np.ndarray, float]:
+    """Coincidence amplitudes of the compensated PPBS over
+    {HH, HV, VH, VV}: the diagonal d and the swap coefficient s, with
+    out = d * in + s * (in with HV and VH exchanged, HH and VV zeroed)."""
     t_h, t_v, a_h = params.t_h, params.t_v, params.a_h
     r_h, r_v = params.r_h, params.r_v
-    mixed = a_h * (t_h * t_v - r_h * r_v)
-    return np.array(
+    mixed = a_h * t_h * t_v
+    diag = np.array(
         [
             a_h**2 * (t_h**2 - r_h**2),
             mixed,
@@ -83,3 +87,4 @@ def ppbs_coincidence_operator(params: GateParams) -> np.ndarray:
             t_v**2 - r_v**2,
         ]
     )
+    return diag, -a_h * (r_h * r_v)

@@ -74,8 +74,15 @@ WV_REFERENCE_FLOOR = 1e-8
 _NORM_FLOOR = 1e-12
 
 #: Coincidence amplitudes of the ideal controlled-sign gate over
-#: {HH, HV, VH, VV}: the VV amplitude changes sign.
-IDEAL_GATE = np.array([1.0, 1.0, 1.0, -1.0])
+#: {HH, HV, VH, VV}, as the diagonal and the HV <-> VH swap coefficient
+#: of :func:`weakmeas.gatesim.ppbs_coincidence_operator`: the VV
+#: amplitude changes sign.
+IDEAL_GATE = (np.array([1.0, 1.0, 1.0, -1.0]), 0.0)
+
+#: The two-photon amplitudes a swap acts on: HV and VH exchange, HH and
+#: VV take no part.
+_SWAP = [0, 2, 1, 3]
+_SWAP_MASK = np.array([0.0, 1.0, 1.0, 0.0])
 
 #: The Stokes observable A = |H><H| - |V><V| (eigenvalues +-1).
 _STOKES = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -260,13 +267,16 @@ def linear_table(states, eps: float, f_basis: np.ndarray = DIAG_BASIS):
     return _checked(p, np.where((p < 0.0).any(axis=1), LinearizationInvalid.exit_code, 0))
 
 
-def two_photon_amplitudes(states: np.ndarray, probe: np.ndarray, gate: np.ndarray) -> np.ndarray:
+def two_photon_amplitudes(states: np.ndarray, probe: np.ndarray, gate: tuple) -> np.ndarray:
     """Amplitudes over {HH, HV, VH, VV} of system (x) probe after a gate
-    given by its four coincidence amplitudes, one row per system state."""
-    return (states[:, :, None] * probe[None, None, :]).reshape(-1, 4) * gate
+    given as (d, s), its four diagonal coincidence amplitudes and its
+    HV <-> VH swap coefficient, one row per system state."""
+    diag, swap = gate
+    amps = (states[:, :, None] * probe[None, None, :]).reshape(-1, 4)
+    return amps * diag + swap * amps[:, _SWAP] * _SWAP_MASK
 
 
-def exact_table(states, eps: float, gate: np.ndarray, f_basis: np.ndarray = DIAG_BASIS):
+def exact_table(states, eps: float, gate: tuple, f_basis: np.ndarray = DIAG_BASIS):
     """Coincidence table p(m, f) of the exact gate model in CELLS order,
     and the row status.
 
@@ -319,13 +329,13 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     p, _ = _table(states, eps, ModelTag.parse(model), gate_params, basis)
     wv_d, wv_a = (weak_values(states, f).real for f in basis)
     f_d, f_a = fisher_split(states, basis).T
-    # estimate_epsilon on ConditionalPair.from_joint, with their checks
+    # estimate_epsilon on ConditionalPair.from_joint where both are defined:
+    # p(f) > 0 and |wv| at least the floor. The conditionals of such a row
+    # sum to 1 within a few ulp, so their check cannot fail here.
     pf_a = p[:, 0] + p[:, 1]
     usable = (pf_a > 0.0) & (np.abs(wv_a) >= WV_REFERENCE_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_d, p_a = p[:, 0] / pf_a, p[:, 1] / pf_a
-        if (usable & ~(np.abs(p_d + p_a - 1.0) <= 1e-9)).any():
-            raise ValueError("p(D|f) + p(A|f) must equal 1")
         eps_hat = np.where(usable, (p_d - p_a) / (2.0 * wv_a), np.nan)
         sigma = np.where(f_a > SINGULARITY_THRESHOLD, 1.0 / np.sqrt(f_a), np.nan)
     return {

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooManyDiscardedReplicas, ZeroProbability
-from .estimation import _COLUMN, FisherReport, _cells, _check_wv_reference, cramer_rao_bound
+from .estimation import _COLUMN, _cells, _check_wv_reference, cramer_rao_bound
 from .gatesim import GateParams
 from .kernel import (
     DIAG_BASIS, ModelTag, Outcome, _weak_value, fisher_split, linear_states, model_distribution,
@@ -283,7 +283,7 @@ def run_ensemble(
     wv_ref = _weak_value(psi, DIAG_BASIS[col]).real
     _check_wv_reference(wv_ref)
     per_f = fisher_split(psi[None])[0, col].item()
-    crb = cramer_rao_bound(FisherReport({f: per_f}, per_f), n_per_replica)
+    crb = cramer_rao_bound(per_f, n_per_replica, f)
 
     arr, discarded = _replica_estimates(streams, pvec, wv_ref, f, n_replicas, base_seed)
     if discarded > DISCARD_TOLERANCE * n_replicas:
@@ -311,7 +311,7 @@ def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: Outcome,
 
     The estimate is the expression of :func:`estimate_epsilon`, so each
     equals the one computed from that replica's counts by
-    ``estimate_epsilon(ConditionalPair.from_counts(n_d, n_a), wv_ref)``
+    ``estimate_epsilon(ConditionalPair.from_counts(n_d, n_a), wv_ref)[0]``
     bit for bit while n_d + n_a stays below 2^53.
     """
     draw = streams(base_seed, pvec)

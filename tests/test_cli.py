@@ -9,7 +9,7 @@ import pytest
 
 from weakmeas import cli
 from weakmeas.cli import (
-    MAX_SWEEP_ROWS, SWEEP_COLUMNS, SWEEP_FORMAT_VERSION, _fmt, _theta_grid, main,
+    MAX_SWEEP_ROWS, SWEEP_COLUMNS, SWEEP_FORMAT_VERSION, _theta_grid, main,
 )
 from weakmeas.montecarlo import MAX_REPLICAS
 
@@ -61,8 +61,8 @@ def _synthetic_columns(rows):
 
 
 def _printed_sweep(columns, fmt):
-    """The sweep file of ``columns``: each CSV cell by _fmt, the JSON by
-    json.dumps(indent=2), an undefined cell empty or null."""
+    """The sweep file of ``columns``: each CSV cell as f"{x:.12g}", the JSON
+    by json.dumps(indent=2), an undefined cell empty or null."""
     names = SWEEP_COLUMNS[:-1]
     rows = [
         {name: None if math.isnan(v) else v for name, v in zip(names, values)}
@@ -70,7 +70,8 @@ def _printed_sweep(columns, fmt):
     ]
     if fmt == "csv":
         lines = [",".join(SWEEP_COLUMNS)]
-        lines += [",".join([*(_fmt(r[name]) for name in names), SWEEP_FORMAT_VERSION])
+        lines += [",".join([*("" if r[name] is None else f"{r[name]:.12g}" for name in names),
+                            SWEEP_FORMAT_VERSION])
                   for r in rows]
         return "\n".join(lines) + "\n"
     rows = [{**r, "format_version": SWEEP_FORMAT_VERSION} for r in rows]
@@ -506,8 +507,9 @@ EXIT_CODE_INVOCATIONS = {
     5: ("probs", "--theta", "80", "--epsilon", "0.3", "--model", "linear"),
     # 1e300 - 180 rounds to 1e300: the analyzer and its partner coincide
     6: ("fisher", "--theta", "0", "--postselect", "1e300"),
-    # t_H = t_V = 1/sqrt 2: a 50:50 splitter leaves no coincidence amplitude
-    7: ("probs", "--theta", "30", "--epsilon", "0.05", "--model", "exact-ppbs",
+    # t_H = t_V = 1/sqrt 2: a 50:50 splitter leaves no HH coincidence, and
+    # at theta = 0, eps = 0 the input is HH alone
+    7: ("probs", "--theta", "0", "--epsilon", "0", "--model", "exact-ppbs",
         "--th", "0.7071067811865476", "--tv", "0.7071067811865476", "--ah", "1"),
     8: ("estimate", "--theta", "270", "--epsilon", "0.08"),
     # wv_A = 1 + sqrt 2 at 45 deg: 2 eps wv rounds to 1, so p(A, A) is 0

@@ -5,7 +5,6 @@ import pytest
 
 from weakmeas import (
     ConditionalPair,
-    FisherReport,
     Outcome,
     WeakValueReferenceZero,
     ZeroInformation,
@@ -22,7 +21,8 @@ from weakmeas import (
     model_distribution,
     weak_value,
 )
-from weakmeas.kernel import DIAG_BASIS
+from weakmeas import estimation
+from weakmeas.kernel import DIAG_BASIS, analyzer_basis, fisher_split
 
 F_D, F_A = Outcome.D, Outcome.A
 
@@ -78,30 +78,30 @@ class TestConditionalPair:
 
 class TestEstimateEpsilon:
     def test_recovers_operating_point(self):
-        r = estimate_epsilon(ConditionalPair(0.58, 0.42), 1.0)
-        assert r.epsilon_hat == pytest.approx(0.08, abs=1e-15)
-        assert r.sigma_epsilon is None
+        eps_hat, sigma = estimate_epsilon(ConditionalPair(0.58, 0.42), 1.0)
+        assert eps_hat == pytest.approx(0.08, abs=1e-15)
+        assert sigma is None
 
     def test_symmetric_outcomes_give_zero(self):
         for wv in (1.0, -2.5, 7.0):
-            assert estimate_epsilon(ConditionalPair(0.5, 0.5), wv).epsilon_hat == 0.0
+            assert estimate_epsilon(ConditionalPair(0.5, 0.5), wv)[0] == 0.0
 
     def test_exact_model_bias_at_zero_theta(self):
         eps = 0.08
         d = exact(0.0, eps)
         cond = ConditionalPair.from_joint(d, F_A)
         assert cond.p_d == pytest.approx(0.57949, abs=5e-6)
-        r = estimate_epsilon(cond, 1.0, F_A)
-        assert r.epsilon_hat == pytest.approx(exact_eps_hat(0.0, eps), abs=1e-12)
-        assert r.epsilon_hat == pytest.approx(0.07949, abs=5e-6)
+        eps_hat, _ = estimate_epsilon(cond, 1.0)
+        assert eps_hat == pytest.approx(exact_eps_hat(0.0, eps), abs=1e-12)
+        assert eps_hat == pytest.approx(0.07949, abs=5e-6)
 
     def test_zero_reference_raises(self):
         with pytest.raises(WeakValueReferenceZero):
             estimate_epsilon(ConditionalPair(0.6, 0.4), 0.0)
 
     def test_binomial_sigma(self):
-        r = estimate_epsilon(ConditionalPair(0.5, 0.5, n_events=400), 2.0)
-        assert r.sigma_epsilon == pytest.approx(math.sqrt(0.25 / 400) / 2.0)
+        _, sigma = estimate_epsilon(ConditionalPair(0.5, 0.5, n_events=400), 2.0)
+        assert sigma == pytest.approx(math.sqrt(0.25 / 400) / 2.0)
 
     @pytest.mark.parametrize("deg", [0.0, 10.0, 30.0, 45.0, 60.0, 130.0, 200.0])
     def test_round_trip_on_linear_conditionals(self, deg):
@@ -110,17 +110,17 @@ class TestEstimateEpsilon:
         if d[0] + d[1] <= 0.0:  # p(f = A)
             return
         cond = ConditionalPair.from_joint(d, F_A)
-        r = estimate_epsilon(cond, wv_a(deg), F_A)
-        assert r.epsilon_hat == pytest.approx(eps, abs=1e-12)
+        eps_hat, _ = estimate_epsilon(cond, wv_a(deg))
+        assert eps_hat == pytest.approx(eps, abs=1e-12)
 
     def test_bias_nondecreasing_towards_orthogonality(self):
         eps = 0.08
         biases = []
         for deg in (0.0, 30.0, 60.0, 80.0, 85.0):
             d = exact(deg, eps)
-            r = estimate_epsilon(ConditionalPair.from_joint(d, F_A), wv_a(deg), F_A)
-            assert r.epsilon_hat == pytest.approx(exact_eps_hat(deg, eps), abs=1e-12)
-            biases.append(abs(r.epsilon_hat - eps))
+            eps_hat, _ = estimate_epsilon(ConditionalPair.from_joint(d, F_A), wv_a(deg))
+            assert eps_hat == pytest.approx(exact_eps_hat(deg, eps), abs=1e-12)
+            biases.append(abs(eps_hat - eps))
         assert biases == sorted(biases)
 
 
@@ -176,60 +176,63 @@ class TestExtractWeakValue:
 
 class TestFisherInformation:
     def test_horizontal_input(self):
-        r = fisher_information(linear_states(0.0))
-        assert r.per_f[F_A] == pytest.approx(2.0, abs=1e-12)
-        assert r.per_f[F_D] == pytest.approx(2.0, abs=1e-12)
-        assert r.total == pytest.approx(4.0, abs=1e-12)
+        f_d, f_a = fisher_information(linear_states(0.0))
+        assert f_a == pytest.approx(2.0, abs=1e-12)
+        assert f_d == pytest.approx(2.0, abs=1e-12)
+        assert f_d + f_a == pytest.approx(4.0, abs=1e-12)
 
     def test_sixty_degrees_closed_form(self):
-        r = fisher_information(linear_states(60.0))
+        f_d, f_a = fisher_information(linear_states(60.0))
         sin60 = math.sin(math.radians(60.0))
-        assert r.per_f[F_A] == pytest.approx(2.0 * (1.0 + sin60), abs=1e-12)
-        assert r.per_f[F_D] == pytest.approx(2.0 * (1.0 - sin60), abs=1e-12)
-        assert r.per_f[F_A] == pytest.approx(3.7321, abs=5e-5)
-        assert r.per_f[F_D] == pytest.approx(0.2679, abs=5e-5)
-        assert r.total == pytest.approx(4.0, abs=1e-9)
+        assert f_a == pytest.approx(2.0 * (1.0 + sin60), abs=1e-12)
+        assert f_d == pytest.approx(2.0 * (1.0 - sin60), abs=1e-12)
+        assert f_a == pytest.approx(3.7321, abs=5e-5)
+        assert f_d == pytest.approx(0.2679, abs=5e-5)
+        assert f_d + f_a == pytest.approx(4.0, abs=1e-9)
 
     def test_total_constant_on_fine_grid(self):
         for deg in range(0, 360):
-            r = fisher_information(linear_states(float(deg)))
-            assert r.total == pytest.approx(4.0, abs=1e-9)
-            assert r.per_f[F_A] + r.per_f[F_D] == pytest.approx(r.total, abs=1e-9)
+            f_d, f_a = fisher_information(linear_states(float(deg)))
+            assert f_d + f_a == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("deg, postselect", [(0.0, 270.0), (60.0, 30.0), (150.0, 30.0)])
+    def test_is_the_row_of_fisher_split(self, deg, postselect):
+        psi, basis = linear_states(deg), analyzer_basis(postselect)
+        got = fisher_information(psi, basis)
+        assert got.shape == (2,)
+        np.testing.assert_array_equal(got, fisher_split(psi[None], basis)[0])
 
     def test_orthogonal_postselection_defined_by_continuity(self):
-        r = fisher_information(linear_states(90.0))
-        assert r.per_f[F_A] == pytest.approx(4.0, abs=1e-12)
-        assert r.per_f[F_D] == pytest.approx(0.0, abs=1e-12)
+        f_d, f_a = fisher_information(linear_states(90.0))
+        assert f_a == pytest.approx(4.0, abs=1e-12)
+        assert f_d == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCramerRaoBound:
     def test_reciprocal(self):
-        r = FisherReport({F_A: 2.0, F_D: 2.0}, 4.0)
-        assert cramer_rao_bound(r, 1) == pytest.approx(0.25)
+        assert cramer_rao_bound(4.0, 1) == pytest.approx(0.25)
 
     def test_scaling(self):
-        r = FisherReport({F_A: 2.0, F_D: 2.0}, 4.0)
-        assert cramer_rao_bound(r, 10**6) == pytest.approx(2.5e-7)
+        assert cramer_rao_bound(4.0, 10**6) == pytest.approx(2.5e-7)
 
     def test_postselected_strategy(self):
-        per_a = fisher_information(linear_states(60.0)).per_f[F_A]
-        bound = cramer_rao_bound(FisherReport({F_A: per_a}, per_a), 10**6)
+        _, per_a = fisher_information(linear_states(60.0))
+        bound = cramer_rao_bound(per_a, 10**6, F_A)
         assert bound == pytest.approx(2.679e-7, rel=2e-4)
 
     def test_zero_information_raises(self):
         with pytest.raises(ZeroInformation):
-            cramer_rao_bound(FisherReport({F_A: 0.0}, 0.0), 100)
+            cramer_rao_bound(0.0, 100, F_A)
 
     def test_zero_information_names_its_report(self):
         with pytest.raises(ZeroInformation, match=r"^Fisher information F_D of the post-selected f=D"):
-            cramer_rao_bound(FisherReport({F_D: 0.0}, 0.0), 100)
+            cramer_rao_bound(0.0, 100, F_D)
         with pytest.raises(ZeroInformation, match=r"^total Fisher information is zero$"):
-            cramer_rao_bound(FisherReport({F_A: 0.0, F_D: 0.0}, 0.0), 100)
+            cramer_rao_bound(0.0, 100)
 
     def test_rejects_nonpositive_trials(self):
-        r = FisherReport({F_A: 2.0}, 2.0)
         with pytest.raises(ValueError):
-            cramer_rao_bound(r, 0)
+            cramer_rao_bound(2.0, 0, F_A)
 
 
 class TestErrorInformationDuality:
@@ -238,10 +241,10 @@ class TestErrorInformationDuality:
         n = 10**6
         psi = linear_states(deg)
         pf = abs(psi[0] - psi[1]) ** 2 / 2.0
-        report = fisher_information(psi)
+        _, f_a = fisher_information(psi)
         cond = ConditionalPair(0.5, 0.5, n_events=n * pf)
-        sigma = estimate_epsilon(cond, wv_a(deg), F_A).sigma_epsilon
-        assert 1.0 / sigma**2 == pytest.approx(n * report.per_f[F_A], rel=1e-9)
+        _, sigma = estimate_epsilon(cond, wv_a(deg))
+        assert 1.0 / sigma**2 == pytest.approx(n * f_a, rel=1e-9)
 
 
 class TestApparentFisher:
@@ -250,10 +253,10 @@ class TestApparentFisher:
         for deg in (0.0, 30.0, 60.0):
             p_e = exact(deg, eps)
             p_0 = exact(deg, 0.0)
-            r = apparent_fisher(p_e, p_0, eps)
+            got = apparent_fisher(p_e, p_0, eps)
             want = fisher_information(linear_states(deg))
-            assert r.per_f[F_A] == pytest.approx(want.per_f[F_A], rel=1e-6)
-            assert r.per_f[F_D] == pytest.approx(want.per_f[F_D], rel=1e-6)
+            assert got[1] == pytest.approx(want[1], rel=1e-6)
+            assert got[0] == pytest.approx(want[0], rel=1e-6)
 
     def test_uncompensated_gate_produces_asymmetric_deviation(self):
         eps = 0.08
@@ -261,18 +264,29 @@ class TestApparentFisher:
         p_e = exact(deg, eps, params=UNCOMPENSATED_PPBS)
         p_0 = exact(deg, 0.0, params=UNCOMPENSATED_PPBS)
         got = apparent_fisher(p_e, p_0, eps)
-        want = fisher_information(linear_states(deg))
-        dev_a = got.per_f[F_A] / want.per_f[F_A]
-        dev_d = got.per_f[F_D] / want.per_f[F_D]
+        dev_d, dev_a = got / fisher_information(linear_states(deg))
         assert abs(dev_a - dev_d) > 0.05
-        assert abs(got.total - 4.0) > 0.5
+        assert abs(got.sum() - 4.0) > 0.5
+
+    def test_checks_each_table_once(self, monkeypatch):
+        checked = []
+
+        def cells(p):
+            checked.append(p)
+            return real_cells(p)
+
+        real_cells = estimation._cells
+        monkeypatch.setattr(estimation, "_cells", cells)
+        p_e, p_0 = exact(30.0, 0.08), exact(30.0, 0.0)
+        apparent_fisher(p_e, p_0, 0.08)
+        assert sorted(map(id, checked)) == sorted([id(p_e), id(p_0)])
 
     def test_ideal_gate_total_stays_close(self):
         eps = 0.08
         p_e = exact(30.0, eps, params=COMPENSATED_PPBS)
         p_0 = exact(30.0, 0.0, params=COMPENSATED_PPBS)
         got = apparent_fisher(p_e, p_0, eps)
-        assert abs(got.total - 4.0) < 0.1
+        assert abs(got.sum() - 4.0) < 0.1
 
 
 class TestWeakValueReference:

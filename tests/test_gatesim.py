@@ -70,20 +70,83 @@ class TestIdealCsign:
         assert np.allclose(out, [0.5, 0.5, 0.5, -0.5])
 
 
+def per_photon_reference(system, probe, params):
+    """Coincidence amplitudes over {HH, HV, VH, VV} of a system photon in
+    input port 1 and a probe photon in input port 2 of the PPBS, photon by
+    photon. Each photon of polarization x is transmitted (t_x, to the
+    output of its own port) or reflected (to the other output: r_x from
+    port 1, -r_x from port 2). Only coincidences, one photon per output,
+    are kept; an output pair is labeled (polarization at output 1,
+    polarization at output 2), and a_H applies once per output H photon."""
+    t = {"H": params.t_h, "V": params.t_v}
+    r = {x: math.sqrt(1.0 - t[x] ** 2) for x in t}
+    labels = ("HH", "HV", "VH", "VV")
+    out = dict.fromkeys(labels, 0j)
+    for (x, y), amp in zip(labels, np.kron(system, probe)):
+        # both transmitted: each photon keeps its port
+        out[x + y] += amp * t[x] * t[y] * params.a_h ** (x + y).count("H")
+        # both reflected: the photons exchange ports
+        out[y + x] += amp * r[x] * -r[y] * params.a_h ** (y + x).count("H")
+        # one transmitted, one reflected: both leave by one output, no coincidence
+    return np.array([out[k] for k in labels])
+
+
+def ppbs_amplitudes(system, probe, params):
+    """The kernel's coincidence amplitudes of system (x) probe after the PPBS."""
+    return two_photon_amplitudes(np.array([system], dtype=complex), np.asarray(probe, dtype=complex),
+                                 ppbs_coincidence_operator(params))[0]
+
+
+HALF_SPLITTER = GateParams(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0)
+
+
 class TestPpbsCoincidenceOperator:
     def test_compensated_is_scaled_csign(self):
-        diag = ppbs_coincidence_operator(COMPENSATED_PPBS)
+        diag, swap = ppbs_coincidence_operator(COMPENSATED_PPBS)
         assert np.allclose(diag, np.array([1.0, 1.0, 1.0, -1.0]) / 3.0, atol=1e-15)
+        assert swap == 0.0
 
     def test_fully_transmitting_is_identity(self):
-        diag = ppbs_coincidence_operator(GateParams(1.0, 1.0, 1.0))
+        diag, swap = ppbs_coincidence_operator(GateParams(1.0, 1.0, 1.0))
         assert np.allclose(diag, np.ones(4), atol=1e-15)
+        assert swap == 0.0
 
     def test_uncompensated_values(self):
-        diag = ppbs_coincidence_operator(UNCOMPENSATED_PPBS)
+        diag, swap = ppbs_coincidence_operator(UNCOMPENSATED_PPBS)
         assert np.allclose(
             diag, [1.0, 1.0 / SQRT3, 1.0 / SQRT3, -1.0 / 3.0], atol=1e-15
         )
+        assert swap == 0.0
+
+    def test_swap_coefficient(self):
+        params = GateParams(0.8, 0.6, 0.5)
+        diag, swap = ppbs_coincidence_operator(params)
+        np.testing.assert_allclose(diag, [0.25 * (0.64 - 0.36), 0.24, 0.24, 0.36 - 0.64],
+                                   rtol=0.0, atol=1e-15)
+        assert swap == pytest.approx(-0.5 * 0.6 * 0.8, abs=1e-15)
+
+    def test_half_splitter_keeps_mixed_coincidences(self):
+        # Hong-Ou-Mandel: HH and VV leave no coincidence; HV and VH keep
+        # probability 1/2, split between the transmitted and exchanged pair
+        for system, probe, coincidence in (([1, 0], [1, 0], 0.0), ([1, 0], [0, 1], 0.5),
+                                           ([0, 1], [1, 0], 0.5), ([0, 1], [0, 1], 0.0)):
+            out = ppbs_amplitudes(system, probe, HALF_SPLITTER)
+            assert (np.abs(out) ** 2).sum() == pytest.approx(coincidence, abs=1e-15)
+        np.testing.assert_allclose(ppbs_amplitudes([1, 0], [0, 1], HALF_SPLITTER),
+                                   [0.0, 0.5, -0.5, 0.0], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("t_h", [1e-3, 0.3, 0.5, 1 / math.sqrt(2), 0.9, 1.0])
+    @pytest.mark.parametrize("t_v, a_h", [(1 / SQRT3, 1 / SQRT3), (0.6, 0.55), (0.95, 1.0),
+                                          (1 / math.sqrt(2), 1.0), (1e-3, 0.2)])
+    def test_matches_per_photon_reference(self, t_h, t_v, a_h):
+        params = GateParams(t_h, t_v, a_h)
+        for deg in (0.0, 30.0, 90.0, 135.0, 200.0, 300.0):
+            for eps in (0.0, 0.08, -0.3, 2.0):
+                system, probe = linear_states(deg), probe_state(eps)
+                np.testing.assert_allclose(
+                    ppbs_amplitudes(system, probe, params),
+                    per_photon_reference(system, probe, params), rtol=0.0, atol=1e-15,
+                )
 
 
 class TestExactJointProbabilities:
@@ -150,11 +213,15 @@ class TestExactJointProbabilities:
         assert abs(ratio_a - ratio_d) > 0.5
 
     def test_zero_coincidence_norm(self):
-        # a symmetric 50:50 splitter nulls every coincidence amplitude
+        # a symmetric 50:50 splitter nulls the HH and VV coincidences, so
+        # an input of HH alone has none left
         with pytest.raises(ZeroCoincidenceNorm):
-            exact(
-                30.0, 0.05, params=GateParams(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0)
-            )
+            exact(0.0, 0.0, params=HALF_SPLITTER)
+        # HV and VH keep a coincidence probability of 1/2: at eps != 0 the
+        # table is defined
+        p = exact(30.0, 0.05, params=HALF_SPLITTER)
+        assert (p >= 0.0).all()
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_custom_bases_reduce_to_marginals(self):
         # post-selecting in the H/V basis at eps=0 reproduces |<f|psi>|^2

@@ -41,8 +41,7 @@ def reference_row(theta, eps, model, gate, postselect):
     """One sweep row from the scalar API, one call per quantity."""
     psi, basis = linear_states(theta), analyzer_basis(postselect)
     row = {}
-    report = fisher_information(psi, basis)
-    row["F_D"], row["F_A"] = report.per_f[Outcome.D], report.per_f[F_A]
+    row["F_D"], row["F_A"] = fisher_information(psi, basis).tolist()
     row["sigma_rel_A"] = 1.0 / math.sqrt(row["F_A"]) if row["F_A"] > 1e-8 else None
     for key, f in (("wv_D", basis[0]), ("wv_A", basis[1])):
         try:
@@ -58,7 +57,7 @@ def reference_row(theta, eps, model, gate, postselect):
     if p is not None and row["wv_A"] is not None and p[0] + p[1] > 0.0:
         try:
             cond = ConditionalPair.from_joint(p, F_A)
-            row["eps_hat_A"] = estimate_epsilon(cond, row["wv_A"], F_A).epsilon_hat
+            row["eps_hat_A"], _ = estimate_epsilon(cond, row["wv_A"])
         except WeakMeasError:
             pass
     return row
@@ -94,11 +93,15 @@ def test_linearization_status():
 
 
 def test_zero_coincidence_status():
-    # every coincidence amplitude of this gate is zero
+    # a 50:50 splitter nulls the HH and VV coincidences but keeps HV and VH
+    # with probability 1/2: only the row whose input is HH alone has none
     gate = GateParams(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0)
+    p, status = joint_table([0.0, 30.0], 0.0, ModelTag.EXACT_PPBS, gate)
+    assert status.tolist() == [ZeroCoincidenceNorm.exit_code, 0]
+    assert np.isnan(p[0]).all() and not np.isnan(p[1]).any()
     p, status = joint_table([0.0, 30.0], 0.05, ModelTag.EXACT_PPBS, gate)
-    assert status.tolist() == [ZeroCoincidenceNorm.exit_code] * 2
-    assert np.isnan(p).all()
+    assert status.tolist() == [0, 0]
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_coupling_guard_raises_for_the_whole_call():

@@ -9,7 +9,7 @@ import weakmeas
 
 
 def test_public_surface_size():
-    assert len(weakmeas.__all__) == len(set(weakmeas.__all__)) == 34
+    assert len(weakmeas.__all__) == len(set(weakmeas.__all__)) == 32
 
 
 @pytest.mark.parametrize("name", weakmeas.__all__)

@@ -1,6 +1,5 @@
 """Invariants of the model kernel over random input and analyzer angles,
-couplings and gate amplitudes (the PPBS with t_H = 1, where its
-coincidence operator is exact).
+couplings and PPBS gate amplitudes.
 
 * each model's rows are nonnegative and sum to 1 wherever their status
   is 0;
@@ -23,9 +22,8 @@ from weakmeas.kernel import joint_table, sweep_columns
 angles = st.floats(0.0, 360.0, exclude_max=True)
 thetas = st.lists(angles, min_size=1, max_size=8).map(np.array)
 couplings = st.floats(-0.3, 0.3)
-# t_H = 1: the PPBS whose folded coincidence operator is exact
-ppbs_gates = st.builds(GateParams, t_h=st.just(1.0), t_v=st.floats(1e-3, 1.0),
-                       a_h=st.floats(1e-3, 1.0))
+ppbs_gates = st.builds(GateParams, t_h=st.floats(0.0, 1.0, exclude_min=True),
+                       t_v=st.floats(1e-3, 1.0), a_h=st.floats(1e-3, 1.0))
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
