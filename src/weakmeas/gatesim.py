@@ -20,6 +20,10 @@ Conventions:
   both-reflected path turns HV into VH and back, so the operator is a
   diagonal d plus a swap coefficient s = -a_H r_H r_V on HV <-> VH,
   which vanishes whenever r_H = 0 (the experimentally relevant setting);
+* every t_H < 1 is an imperfect gate: with r_H > 0, s = 0 forces
+  r_V = 0, so t_V = 1 and d_VV = +1; a scaled controlled sign
+  c diag(1, 1, 1, -1) then needs c = -1 and d_HV = a_H t_H = -1, which
+  no positive t_H, a_H give;
 * coincidence post-selection is modeled as renormalization over the four
   two-photon amplitudes, discarding the norm deficit, exactly as
   coincidence-count analysis does;

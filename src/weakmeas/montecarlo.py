@@ -24,6 +24,16 @@ the bits those methods return, without their per-call argument checks.
 numpy's checks run once per call, by one Generator draw before the first.
 An ensemble draws its replicas in blocks of consecutive streams, each
 row of counts written by the C function straight into a zeroed block.
+
+An ensemble draws the cells in CELLS order up to the last one its
+estimator reads. For f = A those are cells 0 and 1, (D, A) and (A, A):
+a multinomial replica draws over [p_DA, p_AA, p_DD + p_AD], a Poisson
+replica over [p_DA, p_AA]. For f = D, whose cells 2 and 3 follow them in
+the stream, and for ``sample_counts`` all four cells are drawn. Cells 0
+and 1 keep the bits of the four-cell draw: ``random_multinomial`` draws
+cell j as a binomial of p_j / remaining_p over the events left, both
+set by the earlier cells only, and Poisson cells are successive draws
+of one stream.
 """
 
 from __future__ import annotations
@@ -150,19 +160,28 @@ def _sampler(mode: str, n: int):
     rate-based counting. The mode and n are checked here, before any
     draw; n must lie in [1, 2^63), the range of the generator's counts.
 
-    ``streams(seed, pvec)`` builds one generator, runs numpy's checks of
-    n and pvec by one Generator draw and checks the Philox state layout
-    (:func:`_philox_words`). ``draw(first, rows)`` then returns a new
-    int64 (rows, len(pvec)) array whose row k holds the counts
-    ``philox_generator(seed, first + k).multinomial(n, pvec)`` (or
-    ``.poisson(n * pvec)``) would return.
+    ``streams(seed, pvec, read=None)`` builds one generator, runs numpy's
+    checks of n and pvec by one Generator draw and checks the Philox
+    state layout (:func:`_philox_words`). ``draw(first, rows)`` then
+    returns a new int64 array whose row k holds the counts
+    ``philox_generator(seed, first + k).multinomial(n, v)`` (or
+    ``.poisson(n * v)``) would return, for the drawn vector v.
+
+    v is pvec, unless ``read`` asks for only its first ``read`` cells.
+    A Poisson v is then pvec[:read]. A multinomial v is pvec[:read]
+    followed by the sum of the rest, not rescaled: the last cell takes
+    the events left over, and ``random_multinomial`` never reads its
+    probability. Either way the first ``read`` columns hold the bits of
+    the full draw's (see the module docstring). The check draw runs on
+    pvec, which holds every value the C draw reads, so a table is
+    refused as it is for a full draw.
     """
     if not 1 <= n < 1 << 63:
         raise ValueError(f"shots must lie in [1, 2^63), got {n!r}")
     if mode not in ("multinomial", "poisson"):
         raise ValueError(f"unknown sampling mode {mode!r}")
 
-    def streams(seed: int, pvec: np.ndarray):
+    def streams(seed: int, pvec: np.ndarray, read: int | None = None):
         gen = philox_generator(seed)
         if mode == "poisson":
             lam = n * pvec
@@ -171,12 +190,15 @@ def _sampler(mode: str, n: int):
             gen.multinomial(n, pvec)
         bits = gen.bit_generator
         state, counter, key = _philox_words(bits, seed)
-        bitgen = bits.ctypes.bit_generator
+        # a pointer argument built once: ctypes passes a byref as it is,
+        # where it would build one from a c_void_p on every call. The
+        # bit generator lives in bits, which state holds.
+        bitgen = ctypes.byref(ctypes.c_char.from_address(bits.ctypes.bit_generator.value))
         multinomial, poisson = _distributions()
-        cells = len(pvec)
 
         if mode == "poisson":
-            lams = [ctypes.c_double(x) for x in lam.tolist()]
+            lams = [ctypes.c_double(x) for x in lam.tolist()[:read]]
+            cells = len(lams)
 
             def draw(first: int, rows: int) -> np.ndarray:
                 out = np.empty((rows, cells), dtype=np.int64)
@@ -193,8 +215,12 @@ def _sampler(mode: str, n: int):
 
             return draw
 
-        # data_as keeps the array alive with the pointer
-        pix = np.ascontiguousarray(pvec, dtype=np.float64).ctypes.data_as(ctypes.c_void_p)
+        values = pvec.tolist()
+        if read is not None and read < len(values) - 1:
+            values = values[:read] + [sum(values[read:])]
+        cells = len(values)
+        # a ctypes array with its own copy of the values, kept by the byref
+        pix = ctypes.byref((ctypes.c_double * cells)(*values))
         row = ctypes.c_void_p()
         args = (bitgen, ctypes.c_int64(n), row, pix, ctypes.c_ssize_t(cells),
                 ctypes.byref(_Binomial()))
@@ -307,15 +333,17 @@ def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: Outcome,
     """Moment estimates of the replicas with a positive count in both the
     (D, f) and (A, f) cells, in replica order, and the number of replicas
     discarded. Replica r draws stream (base_seed, 1 + r) of
-    ``streams(base_seed, pvec)`` (see :func:`_sampler`).
+    ``streams(base_seed, pvec, read)`` (see :func:`_sampler`), where
+    ``read`` covers the cells up to the last one the estimator reads:
+    cells 0 and 1 for f = A, all four for f = D.
 
     The estimate is the expression of :func:`estimate_epsilon`, so each
     equals the one computed from that replica's counts by
     ``estimate_epsilon(ConditionalPair.from_counts(n_d, n_a), wv_ref)[0]``
     bit for bit while n_d + n_a stays below 2^53.
     """
-    draw = streams(base_seed, pvec)
     idx_d, idx_a = _COLUMN[f]
+    draw = streams(base_seed, pvec, read=max(idx_d, idx_a) + 1)
     n_d = np.empty(n_replicas, dtype=np.int64)
     n_a = np.empty(n_replicas, dtype=np.int64)
     for first in range(0, n_replicas, _BLOCK_ROWS):

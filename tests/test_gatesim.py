@@ -125,6 +125,24 @@ class TestPpbsCoincidenceOperator:
                                    rtol=0.0, atol=1e-15)
         assert swap == pytest.approx(-0.5 * 0.6 * 0.8, abs=1e-15)
 
+    def test_no_controlled_sign_below_full_h_transmission(self):
+        # at t_H < 1, s = -a_H r_H r_V is 0 only at t_V = 1, where
+        # d_VV = +1 would need the scale -1 and so d_HV = a_H t_H = -1
+        def is_csign(params):
+            diag, swap = ppbs_coincidence_operator(params)
+            scale = -diag[3]
+            return bool(swap == 0.0 and scale != 0.0 and np.allclose(
+                diag, scale * np.array([1.0, 1.0, 1.0, -1.0]), rtol=1e-9, atol=0.0))
+
+        assert is_csign(COMPENSATED_PPBS)
+        grid = [1e-3, 0.3, 1 / SQRT3, 1 / math.sqrt(2), 0.9, 1.0 - 1e-12, 1.0]
+        for t_h in grid[:-1]:
+            for t_v in grid:
+                for a_h in grid:
+                    params = GateParams(t_h, t_v, a_h)
+                    assert (ppbs_coincidence_operator(params)[1] == 0.0) == (t_v == 1.0)
+                    assert not is_csign(params)
+
     def test_half_splitter_keeps_mixed_coincidences(self):
         # Hong-Ou-Mandel: HH and VV leave no coincidence; HV and VH keep
         # probability 1/2, split between the transmitted and exchanged pair

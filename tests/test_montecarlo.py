@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakmeas import (
@@ -181,6 +181,44 @@ class TestPhiloxStreams:
             assert all(block.dtype == np.int64 and block.shape == (rows, 4) for block in got)
             assert [block.tolist() for block in got] == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           first=st.integers(1, 2**32),
+           rows=st.integers(1, 3),
+           read=st.integers(1, 4),
+           n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
+           weights=st.one_of(
+               st.just([29, 21, 29, 21]),
+               st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
+           ))
+    # [1, 1, 1, 4] / 7 lumps to a vector that sums to 1 - 2^-53, so a
+    # rescaled vector would move cells 0 and 1 at this n
+    @example(seed=0, first=1, rows=1, read=2, n=2**63 - 1, weights=[1, 1, 1, 4])
+    def test_reduced_draw_keeps_the_read_cells(self, seed, first, rows, read, n, weights):
+        # the first `read` cells of a reduced draw are those of the
+        # four-cell Generator draw; a multinomial lumps the rest into one
+        # last cell, a Poisson draw stops
+        pvec = np.array(weights, dtype=float) / sum(weights)
+        for mode, args in (("multinomial", (n, pvec)), ("poisson", (n * pvec,))):
+            try:
+                full = [getattr(philox_generator(seed, first + k), mode)(*args).tolist()
+                        for k in range(rows)]
+            except ValueError as exc:
+                # n * p past the largest Poisson mean numpy draws: refused
+                # as for the full table, even where that cell is not drawn
+                assert mode == "poisson"
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    _sampler(mode, n)(seed, pvec, read=read)
+                continue
+            if mode == "poisson":
+                want = [counts[:read] for counts in full]
+            elif read < 3:
+                want = [counts[:read] + [n - sum(counts[:read])] for counts in full]
+            else:
+                want = full
+            got = _sampler(mode, n)(seed, pvec, read=read)(first, rows)
+            assert got.dtype == np.int64 and got.tolist() == want
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_layout_check_passes(self, seed):
         bits = philox_generator(seed).bit_generator
@@ -288,18 +326,20 @@ class TestRunEnsemble:
 
     # at 1 to 3 shots the multinomial draw runs out of events before the
     # last cells, which are then left as they were; most replicas are
-    # discarded, so run_ensemble refuses the ensemble
+    # discarded, so run_ensemble refuses the ensemble. f = A draws cells 0
+    # and 1 (and the rest lumped in multinomial mode), f = D all four.
+    @pytest.mark.parametrize("f", [Outcome.A, Outcome.D])
     @pytest.mark.parametrize("params", [PINNED_ENSEMBLES[i][0] for i in (0, 3, 4)] + [
         (30.0, 0.08, ModelTag.LINEAR, None, shots, "multinomial", 2024) for shots in (1, 2, 3)
     ])
-    def test_estimates_equal_reference_loop(self, params):
+    def test_estimates_equal_reference_loop(self, params, f):
         theta, eps, model, gate, shots, mode, seed = params
         pvec = model_distribution(theta, eps, model, gate)
         pvec = pvec / pvec.sum()
-        # run_ensemble's reference: DIAG_BASIS[1] as it is, not renormalized
-        # as weak_value would renormalize a caller's state
-        wv_ref = _weak_value(linear_states(theta), DIAG_BASIS[1]).real
-        i_d, i_a = CELLS.index((Outcome.D, F_A)), CELLS.index((Outcome.A, F_A))
+        # run_ensemble's reference: the DIAG_BASIS row as it is, not
+        # renormalized as weak_value would renormalize a caller's state
+        wv_ref = _weak_value(linear_states(theta), DIAG_BASIS[0 if f is Outcome.D else 1]).real
+        i_d, i_a = CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))
         want, discarded = [], 0
         for r in range(200):
             gen = philox_generator(seed, stream=1 + r)
@@ -314,16 +354,16 @@ class TestRunEnsemble:
             cond = ConditionalPair.from_counts(n_d, n_a)
             want.append(estimate_epsilon(cond, wv_ref)[0])
         got, got_discarded = _replica_estimates(
-            _sampler(mode, shots), pvec, wv_ref, F_A, 200, seed
+            _sampler(mode, shots), pvec, wv_ref, f, 200, seed
         )
         assert got_discarded == discarded
         assert got.tolist() == want
         if discarded > DISCARD_TOLERANCE * 200:
             with pytest.raises(TooManyDiscardedReplicas, match=f"{discarded} of 200"):
-                run_ensemble(theta, eps, model, shots, 200, base_seed=seed,
+                run_ensemble(theta, eps, model, shots, 200, base_seed=seed, f=f,
                              gate_params=gate, mode=mode)
             return
-        stats = run_ensemble(theta, eps, model, shots, 200, base_seed=seed,
+        stats = run_ensemble(theta, eps, model, shots, 200, base_seed=seed, f=f,
                              gate_params=gate, mode=mode)
         assert stats.mean_eps_hat == np.mean(want)
         assert stats.var_eps_hat == np.var(want, ddof=1)
