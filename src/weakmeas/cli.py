@@ -351,7 +351,8 @@ def _add_model_args(sub) -> None:
         help="probability model (default: linear)",
     )
     sub.add_argument("--tv", type=_finite, default=None, help="PPBS t_V amplitude")
-    sub.add_argument("--th", type=_finite, default=None, help="PPBS t_H amplitude; every t_H < 1 is an imperfect gate")
+    sub.add_argument("--th", type=_finite, default=None,
+                     help="PPBS t_H amplitude; every t_H < 1 is an imperfect gate")
     sub.add_argument("--ah", type=_finite, default=None, help="H compensation amplitude")
 
 
