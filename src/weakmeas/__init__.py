@@ -21,14 +21,13 @@ _SOURCES = {
         "errors",
     ),
     **dict.fromkeys(
-        ("ConditionalPair", "apparent_fisher", "cramer_rao_bound", "estimate_epsilon",
-         "extract_weak_value", "fisher_information"),
+        ("apparent_fisher", "cramer_rao_bound", "estimate_epsilon", "extract_weak_value"),
         "estimation",
     ),
     **dict.fromkeys(("COMPENSATED_PPBS", "UNCOMPENSATED_PPBS", "GateParams"), "gatesim"),
     **dict.fromkeys(
         ("CELLS", "SINGULARITY_THRESHOLD", "WEAKNESS_GUARD", "ModelTag", "Outcome",
-         "linear_states", "model_distribution", "weak_value"),
+         "fisher_information", "linear_states", "model_distribution", "weak_value"),
         "kernel",
     ),
     **dict.fromkeys(

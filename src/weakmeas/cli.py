@@ -21,7 +21,6 @@ the commands that use them, so ``--help`` and a sweep load none of them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from typing import Sequence
@@ -32,8 +31,8 @@ from . import errors
 from .errors import WeakMeasError
 from .gatesim import COMPENSATED_PPBS, GateParams
 from .kernel import (
-    ModelTag, Outcome, analyzer_basis, linear_states, model_distribution, sweep_columns,
-    weak_value,
+    COLUMN, ModelTag, Outcome, analyzer_basis, fisher_information, linear_states,
+    model_distribution, sweep_columns, weak_value,
 )
 
 SWEEP_FORMAT_VERSION = "sweep-1"
@@ -223,7 +222,7 @@ def cmd_weakvalue(args) -> int:
 
 
 def cmd_fisher(args) -> int:
-    from .estimation import cramer_rao_bound, fisher_information
+    from .estimation import cramer_rao_bound
 
     psi, basis = linear_states(args.theta), analyzer_basis(args.postselect)
     f_d, f_a = fisher_information(psi, basis).tolist()
@@ -242,18 +241,19 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    from .estimation import ConditionalPair, estimate_epsilon
+    from .estimation import estimate_epsilon
 
     psi = linear_states(args.theta)
     basis = analyzer_basis(args.postselect)
     p = _distribution(args, args.theta, args.epsilon)
     wv_ref = weak_value(psi, basis[1]).real
-    cond = ConditionalPair.from_joint(p, Outcome.A)
-    if args.shots is not None:
-        # expected number of post-selected events among the shots, with
-        # p(f = A) = p(D, A) + p(A, A), the first two cells
-        cond = dataclasses.replace(cond, n_events=args.shots * (p[0] + p[1]).item())
-    eps_hat, sigma = estimate_epsilon(cond, wv_ref)
+    w_d, w_a = (p[i].item() for i in COLUMN[Outcome.A])
+    # the expected number of post-selected events among the shots
+    n_events = None if args.shots is None else args.shots * (w_d + w_a)
+    try:
+        eps_hat, sigma = estimate_epsilon(w_d, w_a, wv_ref, n_events)
+    except errors.ZeroProbability:  # the estimator's weights do not name their outcome
+        raise errors.ZeroProbability("post-selection probability p(f=A) is zero") from None
     payload = {
         "theta_deg": args.theta,
         "epsilon_set": args.epsilon,
@@ -278,7 +278,7 @@ def cmd_montecarlo(args) -> int:
         n_per_replica=args.shots,
         n_replicas=args.replicas,
         base_seed=args.seed,
-        f=Outcome(args.f),
+        f=args.f,
         gate_params=_gate_params(args),
         mode=args.mode,
     )

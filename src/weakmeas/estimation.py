@@ -5,12 +5,12 @@ meter statistics for a fixed post-selection outcome f:
 
     eps_hat = (p(D|f) - p(A|f)) / (2 wv_ref),
 
-where wv_ref is the analytic weak value in the zero-coupling limit,
-never refit from data. Its binomial (delta-method) error is
-sigma_eps = sqrt(p_D p_A / n) / |wv_ref| for n post-selected events; at
-eps = 0 the inverse square equals n times the per-outcome Fisher
-contribution, so the estimator saturates the Cramer-Rao bound of the
-post-selected strategy.
+where wv_ref is the analytic weak value in the zero-coupling limit, never
+refit from data (:func:`weakmeas.kernel.moment_estimates` on arrays). Its
+binomial (delta-method) error is sigma_eps = sqrt(p_D p_A / n) / |wv_ref|
+for n post-selected events; at eps = 0 the inverse square equals n times
+the per-outcome Fisher contribution, so the estimator saturates the
+Cramer-Rao bound of the post-selected strategy.
 
 The Fisher information for estimating eps decomposes over post-selection
 outcomes as
@@ -21,8 +21,7 @@ which for any orthonormal basis with real weak values collapses to
 4 <psi|A^2|psi>, independent of the basis choice. For the Stokes
 observable this is 4 for every input state: post-selection redistributes
 sensitivity between outcomes without changing the total.
-:func:`fisher_information` returns the split (F_D, F_A) that
-:func:`weakmeas.kernel.fisher_split` computes, as a (2,) array.
+:func:`weakmeas.kernel.fisher_information` returns the split (F_D, F_A).
 
 Weak values themselves can be recovered from measured probabilities by a
 finite-difference version of the logarithmic derivative, averaging the
@@ -30,101 +29,43 @@ two meter outcomes; the averaging cancels the term linear in the probe
 coupling, leaving a quadratic finite-coupling error (4/3) (eps wv)^2.
 
 A joint table is p[4] in :data:`weakmeas.kernel.CELLS` order. Each
-function checks a table it is given once: four cells, each at least
--1e-12 (a cell above that but below 0 is read as 0), summing to 1 within
-1e-9.
+function checks a table it is given once, by
+:func:`weakmeas.kernel.check_table`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    PostselectionSingular,
     WeakValueReferenceZero,
     ZeroInformation,
     ZeroProbability,
     ZeroProbeCoupling,
 )
-from .kernel import (
-    CELLS, DIAG_BASIS, WV_REFERENCE_FLOOR, Outcome, _check_orthonormal, _state, fisher_split,
-)
+from .kernel import COLUMN, WV_REFERENCE_FLOOR, Outcome, check_table, moment_estimates
 
 
-def _cells(p: np.ndarray) -> list[float]:
-    """A caller's joint table p[4] in CELLS order as floats, checked."""
-    values = np.asarray(p, dtype=float)
-    if values.shape != (len(CELLS),):
-        raise ValueError(f"a joint table has {len(CELLS)} cells, got shape {values.shape}")
-    for value, cell in zip(values.tolist(), CELLS):
-        if value < -1e-12:
-            raise ValueError(f"negative probability {value!r} for cell {cell}")
-    # a cell in [-1e-12, 0) is round-off and is read as 0
-    cells = [max(value, 0.0) for value in values.tolist()]
-    total = sum(cells)
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return cells
-
-
-#: The cells (D, f) and (A, f) in CELLS order of each post-selection outcome f.
-_COLUMN = {f: (CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))) for f in Outcome}
-
-
-def _conditional(cells: list[float], f: Outcome) -> tuple[float, float]:
-    """(p(D|f), p(A|f)). Raises ZeroProbability when p(f) = 0."""
-    i_d, i_a = _COLUMN[f]
+def _conditional(cells: np.ndarray, f: Outcome) -> tuple[float, float]:
+    """(p(D|f), p(A|f)) of a checked table. Raises ZeroProbability when
+    p(f) = 0."""
+    i_d, i_a = COLUMN[f]
     pf = cells[i_d] + cells[i_a]
     if pf <= 0.0:
         raise ZeroProbability(f"post-selection probability p(f={f.value}) is zero")
     return cells[i_d] / pf, cells[i_a] / pf
 
 
-@dataclass(frozen=True)
-class ConditionalPair:
-    """Conditional meter probabilities p(D|f), p(A|f), optionally with the
-    number of post-selected events they were estimated from."""
-
-    p_d: float
-    p_a: float
-    n_events: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.p_d < 0.0 or self.p_a < 0.0:
-            raise ValueError("conditional probabilities must be nonnegative")
-        if abs(self.p_d + self.p_a - 1.0) > 1e-9:
-            raise ValueError("p(D|f) + p(A|f) must equal 1")
-        if self.n_events is not None and not self.n_events > 0:
-            raise ValueError("n_events must be positive when present")
-
-    @classmethod
-    def from_counts(cls, n_d: int, n_a: int) -> "ConditionalPair":
-        total = n_d + n_a
-        if n_d <= 0 or n_a <= 0:
-            raise ZeroProbability(
-                f"need positive counts in both meter outcomes, got ({n_d}, {n_a})"
-            )
-        return cls(n_d / total, n_a / total, n_events=total)
-
-    @classmethod
-    def from_joint(cls, p: np.ndarray, f: Outcome) -> "ConditionalPair":
-        """The conditionals of outcome f in the joint table p[4]."""
-        return cls(*_conditional(_cells(p), f))
-
-
-def _check_wv_reference(wv_reference: float) -> None:
-    if abs(wv_reference) < WV_REFERENCE_FLOOR:
-        raise WeakValueReferenceZero(
-            f"|wv_reference| = {abs(wv_reference):.3g} below {WV_REFERENCE_FLOOR:g}"
-        )
-
-
-def estimate_epsilon(cond: ConditionalPair, wv_reference: float) -> tuple[float, float | None]:
-    """Moment estimate of the coupling from one post-selected conditional
-    pair, and its binomial error, which is None unless ``cond`` carries an
-    event count.
+def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
+                     n_events: float | None = None) -> tuple[float, float | None]:
+    """Moment estimate of the coupling from the (D, f) and (A, f) weights
+    of one post-selected outcome f, counts, joint cells or conditionals,
+    normalized by their sum, and its binomial error over ``n_events``
+    post-selected events, None without them. Raises the error of the
+    status of :func:`weakmeas.kernel.moment_estimates`.
 
     The estimate is (p(D|f) - p(A|f)) / (2 wv_reference). On linear-model
     conditionals this is the set eps exactly. On exact ideal-gate
@@ -132,15 +73,27 @@ def estimate_epsilon(cond: ConditionalPair, wv_reference: float) -> tuple[float,
     eps / (1 + eps^2 wv^2) identically: a finite-coupling bias that grows
     toward the orthogonality point.
     """
-    _check_wv_reference(wv_reference)
-    eps_hat = (cond.p_d - cond.p_a) / (2.0 * wv_reference)
-    sigma = None
-    if cond.n_events is not None:
-        sigma = math.sqrt(cond.p_d * cond.p_a / cond.n_events) / abs(wv_reference)
-    return eps_hat, sigma
+    w_d, w_a, wv_reference = float(w_d), float(w_a), float(wv_reference)
+    if not (0.0 <= w_d < math.inf and 0.0 <= w_a < math.inf):
+        raise ValueError(f"weights must be finite and nonnegative, got ({w_d!r}, {w_a!r})")
+    eps_hat, status = moment_estimates([w_d], [w_a], wv_reference)
+    if status[0] == ZeroProbability.exit_code:
+        raise ZeroProbability("the (D, f) and (A, f) weights sum to zero")
+    if status[0] == WeakValueReferenceZero.exit_code:
+        raise WeakValueReferenceZero(
+            f"|wv_reference| = {abs(wv_reference):.3g} below {WV_REFERENCE_FLOOR:g}"
+        )
+    if status[0] == PostselectionSingular.exit_code:
+        raise PostselectionSingular("wv_reference is NaN: the post-selection is singular")
+    if n_events is None:
+        return eps_hat.item(), None
+    if not n_events > 0:
+        raise ValueError("n_events must be positive when present")
+    total = w_d + w_a
+    return eps_hat.item(), math.sqrt(w_d / total * (w_a / total) / n_events) / abs(wv_reference)
 
 
-def _finite_difference(at_eps: list[float], at_zero: list[float], f: Outcome,
+def _finite_difference(at_eps: np.ndarray, at_zero: np.ndarray, f: Outcome,
                        eps_probe: float) -> float:
     """:func:`extract_weak_value` on checked tables."""
     if eps_probe == 0.0:
@@ -159,7 +112,7 @@ def _finite_difference(at_eps: list[float], at_zero: list[float], f: Outcome,
 def extract_weak_value(
     p_at_eps: np.ndarray,
     p_at_zero: np.ndarray,
-    f: Outcome,
+    f: Outcome | str,
     eps_probe: float,
 ) -> float:
     """Weak value from the change of conditional probabilities between a
@@ -174,27 +127,16 @@ def extract_weak_value(
     p(A|f) = (1 - 2 eps wv) / 2, this is exactly atanh(2 eps wv) / (2 eps),
     with relative error (4/3) (eps wv)^2 + O((eps wv)^4) against wv.
     """
-    return _finite_difference(_cells(p_at_eps), _cells(p_at_zero), f, eps_probe)
+    return _finite_difference(check_table(p_at_eps), check_table(p_at_zero), Outcome(f), eps_probe)
 
 
-def fisher_information(psi, f_basis=None) -> np.ndarray:
-    """Fisher information about eps at eps = 0 of the state psi, a (2,)
-    amplitude array, split by post-selection outcome: the (2,) array
-    (F_D, F_A) in the order of the basis rows, a row of
-    :func:`weakmeas.kernel.fisher_split`. ``f_basis`` is an orthonormal
-    (2, 2) basis, the diagonal pair by default. It takes no meter: with
-    the meter's normalization sum_m w_m kappa_m^2 = 1 the result is the
-    same for every meter."""
-    basis = DIAG_BASIS if f_basis is None else _check_orthonormal(f_basis)
-    return fisher_split(_state(psi)[None], basis)[0]
-
-
-def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | None = None) -> float:
+def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | str | None = None) -> float:
     """Minimal achievable variance of an unbiased estimate of eps from
     n_trials independent trials that carry the Fisher information
     ``fisher`` each: 1 / (n_trials * fisher). ``fisher`` is the total, or
     F_f of the strategy that keeps the post-selected outcome f; a zero
     information is named as that outcome's when f is given."""
+    f = None if f is None else Outcome(f)
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     if fisher <= 0.0:
@@ -223,10 +165,9 @@ def apparent_fisher(
     away from the true bound). Outcomes with zero post-selection
     probability contribute zero.
     """
-    at_zero, at_eps = _cells(p_at_zero), _cells(p_at_eps)
+    at_zero, at_eps = check_table(p_at_zero), check_table(p_at_eps)
     split = np.zeros(2)
-    for col, f in enumerate((Outcome.D, Outcome.A)):
-        i_d, i_a = _COLUMN[f]
+    for col, (f, (i_d, i_a)) in enumerate(COLUMN.items()):
         pf0 = at_zero[i_d] + at_zero[i_a]
         if pf0 > 0.0:
             wv = _finite_difference(at_eps, at_zero, f, eps_probe)

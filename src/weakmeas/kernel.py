@@ -1,5 +1,5 @@
 """The model kernel: the 2x2 joint table p(m, f) of each model, weak
-values and the Fisher split, computed for many input states at once.
+values, the Fisher split and moment estimates, for many states at once.
 
 The first-order model. The Stokes observable A = |H><H| - |V><V| of the
 system photon couples to a two-outcome meter, the diagonal analysis of
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import (
     CouplingTooStrong, LinearizationInvalid, NonOrthonormalBasis, PostselectionSingular,
-    ZeroCoincidenceNorm,
+    WeakValueReferenceZero, ZeroCoincidenceNorm, ZeroProbability,
 )
 from .gatesim import COINCIDENCE_FLOOR, COMPENSATED_PPBS, ppbs_coincidence_operator
 
@@ -96,7 +96,8 @@ DIAG_BASIS.flags.writeable = False
 
 
 class Outcome(Enum):
-    """Outcome label of the meter (m) or of the post-selection (f)."""
+    """Outcome label of the meter (m) or of the post-selection (f). A
+    basis's rows and a Fisher split's columns follow its order (D, A)."""
 
     D = "D"
     A = "A"
@@ -111,7 +112,8 @@ CELLS = (
     (Outcome.A, Outcome.D),
 )
 
-_OUTCOMES = (Outcome.D, Outcome.A)
+#: The cells (D, f) and (A, f) in CELLS order of each post-selection outcome f.
+COLUMN = {f: (CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))) for f in Outcome}
 
 #: The meter's baseline probabilities w_m and response coefficients kappa_m.
 _W = 0.5
@@ -242,8 +244,20 @@ def _checked(p: np.ndarray, status: np.ndarray):
     total = p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
     bad = (status == 0) & ~(np.abs(total - 1.0) <= 1e-9)
     if bad.any():
-        raise ValueError(f"probabilities sum to {total[bad][0]!r}, expected 1")
+        raise ValueError(f"probabilities sum to {total[bad][0].item()!r}, expected 1")
     return p, status
+
+
+def check_table(p) -> np.ndarray:
+    """A caller's joint table p[4] in CELLS order as a float array, checked: each cell
+    at least -1e-12 and read as 0 below 0, summing to 1 within 1e-9 as a model's rows."""
+    values = np.asarray(p, dtype=float)
+    if values.shape != (len(CELLS),):
+        raise ValueError(f"a joint table has {len(CELLS)} cells, got shape {values.shape}")
+    for value, cell in zip(values.tolist(), CELLS):
+        if value < -1e-12:
+            raise ValueError(f"negative probability {value!r} for cell {cell}")
+    return _checked(np.maximum(values, 0.0)[None], np.zeros(1))[0][0]
 
 
 def linear_table(states, eps: float, f_basis: np.ndarray = DIAG_BASIS):
@@ -259,7 +273,7 @@ def linear_table(states, eps: float, f_basis: np.ndarray = DIAG_BASIS):
     if not abs(eps) < WEAKNESS_GUARD:
         raise CouplingTooStrong(f"weakness margin {abs(eps):.6g} exceeds guard {WEAKNESS_GUARD:.6g}")
     pf, re_wv = {}, {}
-    for f_out, f in zip(_OUTCOMES, f_basis):
+    for f_out, f in zip(Outcome, f_basis):
         pf[f_out] = np.abs(_braket(f, states)) ** 2
         re_wv[f_out] = np.nan_to_num(weak_values(states, f).real, nan=0.0)
     cells = [_W * pf[f] * (1.0 + 2.0 * eps * _KAPPA[m] * re_wv[f]) for m, f in CELLS]
@@ -292,8 +306,8 @@ def exact_table(states, eps: float, gate: tuple, f_basis: np.ndarray = DIAG_BASI
     amps = two_photon_amplitudes(states, probe_state(eps), gate)
     weights = np.abs(amps) ** 2
     norm = weights[:, 0] + weights[:, 1] + weights[:, 2] + weights[:, 3]
-    f_states = dict(zip(_OUTCOMES, f_basis))
-    m_states = dict(zip(_OUTCOMES, DIAG_BASIS))
+    f_states = dict(zip(Outcome, f_basis))
+    m_states = dict(zip(Outcome, DIAG_BASIS))
     p = np.empty((len(states), 4))
     with np.errstate(divide="ignore", invalid="ignore"):
         for col, (m, f) in enumerate(CELLS):
@@ -319,6 +333,24 @@ def joint_table(theta_deg, eps: float, model: ModelTag | str, gate_params=None, 
     return _table(linear_states(theta_deg), eps, ModelTag.parse(model), gate_params, basis)
 
 
+def moment_estimates(w_d, w_a, wv_ref):
+    """(eps_hat, status) of (p(D|f) - p(A|f)) / (2 wv_ref) per row, with
+    p(D|f), p(A|f) the (D, f) and (A, f) weights (counts, cells or
+    conditionals) over their sum, taken in float: two Poisson counts can
+    sum past 2^63. A row is NaN with the exit code of its cause: 9 where
+    the weights sum to 0, else 8 where |wv_ref| < WV_REFERENCE_FLOOR and
+    4 where wv_ref is NaN (singular post-selection)."""
+    w_d, w_a = np.asarray(w_d, dtype=float), np.asarray(w_a, dtype=float)
+    total = w_d + w_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps_hat = (w_d / total - w_a / total) / (2.0 * wv_ref)
+    status = np.where(np.isnan(wv_ref), PostselectionSingular.exit_code, 0)
+    status = np.where(np.abs(wv_ref) < WV_REFERENCE_FLOOR, WeakValueReferenceZero.exit_code, status)
+    status = np.where(total > 0.0, status, ZeroProbability.exit_code)
+    eps_hat[status != 0] = np.nan
+    return eps_hat, status
+
+
 def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None, postselect_deg=270.0):
     """The columns of a theta sweep as float arrays keyed by name, NaN
     where a cell is undefined: the joint table, the weak values of both
@@ -329,14 +361,9 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     p, _ = _table(states, eps, ModelTag.parse(model), gate_params, basis)
     wv_d, wv_a = (weak_values(states, f).real for f in basis)
     f_d, f_a = fisher_split(states, basis).T
-    # estimate_epsilon on ConditionalPair.from_joint where both are defined:
-    # p(f) > 0 and |wv| at least the floor. The conditionals of such a row
-    # sum to 1 within a few ulp, so their check cannot fail here.
-    pf_a = p[:, 0] + p[:, 1]
-    usable = (pf_a > 0.0) & (np.abs(wv_a) >= WV_REFERENCE_FLOOR)
+    i_d, i_a = COLUMN[Outcome.A]
+    eps_hat, _ = moment_estimates(p[:, i_d], p[:, i_a], wv_a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_d, p_a = p[:, 0] / pf_a, p[:, 1] / pf_a
-        eps_hat = np.where(usable, (p_d - p_a) / (2.0 * wv_a), np.nan)
         sigma = np.where(f_a > SINGULARITY_THRESHOLD, 1.0 / np.sqrt(f_a), np.nan)
     return {
         "theta_deg": theta, "p_DA": p[:, 0], "p_AA": p[:, 1], "p_DD": p[:, 2], "p_AD": p[:, 3],
@@ -348,8 +375,9 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
 # -- the scalar API: N = 1 calls -------------------------------------------
 
 
-def _weak_value(psi: np.ndarray, f: np.ndarray) -> complex:
-    """Weak value of one unit state; PostselectionSingular where singular."""
+def unit_weak_value(psi: np.ndarray, f: np.ndarray) -> complex:
+    """Weak value of a unit state and post-selection used as they are, not
+    renormalized as :func:`weak_value` would; PostselectionSingular where singular."""
     wv = complex(weak_values(psi[None], f)[0])
     if math.isnan(wv.real):
         raise PostselectionSingular(
@@ -365,7 +393,7 @@ def weak_value(psi, f) -> complex:
     Raises PostselectionSingular when |<f|psi>| is below the singularity
     threshold (the divergence there is physical, but a float result past
     measurement precision would be meaningless)."""
-    return _weak_value(_state(psi), _state(f))
+    return unit_weak_value(_state(psi), _state(f))
 
 
 def model_distribution(
@@ -385,3 +413,15 @@ def model_distribution(
     if status[0] == ZeroCoincidenceNorm.exit_code:
         raise ZeroCoincidenceNorm("no coincidence amplitude left after the gate")
     return p[0]
+
+
+def fisher_information(psi, f_basis=None) -> np.ndarray:
+    """Fisher information about eps at eps = 0 of the state psi, a (2,)
+    amplitude array, split by post-selection outcome: the (2,) array
+    (F_D, F_A) in the order of the basis rows, a row of
+    :func:`fisher_split`. ``f_basis`` is an orthonormal (2, 2) basis, the
+    diagonal pair by default. It takes no meter: with the meter's
+    normalization sum_m w_m kappa_m^2 = 1 the result is the same for
+    every meter."""
+    basis = DIAG_BASIS if f_basis is None else _check_orthonormal(f_basis)
+    return fisher_split(_state(psi)[None], basis)[0]

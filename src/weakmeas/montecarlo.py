@@ -45,16 +45,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooManyDiscardedReplicas, ZeroProbability
-from .estimation import _COLUMN, _cells, _check_wv_reference, cramer_rao_bound
+from .estimation import cramer_rao_bound, estimate_epsilon
 from .gatesim import GateParams
 from .kernel import (
-    DIAG_BASIS, ModelTag, Outcome, _weak_value, fisher_split, linear_states, model_distribution,
+    COLUMN, DIAG_BASIS, ModelTag, Outcome, check_table, fisher_split, linear_states,
+    model_distribution, moment_estimates, unit_weak_value,
 )
 
 #: Replicas with unusable counts may be discarded up to this fraction.
 DISCARD_TOLERANCE = 0.01
 
-#: Most replicas one ensemble may run. Each keeps two int64 counts, so
+#: Most replicas one ensemble may run. Each keeps two float64 counts, so
 #: the bound holds the counts to 160 MB.
 MAX_REPLICAS = 10**7
 
@@ -245,12 +246,6 @@ def _sampler(mode: str, n: int):
     return streams
 
 
-def _probabilities(p: np.ndarray) -> np.ndarray:
-    """The cells of the joint table p[4], checked, scaled to sum to 1."""
-    pvec = np.array(_cells(p))
-    return pvec / pvec.sum()
-
-
 def sample_counts(
     p: np.ndarray,
     n: int,
@@ -262,7 +257,8 @@ def sample_counts(
     their sum is the realized total. Identical (seed, inputs) give
     bit-identical counts.
     """
-    return _sampler(mode, n)(seed, _probabilities(p))(0, 1)[0]
+    pvec = check_table(p)
+    return _sampler(mode, n)(seed, pvec / pvec.sum())(0, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -284,7 +280,7 @@ def run_ensemble(
     n_per_replica: int,
     n_replicas: int,
     base_seed: int,
-    f: Outcome = Outcome.A,
+    f: Outcome | str = Outcome.A,
     gate_params: GateParams | None = None,
     mode: str = "multinomial",
 ) -> EnsembleStats:
@@ -297,18 +293,20 @@ def run_ensemble(
     are discarded, not imputed; if more than DISCARD_TOLERANCE of the
     replicas are lost, TooManyDiscardedReplicas is raised.
     """
+    f = Outcome(f)
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
     if n_replicas > MAX_REPLICAS:
         raise ValueError(f"replicas must not exceed {MAX_REPLICAS}, got {n_replicas}")
     streams = _sampler(mode, n_per_replica)
-    pvec = _probabilities(model_distribution(theta, eps_true, model, gate_params))
+    p = model_distribution(theta, eps_true, model, gate_params)
+    pvec = p / p.sum()  # the model has checked its table
 
     psi = linear_states(theta)
-    col = 0 if f is Outcome.D else 1
-    wv_ref = _weak_value(psi, DIAG_BASIS[col]).real
-    _check_wv_reference(wv_ref)
-    per_f = fisher_split(psi[None])[0, col].item()
+    row = list(Outcome).index(f)
+    wv_ref = unit_weak_value(psi, DIAG_BASIS[row]).real
+    estimate_epsilon(1.0, 1.0, wv_ref)  # refuses a reference below the floor before any draw
+    per_f = fisher_split(psi[None])[0, row].item()
     crb = cramer_rao_bound(per_f, n_per_replica, f)
 
     arr, discarded = _replica_estimates(streams, pvec, wv_ref, f, n_replicas, base_seed)
@@ -337,21 +335,19 @@ def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: Outcome,
     ``read`` covers the cells up to the last one the estimator reads:
     cells 0 and 1 for f = A, all four for f = D.
 
-    The estimate is the expression of :func:`estimate_epsilon`, so each
-    equals the one computed from that replica's counts by
-    ``estimate_epsilon(ConditionalPair.from_counts(n_d, n_a), wv_ref)[0]``
-    bit for bit while n_d + n_a stays below 2^53.
+    The estimates are :func:`weakmeas.kernel.moment_estimates` of the
+    counts, kept as float as that function reads them, so each equals
+    ``estimate_epsilon(n_d, n_a, wv_ref)[0]`` of that replica's counts
+    bit for bit.
     """
-    idx_d, idx_a = _COLUMN[f]
+    idx_d, idx_a = COLUMN[f]
     draw = streams(base_seed, pvec, read=max(idx_d, idx_a) + 1)
-    n_d = np.empty(n_replicas, dtype=np.int64)
-    n_a = np.empty(n_replicas, dtype=np.int64)
+    n_d = np.empty(n_replicas)
+    n_a = np.empty(n_replicas)
     for first in range(0, n_replicas, _BLOCK_ROWS):
         counts = draw(1 + first, min(_BLOCK_ROWS, n_replicas - first))
         n_d[first:first + len(counts)] = counts[:, idx_d]
         n_a[first:first + len(counts)] = counts[:, idx_a]
     usable = (n_d != 0) & (n_a != 0)
     n_d, n_a = n_d[usable], n_a[usable]
-    # in float: two Poisson counts can sum past 2^63
-    total = n_d + n_a.astype(float)
-    return (n_d / total - n_a / total) / (2.0 * wv_ref), n_replicas - len(n_d)
+    return moment_estimates(n_d, n_a, wv_ref)[0], n_replicas - len(n_d)

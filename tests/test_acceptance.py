@@ -39,7 +39,6 @@ from conftest import record_criterion
 from weakmeas import (
     COMPENSATED_PPBS,
     UNCOMPENSATED_PPBS,
-    ConditionalPair,
     LinearizationInvalid,
     ModelTag,
     Outcome,
@@ -54,9 +53,11 @@ from weakmeas import (
     weak_value,
 )
 from weakmeas.cli import main as cli_main
-from weakmeas.kernel import DIAG_BASIS
+from weakmeas.kernel import COLUMN, DIAG_BASIS
 
 F_A = Outcome.A
+#: The cells (D, A) and (A, A) of a joint table, the weights of f = A.
+I_D, I_A = COLUMN[F_A]
 EPS_OP = 0.08  # operating coupling
 
 
@@ -150,8 +151,7 @@ def test_criterion_4_estimator_round_trip():
         try:
             wv_ref = weak_value(psi, a_state).real
             dist = model_distribution(float(deg), EPS_OP, "linear")
-            cond = ConditionalPair.from_joint(dist, F_A)
-            eps_hat, _ = estimate_epsilon(cond, wv_ref)
+            eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_ref)
         except WeakMeasError:
             continue  # undefined here; not part of "wherever valid"
         if abs(eps_hat - EPS_OP) > 1e-12:
@@ -162,8 +162,7 @@ def test_criterion_4_estimator_round_trip():
     residuals = []
     for deg in (0, 15, 30, 45):
         dist = model_distribution(float(deg), EPS_OP, "exact-ideal")
-        cond = ConditionalPair.from_joint(dist, F_A)
-        eps_hat, _ = estimate_epsilon(cond, wv_a(float(deg)))
+        eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_a(float(deg)))
         want = EPS_OP / (1.0 + (EPS_OP * wv_a(float(deg))) ** 2)
         residuals.append((abs(eps_hat / want - 1.0), deg))
     worst_rel, worst_deg = max(residuals)
@@ -173,8 +172,7 @@ def test_criterion_4_estimator_round_trip():
     biases = []
     for deg in (0, 30, 60, 80, 85):
         dist = model_distribution(float(deg), EPS_OP, "exact-ideal")
-        cond = ConditionalPair.from_joint(dist, F_A)
-        eps_hat, _ = estimate_epsilon(cond, wv_a(float(deg)))
+        eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_a(float(deg)))
         biases.append(abs(eps_hat - EPS_OP))
     monotone = biases == sorted(biases)
 
@@ -197,8 +195,7 @@ def test_criterion_5_error_information_duality():
         _, f_a = fisher_information(psi)
         half = math.radians(deg) / 2.0
         pf = (math.cos(half) - math.sin(half)) ** 2 / 2.0
-        cond = ConditionalPair(0.5, 0.5, n_events=n * pf)
-        _, sigma = estimate_epsilon(cond, wv_a(deg))
+        _, sigma = estimate_epsilon(0.5, 0.5, wv_a(deg), n * pf)
         rel = abs(1.0 / sigma**2 / (n * f_a) - 1.0)
         worst = max(worst, rel)
     passed = worst <= 1e-9

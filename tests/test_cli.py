@@ -535,6 +535,14 @@ class TestErrorExitCodes:
         )
         assert code == 5
 
+    def test_estimate_names_the_empty_outcome(self, capsys):
+        # the uncompensated PPBS at eps = 0 leaves no f = A coincidence at
+        # theta = 120 deg, where the weak value is defined
+        code, out, err = run_cli(capsys, "estimate", "--theta", "120", "--epsilon", "0",
+                                 "--model", "exact-ppbs", "--tv", str(1 / math.sqrt(3)),
+                                 "--ah", "1", "--shots", "100")
+        assert (code, out, err) == (9, "", "error: post-selection probability p(f=A) is zero\n")
+
     @pytest.mark.parametrize("argv", [
         ("probs", "--theta", "0", "--epsilon", "0.08", "--model", "linear", "--tv", "0.5"),
         ("probs", "--theta", "0", "--epsilon", "0.08", "--model", "exact-ideal", "--ah", "0.5"),

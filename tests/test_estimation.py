@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from weakmeas import (
-    ConditionalPair,
     Outcome,
+    PostselectionSingular,
     WeakValueReferenceZero,
     ZeroInformation,
     ZeroProbability,
@@ -50,57 +50,61 @@ def exact_eps_hat(theta_deg, eps):
     return eps / (1.0 + (eps * wv_a(theta_deg)) ** 2)
 
 
-class TestConditionalPair:
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            ConditionalPair(0.6, 0.5)
-
-    def test_from_counts(self):
-        c = ConditionalPair.from_counts(58, 42)
-        assert c.p_d == pytest.approx(0.58)
-        assert c.n_events == 100
-
-    def test_from_counts_rejects_zero(self):
-        with pytest.raises(ZeroProbability):
-            ConditionalPair.from_counts(10, 0)
-
-    def test_from_joint(self):
-        d = linear(0.0, 0.08)
-        c = ConditionalPair.from_joint(d, F_A)
-        assert c.p_d == pytest.approx(0.58)
-        assert c.p_a == pytest.approx(0.42)
-        assert c.n_events is None
-
-    def test_from_joint_zero_marginal(self):
-        with pytest.raises(ZeroProbability, match="p\\(f=A\\)"):
-            ConditionalPair.from_joint([0.0, 0.0, 0.5, 0.5], F_A)
-
-
 class TestEstimateEpsilon:
     def test_recovers_operating_point(self):
-        eps_hat, sigma = estimate_epsilon(ConditionalPair(0.58, 0.42), 1.0)
+        eps_hat, sigma = estimate_epsilon(0.58, 0.42, 1.0)
         assert eps_hat == pytest.approx(0.08, abs=1e-15)
+        assert sigma is None
+
+    def test_counts_are_normalized_by_their_sum(self):
+        assert estimate_epsilon(58, 42, 1.0, n_events=100) == estimate_epsilon(
+            0.58, 0.42, 1.0, n_events=100
+        )
+        # one empty meter outcome is an estimate, p(D|f) = 1
+        assert estimate_epsilon(10, 0, 0.5) == (1.0, None)
+
+    def test_joint_cells_give_the_conditional_estimate(self):
+        d = linear(0.0, 0.08)
+        eps_hat, sigma = estimate_epsilon(d[0], d[1], 1.0)
+        assert eps_hat == pytest.approx((0.58 - 0.42) / 2.0)
         assert sigma is None
 
     def test_symmetric_outcomes_give_zero(self):
         for wv in (1.0, -2.5, 7.0):
-            assert estimate_epsilon(ConditionalPair(0.5, 0.5), wv)[0] == 0.0
+            assert estimate_epsilon(0.5, 0.5, wv)[0] == 0.0
 
     def test_exact_model_bias_at_zero_theta(self):
         eps = 0.08
         d = exact(0.0, eps)
-        cond = ConditionalPair.from_joint(d, F_A)
-        assert cond.p_d == pytest.approx(0.57949, abs=5e-6)
-        eps_hat, _ = estimate_epsilon(cond, 1.0)
+        assert d[0] / (d[0] + d[1]) == pytest.approx(0.57949, abs=5e-6)
+        eps_hat, _ = estimate_epsilon(d[0], d[1], 1.0)
         assert eps_hat == pytest.approx(exact_eps_hat(0.0, eps), abs=1e-12)
         assert eps_hat == pytest.approx(0.07949, abs=5e-6)
 
     def test_zero_reference_raises(self):
         with pytest.raises(WeakValueReferenceZero):
-            estimate_epsilon(ConditionalPair(0.6, 0.4), 0.0)
+            estimate_epsilon(0.6, 0.4, 0.0)
+
+    @pytest.mark.parametrize("w_d, w_a, wv, error", [
+        (0.0, 0.0, 1.0, ZeroProbability),
+        (0.0, 0.0, 0.0, ZeroProbability),
+        (0.0, 0.0, math.nan, ZeroProbability),
+        (0.6, 0.4, 1e-9, WeakValueReferenceZero),
+        (0.6, 0.4, math.nan, PostselectionSingular),
+    ])
+    def test_raises_the_error_of_the_status(self, w_d, w_a, wv, error):
+        with pytest.raises(error):
+            estimate_epsilon(w_d, w_a, wv)
+
+    @pytest.mark.parametrize("w_d, w_a, n_events", [
+        (-0.1, 1.1, None), (0.5, math.nan, None), (math.inf, 1.0, None), (0.5, 0.5, 0.0),
+    ])
+    def test_rejects_bad_weights_and_events(self, w_d, w_a, n_events):
+        with pytest.raises(ValueError):
+            estimate_epsilon(w_d, w_a, 1.0, n_events)
 
     def test_binomial_sigma(self):
-        _, sigma = estimate_epsilon(ConditionalPair(0.5, 0.5, n_events=400), 2.0)
+        _, sigma = estimate_epsilon(0.5, 0.5, 2.0, n_events=400)
         assert sigma == pytest.approx(math.sqrt(0.25 / 400) / 2.0)
 
     @pytest.mark.parametrize("deg", [0.0, 10.0, 30.0, 45.0, 60.0, 130.0, 200.0])
@@ -109,8 +113,7 @@ class TestEstimateEpsilon:
         d = linear(deg, eps)
         if d[0] + d[1] <= 0.0:  # p(f = A)
             return
-        cond = ConditionalPair.from_joint(d, F_A)
-        eps_hat, _ = estimate_epsilon(cond, wv_a(deg))
+        eps_hat, _ = estimate_epsilon(d[0], d[1], wv_a(deg))
         assert eps_hat == pytest.approx(eps, abs=1e-12)
 
     def test_bias_nondecreasing_towards_orthogonality(self):
@@ -118,7 +121,7 @@ class TestEstimateEpsilon:
         biases = []
         for deg in (0.0, 30.0, 60.0, 80.0, 85.0):
             d = exact(deg, eps)
-            eps_hat, _ = estimate_epsilon(ConditionalPair.from_joint(d, F_A), wv_a(deg))
+            eps_hat, _ = estimate_epsilon(d[0], d[1], wv_a(deg))
             assert eps_hat == pytest.approx(exact_eps_hat(deg, eps), abs=1e-12)
             biases.append(abs(eps_hat - eps))
         assert biases == sorted(biases)
@@ -172,6 +175,18 @@ class TestExtractWeakValue:
         p_0 = linear(0.0, 0.0)
         with pytest.raises(ZeroProbability):
             extract_weak_value(p_e, p_0, F_A, 0.08)
+
+    def test_zero_marginal_names_the_outcome(self):
+        p_0 = linear(0.0, 0.0)
+        with pytest.raises(ZeroProbability, match="p\\(f=A\\)"):
+            extract_weak_value([0.0, 0.0, 0.5, 0.5], p_0, F_A, 0.08)
+
+    def test_outcome_is_parsed(self):
+        p_e, p_0 = linear(30.0, 0.08), linear(30.0, 0.0)
+        for text, f in (("A", F_A), ("D", F_D)):
+            assert extract_weak_value(p_e, p_0, text, 0.08) == extract_weak_value(p_e, p_0, f, 0.08)
+        with pytest.raises(ValueError, match="'a' is not a valid Outcome"):
+            extract_weak_value(p_e, p_0, "a", 0.08)
 
 
 class TestFisherInformation:
@@ -234,6 +249,12 @@ class TestCramerRaoBound:
         with pytest.raises(ValueError):
             cramer_rao_bound(2.0, 0, F_A)
 
+    def test_outcome_is_parsed(self):
+        with pytest.raises(ZeroInformation, match=r"^Fisher information F_D "):
+            cramer_rao_bound(0.0, 100, "D")
+        with pytest.raises(ValueError, match="'AD' is not a valid Outcome"):
+            cramer_rao_bound(4.0, 100, "AD")
+
 
 class TestErrorInformationDuality:
     @pytest.mark.parametrize("deg", [0.0, 30.0, 60.0])
@@ -242,8 +263,7 @@ class TestErrorInformationDuality:
         psi = linear_states(deg)
         pf = abs(psi[0] - psi[1]) ** 2 / 2.0
         _, f_a = fisher_information(psi)
-        cond = ConditionalPair(0.5, 0.5, n_events=n * pf)
-        _, sigma = estimate_epsilon(cond, wv_a(deg))
+        _, sigma = estimate_epsilon(0.5, 0.5, wv_a(deg), n * pf)
         assert 1.0 / sigma**2 == pytest.approx(n * f_a, rel=1e-9)
 
 
@@ -271,12 +291,12 @@ class TestApparentFisher:
     def test_checks_each_table_once(self, monkeypatch):
         checked = []
 
-        def cells(p):
+        def check_table(p):
             checked.append(p)
-            return real_cells(p)
+            return real_check(p)
 
-        real_cells = estimation._cells
-        monkeypatch.setattr(estimation, "_cells", cells)
+        real_check = estimation.check_table
+        monkeypatch.setattr(estimation, "check_table", check_table)
         p_e, p_0 = exact(30.0, 0.08), exact(30.0, 0.0)
         apparent_fisher(p_e, p_0, 0.08)
         assert sorted(map(id, checked)) == sorted([id(p_e), id(p_0)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weakmeas import (
     CELLS,
@@ -99,6 +101,9 @@ def ppbs_amplitudes(system, probe, params):
 
 HALF_SPLITTER = GateParams(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0)
 
+#: A beam-splitter or compensation amplitude, in (0, 1].
+AMPLITUDES = st.floats(0.0, 1.0, exclude_min=True)
+
 
 class TestPpbsCoincidenceOperator:
     def test_compensated_is_scaled_csign(self):
@@ -153,18 +158,21 @@ class TestPpbsCoincidenceOperator:
         np.testing.assert_allclose(ppbs_amplitudes([1, 0], [0, 1], HALF_SPLITTER),
                                    [0.0, 0.5, -0.5, 0.0], rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("t_h", [1e-3, 0.3, 0.5, 1 / math.sqrt(2), 0.9, 1.0])
-    @pytest.mark.parametrize("t_v, a_h", [(1 / SQRT3, 1 / SQRT3), (0.6, 0.55), (0.95, 1.0),
-                                          (1 / math.sqrt(2), 1.0), (1e-3, 0.2)])
-    def test_matches_per_photon_reference(self, t_h, t_v, a_h):
+    # a property over every gate, (t_H, t_V, a_H) in (0, 1]^3, for each
+    # input state and coupling of the grid
+    @pytest.mark.parametrize("deg", [0.0, 30.0, 90.0, 135.0, 200.0, 300.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.08, -0.3, 2.0])
+    @settings(max_examples=50, deadline=None)
+    @given(t_h=AMPLITUDES, t_v=AMPLITUDES, a_h=AMPLITUDES)
+    @example(t_h=1.0, t_v=1 / SQRT3, a_h=1 / SQRT3)
+    @example(t_h=1.0, t_v=0.6, a_h=0.55)
+    def test_matches_per_photon_reference(self, deg, eps, t_h, t_v, a_h):
         params = GateParams(t_h, t_v, a_h)
-        for deg in (0.0, 30.0, 90.0, 135.0, 200.0, 300.0):
-            for eps in (0.0, 0.08, -0.3, 2.0):
-                system, probe = linear_states(deg), probe_state(eps)
-                np.testing.assert_allclose(
-                    ppbs_amplitudes(system, probe, params),
-                    per_photon_reference(system, probe, params), rtol=0.0, atol=1e-15,
-                )
+        system, probe = linear_states(deg), probe_state(eps)
+        np.testing.assert_allclose(
+            ppbs_amplitudes(system, probe, params),
+            per_photon_reference(system, probe, params), rtol=0.0, atol=1e-15,
+        )
 
 
 class TestExactJointProbabilities:

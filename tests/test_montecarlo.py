@@ -22,8 +22,8 @@ from weakmeas import (
     run_ensemble,
     sample_counts,
 )
-from weakmeas.estimation import ConditionalPair, estimate_epsilon
-from weakmeas.kernel import DIAG_BASIS, _weak_value
+from weakmeas.estimation import estimate_epsilon
+from weakmeas.kernel import DIAG_BASIS, moment_estimates, unit_weak_value
 from weakmeas.montecarlo import (
     DISCARD_TOLERANCE, _BLOCK_ROWS, _PhiloxState, _philox_words, _replica_estimates, _sampler,
 )
@@ -55,6 +55,13 @@ PINNED_ENSEMBLES = [
     ((88.0, 0.0, ModelTag.LINEAR, None, 40_000, "multinomial", 2030),
      EnsembleStats(-0.0001348454907622772, 6.776956174320578e-06, 198, 6.251904245572803e-06, 2)),
 ]
+
+
+def plain_estimate(n_d: int, n_a: int, wv_ref: float) -> float:
+    """The moment estimate of one replica's counts in plain Python: the
+    exact integer total, each quotient rounded once."""
+    total = n_d + n_a
+    return (n_d / total - n_a / total) / (2.0 * wv_ref)
 
 
 def linear(deg, eps):
@@ -293,7 +300,7 @@ class TestRunEnsemble:
         dist = model_distribution(deg, eps, ModelTag.EXACT_IDEAL)
         half = math.radians(deg) / 2.0
         wv = (math.cos(half) + math.sin(half)) / (math.cos(half) - math.sin(half))
-        expected, _ = estimate_epsilon(ConditionalPair.from_joint(dist, F_A), wv)
+        expected, _ = estimate_epsilon(dist[0], dist[1], wv)
         se = math.sqrt(stats.var_eps_hat / stats.n_replicas)
         assert abs(stats.mean_eps_hat - expected) < 3.0 * se
 
@@ -314,6 +321,13 @@ class TestRunEnsemble:
         # theta=2 deg: p(m, A) ~ 1.5e-4, so n=10 leaves empty cells
         with pytest.raises(TooManyDiscardedReplicas):
             run_ensemble(2.0, 0.0, ModelTag.LINEAR, 10, 50, base_seed=21)
+
+    def test_outcome_is_parsed(self):
+        args = (30.0, 0.08, ModelTag.LINEAR, 10**4, 50)
+        for text, f in (("A", Outcome.A), ("D", Outcome.D)):
+            assert run_ensemble(*args, base_seed=5, f=text) == run_ensemble(*args, base_seed=5, f=f)
+        with pytest.raises(ValueError, match="'B' is not a valid Outcome"):
+            run_ensemble(*args, base_seed=5, f="B")
 
     @pytest.mark.parametrize("params, want", PINNED_ENSEMBLES)
     def test_pinned_stats(self, params, want):
@@ -338,9 +352,9 @@ class TestRunEnsemble:
         pvec = pvec / pvec.sum()
         # run_ensemble's reference: the DIAG_BASIS row as it is, not
         # renormalized as weak_value would renormalize a caller's state
-        wv_ref = _weak_value(linear_states(theta), DIAG_BASIS[0 if f is Outcome.D else 1]).real
+        wv_ref = unit_weak_value(linear_states(theta), DIAG_BASIS[0 if f is Outcome.D else 1]).real
         i_d, i_a = CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))
-        want, discarded = [], 0
+        want, kept, discarded = [], [], 0
         for r in range(200):
             gen = philox_generator(seed, stream=1 + r)
             if mode == "multinomial":
@@ -351,13 +365,18 @@ class TestRunEnsemble:
             if n_d == 0 or n_a == 0:
                 discarded += 1
                 continue
-            cond = ConditionalPair.from_counts(n_d, n_a)
-            want.append(estimate_epsilon(cond, wv_ref)[0])
+            want.append(plain_estimate(n_d, n_a, wv_ref))
+            kept.append((n_d, n_a))
         got, got_discarded = _replica_estimates(
             _sampler(mode, shots), pvec, wv_ref, f, 200, seed
         )
         assert got_discarded == discarded
         assert got.tolist() == want
+        # the estimator the ensemble runs, on the counts, and its N = 1 call
+        counts = np.array(kept, dtype=np.int64).reshape(-1, 2)
+        eps_hat, status = moment_estimates(counts[:, 0], counts[:, 1], wv_ref)
+        assert eps_hat.tolist() == want and not status.any()
+        assert [estimate_epsilon(n_d, n_a, wv_ref)[0] for n_d, n_a in kept] == want
         if discarded > DISCARD_TOLERANCE * 200:
             with pytest.raises(TooManyDiscardedReplicas, match=f"{discarded} of 200"):
                 run_ensemble(theta, eps, model, shots, 200, base_seed=seed, f=f,
@@ -374,14 +393,13 @@ class TestRunEnsemble:
         theta, shots, seed, n_replicas = 30.0, 10**5, 2024, _BLOCK_ROWS + 3
         pvec = linear(theta, 0.08)
         pvec = pvec / pvec.sum()
-        wv_ref = _weak_value(linear_states(theta), DIAG_BASIS[1]).real
+        wv_ref = unit_weak_value(linear_states(theta), DIAG_BASIS[1]).real
         i_d, i_a = CELLS.index((Outcome.D, F_A)), CELLS.index((Outcome.A, F_A))
         want = []
         for r in range(n_replicas):
             gen = philox_generator(seed, stream=1 + r)
             drawn = gen.multinomial(shots, pvec) if mode == "multinomial" else gen.poisson(shots * pvec)
-            cond = ConditionalPair.from_counts(int(drawn[i_d]), int(drawn[i_a]))
-            want.append(estimate_epsilon(cond, wv_ref)[0])
+            want.append(plain_estimate(int(drawn[i_d]), int(drawn[i_a]), wv_ref))
         got, discarded = _replica_estimates(_sampler(mode, shots), pvec, wv_ref, F_A,
                                             n_replicas, seed)
         assert discarded == 0
@@ -393,14 +411,13 @@ class TestRunEnsemble:
         theta, shots = 270.001, 2**63 - 1
         pvec = model_distribution(theta, 0.0, ModelTag.LINEAR)
         pvec = pvec / pvec.sum()
-        wv_ref = _weak_value(linear_states(theta), DIAG_BASIS[1]).real
+        wv_ref = unit_weak_value(linear_states(theta), DIAG_BASIS[1]).real
         want, past = [], 0
         for r in range(20):
             drawn = philox_generator(5, stream=1 + r).poisson(shots * pvec)
             n_d, n_a = int(drawn[0]), int(drawn[1])
             past += n_d + n_a >= 2**63
-            cond = ConditionalPair.from_counts(n_d, n_a)
-            want.append(estimate_epsilon(cond, wv_ref)[0])
+            want.append(plain_estimate(n_d, n_a, wv_ref))
         got, discarded = _replica_estimates(_sampler("poisson", shots), pvec, wv_ref, F_A, 20, 5)
         assert past and not discarded
         # counts above 2^53 are rounded to float: p(D|f) - p(A|f) may then

@@ -1,7 +1,9 @@
 """The package namespace: ``import weakmeas`` loads no submodule, and each
 public name is imported from the module that defines it on first access."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,17 @@ import weakmeas
 
 
 def test_public_surface_size():
-    assert len(weakmeas.__all__) == len(set(weakmeas.__all__)) == 32
+    assert len(weakmeas.__all__) == len(set(weakmeas.__all__)) == 31
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for path in sorted(Path(weakmeas.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", weakmeas.__all__)

@@ -9,15 +9,19 @@ couplings and PPBS gate amplitudes.
 * the gap between the linear and the exact ideal-gate table is O(eps^2)
   away from singular post-selection: with L the first-order cell and
   Q = |<f|S|psi>|^2 / 2, the exact cell is (L + eps^2 Q) / (1 + eps^2),
-  so |gap| / eps^2 = |Q - L| / (1 + eps^2) <= 1.
+  so |gap| / eps^2 = |Q - L| / (1 + eps^2) <= 1;
+* the moment estimator on arrays is, bit for bit, a plain-Python loop
+  over its rows, status included.
 """
 
+import math
+
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weakmeas import COMPENSATED_PPBS, GateParams
-from weakmeas.kernel import joint_table, sweep_columns
+from weakmeas.kernel import WV_REFERENCE_FLOOR, joint_table, moment_estimates, sweep_columns
 
 angles = st.floats(0.0, 360.0, exclude_max=True)
 thetas = st.lists(angles, min_size=1, max_size=8).map(np.array)
@@ -71,3 +75,42 @@ def test_linear_exact_gap_is_second_order(theta, eps, postselect):
         rows = regular & (status == 0)
         ratio = np.abs(exact[rows] - linear[rows]) / (e * e)
         assert (ratio <= 1.0 + 1e-6).all(), (e, ratio.max())
+
+
+def plain_moment_estimate(w_d: float, w_a: float, wv_ref: float) -> tuple[float, int]:
+    """One row of the moment estimator, in Python floats."""
+    total = w_d + w_a
+    if not total > 0.0:
+        return math.nan, 9
+    if abs(wv_ref) < WV_REFERENCE_FLOOR:
+        return math.nan, 8
+    if math.isnan(wv_ref):
+        return math.nan, 4
+    return (w_d / total - w_a / total) / (2.0 * wv_ref), 0
+
+
+counts = st.integers(0, 2**63 - 1)
+probabilities = st.floats(0.0, 1.0)
+references = st.one_of(
+    st.floats(-1e6, 1e6), st.floats(-2 * WV_REFERENCE_FLOOR, 2 * WV_REFERENCE_FLOOR),
+    st.sampled_from([0.0, -0.0, math.nan, WV_REFERENCE_FLOOR, -WV_REFERENCE_FLOOR]),
+)
+weight_rows = st.lists(st.one_of(st.tuples(counts, counts), st.tuples(probabilities, probabilities),
+                                 st.just((0, 0))).flatmap(lambda w: st.tuples(st.just(w), references)),
+                       min_size=1, max_size=16)
+
+
+@PROPERTY
+@given(rows=weight_rows)
+@example(rows=[((0, 0), 1.0), ((3, 5), 0.0), ((0.2, 0.8), math.nan), ((0.0, 0.0), math.nan),
+               ((7, 0), 1e-9), ((2**63 - 1, 2**63 - 1), 2.0)])
+def test_moment_estimates_equal_a_plain_loop(rows):
+    w_d = [float(w[0]) for w, _ in rows]
+    w_a = [float(w[1]) for w, _ in rows]
+    wv_ref = np.array([wv for _, wv in rows])
+    want = [plain_moment_estimate(d, a, wv) for d, a, wv in zip(w_d, w_a, wv_ref.tolist())]
+    eps_hat, status = moment_estimates(np.array([w[0] for w, _ in rows], dtype=float),
+                                       np.array([w[1] for w, _ in rows], dtype=float), wv_ref)
+    assert status.tolist() == [code for _, code in want]
+    # bit for bit, NaN included
+    assert eps_hat.view(np.int64).tolist() == np.array([e for e, _ in want]).view(np.int64).tolist()
