@@ -342,7 +342,7 @@ def moment_estimates(w_d, w_a, wv_ref):
     4 where wv_ref is NaN (singular post-selection)."""
     w_d, w_a = np.asarray(w_d, dtype=float), np.asarray(w_a, dtype=float)
     total = w_d + w_a
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         eps_hat = (w_d / total - w_a / total) / (2.0 * wv_ref)
     status = np.where(np.isnan(wv_ref), PostselectionSingular.exit_code, 0)
     status = np.where(np.abs(wv_ref) < WV_REFERENCE_FLOOR, WeakValueReferenceZero.exit_code, status)
