@@ -5,41 +5,43 @@ Reproducibility contract: all randomness comes from numpy's Philox
 composed of the user seed in the low 64 bits and a stream index in the
 high 64 bits; distinct keys give independent streams by construction, and
 the output is bit-stable across platforms and process layouts.
-``sample_counts`` uses stream 0, replica r of ``run_ensemble`` uses
-stream 1 + r, so ensembles are reproducible bit-exactly from
-(base_seed, parameters) regardless of execution order.
+``sample_counts`` is numpy's own ``Generator`` draw on stream 0 and reads
+nothing private to numpy. Replica r of ``run_ensemble`` uses stream
+1 + r, so ensembles are reproducible bit-exactly from (base_seed,
+parameters) regardless of execution order.
 
-One Philox generator serves all draws of a call. Before each draw it is
-rekeyed to the start of the draw's stream by three writes into its C
-state, numpy's ``philox_state`` (``numpy/random/src/philox/philox.h``,
-mapped here as ``_PhiloxState``): the high key word, the counter and
-``buffer_pos``, which empties the output buffer. That layout is private
-to numpy, so it is checked once per call: after one rekey, numpy's own
-``bits.state`` must read back the key, a zero counter and an empty
-buffer, or RuntimeError is raised. The counts are drawn by
-``random_multinomial`` and ``random_poisson``, the functions of numpy's
-C distribution API (``numpy/random/distributions.h``) that
-``Generator.multinomial`` and ``Generator.poisson`` call, so they are
-the bits those methods return, without their per-call argument checks.
-numpy's checks run once per call, by one Generator draw before the first.
-An ensemble draws its replicas in blocks of consecutive streams, each
-row of counts written by the C function straight into a zeroed block.
+An ensemble serves all its replicas from one Philox generator. Before
+each draw it is rekeyed to the start of the replica's stream by three
+writes into its C state, numpy's ``philox_state``
+(``numpy/random/src/philox/philox.h``, mapped here as ``_PhiloxState``):
+the high key word, the counter and ``buffer_pos``, which empties the
+output buffer. That layout is private to numpy, so it is checked once
+per ensemble: after one rekey, numpy's own ``bits.state`` must read back
+the key, a zero counter and an empty buffer, or RuntimeError is raised.
+The counts are drawn by ``random_multinomial`` and ``random_poisson``,
+the functions of numpy's C distribution API
+(``numpy/random/distributions.h``) that ``Generator.multinomial`` and
+``Generator.poisson`` call, so they are the bits those methods return,
+without their per-call argument checks. numpy's checks run once per
+ensemble, by one Generator draw on the full table before the first.
+Replicas are drawn in blocks of consecutive streams, each row of counts
+written by the C function straight into a zeroed block.
 
 An ensemble draws the cells in CELLS order up to the last one its
 estimator reads. For f = A those are cells 0 and 1, (D, A) and (A, A):
 a multinomial replica draws over [p_DA, p_AA, p_DD + p_AD], a Poisson
 replica over [p_DA, p_AA]. For f = D, whose cells 2 and 3 follow them in
-the stream, and for ``sample_counts`` all four cells are drawn. Cells 0
-and 1 keep the bits of the four-cell draw: ``random_multinomial`` draws
-cell j as a binomial of p_j / remaining_p over the events left, both
-set by the earlier cells only, and Poisson cells are successive draws
-of one stream.
+the stream, all four cells are drawn. The cells read keep the bits of
+the four-cell draw: ``random_multinomial`` draws cell j as a binomial of
+p_j / remaining_p over the events left, both set by the earlier cells
+only, and Poisson cells are successive draws of one stream.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,97 +155,18 @@ def _philox_words(bits: np.random.Philox, seed: int):
     return state, counter, key
 
 
-def _sampler(mode: str, n: int):
-    """The draws of count vectors over CELLS, as streams(seed, pvec) -> draw.
-
-    ``multinomial`` distributes exactly n events over the four cells;
-    ``poisson`` draws each cell independently with mean n * p, as for
-    rate-based counting. The mode and n are checked here, before any
-    draw; n must lie in [1, 2^63), the range of the generator's counts.
-
-    ``streams(seed, pvec, read=None)`` builds one generator, runs numpy's
-    checks of n and pvec by one Generator draw and checks the Philox
-    state layout (:func:`_philox_words`). ``draw(first, rows)`` then
-    returns a new int64 array whose row k holds the counts
-    ``philox_generator(seed, first + k).multinomial(n, v)`` (or
-    ``.poisson(n * v)``) would return, for the drawn vector v.
-
-    v is pvec, unless ``read`` asks for only its first ``read`` cells.
-    A Poisson v is then pvec[:read]. A multinomial v is pvec[:read]
-    followed by the sum of the rest, not rescaled: the last cell takes
-    the events left over, and ``random_multinomial`` never reads its
-    probability. Either way the first ``read`` columns hold the bits of
-    the full draw's (see the module docstring). The check draw runs on
-    pvec, which holds every value the C draw reads, so a table is
-    refused as it is for a full draw.
-    """
+def _checked_shots(n: int, mode: str) -> int:
+    """n as an int, checked with ``mode`` before any draw: n must lie in
+    [1, 2^63), the range of the generator's counts, and ``mode`` is
+    ``multinomial`` (exactly n events over the four cells) or ``poisson``
+    (each cell independently with mean n * p, as for rate-based
+    counting)."""
+    n = operator.index(n)
     if not 1 <= n < 1 << 63:
         raise ValueError(f"shots must lie in [1, 2^63), got {n!r}")
     if mode not in ("multinomial", "poisson"):
         raise ValueError(f"unknown sampling mode {mode!r}")
-
-    def streams(seed: int, pvec: np.ndarray, read: int | None = None):
-        gen = philox_generator(seed)
-        if mode == "poisson":
-            lam = n * pvec
-            gen.poisson(lam)
-        else:
-            gen.multinomial(n, pvec)
-        bits = gen.bit_generator
-        state, counter, key = _philox_words(bits, seed)
-        # a pointer argument built once: ctypes passes a byref as it is,
-        # where it would build one from a c_void_p on every call. The
-        # bit generator lives in bits, which state holds.
-        bitgen = ctypes.byref(ctypes.c_char.from_address(bits.ctypes.bit_generator.value))
-        multinomial, poisson = _distributions()
-
-        if mode == "poisson":
-            lams = [ctypes.c_double(x) for x in lam.tolist()[:read]]
-            cells = len(lams)
-
-            def draw(first: int, rows: int) -> np.ndarray:
-                out = np.empty((rows, cells), dtype=np.int64)
-                flat = (ctypes.c_int64 * out.size).from_buffer(out)
-                i = 0
-                for stream in range(first, first + rows):
-                    key[1] = stream
-                    counter[0] = 0
-                    state.buffer_pos = 4
-                    for x in lams:
-                        flat[i] = poisson(bitgen, x)
-                        i += 1
-                return out
-
-            return draw
-
-        values = pvec.tolist()
-        if read is not None and read < len(values) - 1:
-            values = values[:read] + [sum(values[read:])]
-        cells = len(values)
-        # a ctypes array with its own copy of the values, kept by the byref
-        pix = ctypes.byref((ctypes.c_double * cells)(*values))
-        row = ctypes.c_void_p()
-        args = (bitgen, ctypes.c_int64(n), row, pix, ctypes.c_ssize_t(cells),
-                ctypes.byref(_Binomial()))
-        stride = 8 * cells
-
-        def draw(first: int, rows: int) -> np.ndarray:
-            # zeroed: the C loop stops once all n events are placed and
-            # leaves the later cells as they were
-            out = np.zeros((rows, cells), dtype=np.int64)
-            base = out.ctypes.data
-            # row.value: where the C function writes this stream's counts
-            for stream, row.value in zip(range(first, first + rows),
-                                         range(base, base + rows * stride, stride)):
-                key[1] = stream
-                counter[0] = 0
-                state.buffer_pos = 4
-                multinomial(*args)
-            return out
-
-        return draw
-
-    return streams
+    return n
 
 
 def sample_counts(
@@ -253,12 +176,15 @@ def sample_counts(
     mode: str = "multinomial",
 ) -> np.ndarray:
     """Coincidence counts int64[4] in CELLS order drawn from the joint
-    table p[4] in ``mode`` (see :func:`_sampler`); in ``poisson`` mode
-    their sum is the realized total. Identical (seed, inputs) give
-    bit-identical counts.
+    table p[4] in ``mode`` (see :func:`_checked_shots`) on stream
+    (seed, 0); in ``poisson`` mode their sum is the realized total.
+    Identical (seed, inputs) give bit-identical counts.
     """
     pvec = check_table(p)
-    return _sampler(mode, n)(seed, pvec / pvec.sum())(0, 1)[0]
+    n = _checked_shots(n, mode)
+    pvec = pvec / pvec.sum()
+    gen = philox_generator(seed)
+    return gen.poisson(n * pvec) if mode == "poisson" else gen.multinomial(n, pvec)
 
 
 @dataclass(frozen=True)
@@ -291,14 +217,17 @@ def run_ensemble(
     trials (equivalently, 4 wv^2 with the expected number of post-selected
     events). Replicas with a zero count in either (D, f) or (A, f) cell
     are discarded, not imputed; if more than DISCARD_TOLERANCE of the
-    replicas are lost, TooManyDiscardedReplicas is raised.
+    replicas are lost, TooManyDiscardedReplicas is raised. The estimates
+    are :func:`weakmeas.kernel.moment_estimates` of the kept counts, so
+    each equals ``estimate_epsilon(n_d, n_a, wv_ref)[0]`` of that
+    replica's counts bit for bit.
     """
     f = Outcome(f)
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
     if n_replicas > MAX_REPLICAS:
         raise ValueError(f"replicas must not exceed {MAX_REPLICAS}, got {n_replicas}")
-    streams = _sampler(mode, n_per_replica)
+    n_per_replica = _checked_shots(n_per_replica, mode)
     p = model_distribution(theta, eps_true, model, gate_params)
     pvec = p / p.sum()  # the model has checked its table
 
@@ -309,7 +238,12 @@ def run_ensemble(
     per_f = fisher_split(psi[None])[0, row].item()
     crb = cramer_rao_bound(per_f, n_per_replica, f)
 
-    arr, discarded = _replica_estimates(streams, pvec, wv_ref, f, n_replicas, base_seed)
+    n_d, n_a = _replica_counts(mode, n_per_replica, base_seed, pvec, COLUMN[f], n_replicas)
+    usable = (n_d != 0) & (n_a != 0)
+    # rebound, so the unfiltered counts are freed before the estimator runs
+    n_d, n_a = n_d[usable], n_a[usable]
+    arr = moment_estimates(n_d, n_a, wv_ref)[0]
+    discarded = n_replicas - len(arr)
     if discarded > DISCARD_TOLERANCE * n_replicas:
         raise TooManyDiscardedReplicas(
             f"{discarded} of {n_replicas} replicas had a zero count in the "
@@ -326,28 +260,80 @@ def run_ensemble(
     )
 
 
-def _replica_estimates(streams, pvec: np.ndarray, wv_ref: float, f: Outcome,
-                       n_replicas: int, base_seed: int) -> tuple[np.ndarray, int]:
-    """Moment estimates of the replicas with a positive count in both the
-    (D, f) and (A, f) cells, in replica order, and the number of replicas
-    discarded. Replica r draws stream (base_seed, 1 + r) of
-    ``streams(base_seed, pvec, read)`` (see :func:`_sampler`), where
-    ``read`` covers the cells up to the last one the estimator reads:
-    cells 0 and 1 for f = A, all four for f = D.
+def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[int, int],
+                    n_replicas: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts in cells ``cols`` = (i, j) of CELLS of replicas
+    0 .. n_replicas - 1, as float64 arrays (n_i, n_j): row r holds what
+    ``philox_generator(seed, 1 + r).multinomial(n, pvec)`` (or
+    ``.poisson(n * pvec)``) would return in those cells. n and ``mode``
+    are checked by the caller (:func:`_checked_shots`).
 
-    The estimates are :func:`weakmeas.kernel.moment_estimates` of the
-    counts, kept as float as that function reads them, so each equals
-    ``estimate_epsilon(n_d, n_a, wv_ref)[0]`` of that replica's counts
-    bit for bit.
+    One generator runs numpy's checks of n and pvec by one Generator draw
+    and the check of the Philox state layout (:func:`_philox_words`).
+    Only the cells up to the last of ``cols`` are drawn (see the module
+    docstring): a Poisson replica draws over those cells of pvec, a
+    multinomial one over them followed by the sum of the rest, not
+    rescaled, since the last cell takes the events left over and
+    ``random_multinomial`` never reads its probability. The check draw
+    runs on pvec, which holds every value the C draw reads, so a table
+    is refused as it is for a full draw.
     """
-    idx_d, idx_a = COLUMN[f]
-    draw = streams(base_seed, pvec, read=max(idx_d, idx_a) + 1)
-    n_d = np.empty(n_replicas)
-    n_a = np.empty(n_replicas)
+    gen = philox_generator(seed)
+    if mode == "poisson":
+        lam = n * pvec
+        gen.poisson(lam)
+    else:
+        gen.multinomial(n, pvec)
+    bits = gen.bit_generator
+    state, counter, key = _philox_words(bits, seed)
+    # a pointer argument built once: ctypes passes a byref as it is,
+    # where it would build one from a c_void_p on every call. The bit
+    # generator lives in bits, which state holds.
+    bitgen = ctypes.byref(ctypes.c_char.from_address(bits.ctypes.bit_generator.value))
+    multinomial, poisson = _distributions()
+    read = max(cols) + 1
+    if mode == "poisson":
+        lams = [ctypes.c_double(x) for x in lam.tolist()[:read]]
+        cells = len(lams)
+    else:
+        values = pvec.tolist()
+        if read < len(values) - 1:
+            values = values[:read] + [sum(values[read:])]
+        cells = len(values)
+        # a ctypes array with its own copy of the values, kept by the byref
+        pix = ctypes.byref((ctypes.c_double * cells)(*values))
+        row = ctypes.c_void_p()
+        args = (bitgen, ctypes.c_int64(n), row, pix, ctypes.c_ssize_t(cells),
+                ctypes.byref(_Binomial()))
+        stride = 8 * cells
+
+    n_i = np.empty(n_replicas)
+    n_j = np.empty(n_replicas)
     for first in range(0, n_replicas, _BLOCK_ROWS):
-        counts = draw(1 + first, min(_BLOCK_ROWS, n_replicas - first))
-        n_d[first:first + len(counts)] = counts[:, idx_d]
-        n_a[first:first + len(counts)] = counts[:, idx_a]
-    usable = (n_d != 0) & (n_a != 0)
-    n_d, n_a = n_d[usable], n_a[usable]
-    return moment_estimates(n_d, n_a, wv_ref)[0], n_replicas - len(n_d)
+        rows = min(_BLOCK_ROWS, n_replicas - first)
+        streams = range(1 + first, 1 + first + rows)
+        if mode == "poisson":
+            out = np.empty((rows, cells), dtype=np.int64)
+            flat = (ctypes.c_int64 * out.size).from_buffer(out)
+            i = 0
+            for stream in streams:
+                key[1] = stream
+                counter[0] = 0
+                state.buffer_pos = 4
+                for x in lams:
+                    flat[i] = poisson(bitgen, x)
+                    i += 1
+        else:
+            # zeroed: the C loop stops once all n events are placed and
+            # leaves the later cells as they were
+            out = np.zeros((rows, cells), dtype=np.int64)
+            base = out.ctypes.data
+            # row.value: where the C function writes this stream's counts
+            for stream, row.value in zip(streams, range(base, base + rows * stride, stride)):
+                key[1] = stream
+                counter[0] = 0
+                state.buffer_pos = 4
+                multinomial(*args)
+        n_i[first:first + rows] = out[:, cols[0]]
+        n_j[first:first + rows] = out[:, cols[1]]
+    return n_i, n_j

@@ -25,7 +25,7 @@ from weakmeas import (
 from weakmeas.estimation import estimate_epsilon
 from weakmeas.kernel import DIAG_BASIS, moment_estimates, unit_weak_value
 from weakmeas.montecarlo import (
-    DISCARD_TOLERANCE, _BLOCK_ROWS, _PhiloxState, _philox_words, _replica_estimates, _sampler,
+    DISCARD_TOLERANCE, _BLOCK_ROWS, _PhiloxState, _philox_words, _replica_counts,
 )
 
 F_A = Outcome.A
@@ -55,6 +55,11 @@ PINNED_ENSEMBLES = [
     ((88.0, 0.0, ModelTag.LINEAR, None, 40_000, "multinomial", 2030),
      EnsembleStats(-0.0001348454907622772, 6.776956174320578e-06, 198, 6.251904245572803e-06, 2)),
 ]
+
+
+#: Shots of a float type, refused with TypeError, and the type name the
+#: error gives.
+NON_INTEGER_SHOTS = [(10.5, "float"), (np.float64(10.0), r"numpy\.float64")]
 
 
 def plain_estimate(n_d: int, n_a: int, wv_ref: float) -> float:
@@ -132,6 +137,16 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="shots"):
             sample_counts(linear(0.0, 0.0), n, seed=0)
 
+    @pytest.mark.parametrize("mode", ["multinomial", "poisson"])
+    @pytest.mark.parametrize("n, name", NON_INTEGER_SHOTS)
+    def test_shots_must_be_an_integer(self, mode, n, name):
+        # numpy's Generator would truncate 10.5 shots to 10
+        dist = linear(0.0, 0.08)
+        with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
+            sample_counts(dist, n, seed=0, mode=mode)
+        assert (sample_counts(dist, np.int64(10), seed=0, mode=mode).tolist()
+                == sample_counts(dist, 10, seed=0, mode=mode).tolist())
+
     @pytest.mark.parametrize("table, match", [
         ([0.5, 0.5], "4 cells"), ([-0.01, 0.51, 0.25, 0.25], "negative"), ([0.3] * 4, "sum to"),
     ])
@@ -160,39 +175,37 @@ class TestPhiloxStreams:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
-           starts=st.lists(st.integers(1, 2**32), min_size=1, max_size=3),
-           rows=st.integers(1, 3),
+           replicas=st.integers(1, 5),
            n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
            weights=st.one_of(
                st.just([29, 21, 29, 21]),
                st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
            ))
-    def test_rekey_equals_fresh_generator(self, seed, starts, rows, n, weights):
-        # the loop's own path: one generator rekeyed through runs of
-        # consecutive streams (back to the first run, too), drawn through
-        # the C functions into one block per run
+    def test_rekey_equals_fresh_generator(self, seed, replicas, n, weights):
+        # the loop's own path: one generator rekeyed through the streams of
+        # consecutive replicas, drawn through the C functions over all
+        # four cells, read two cells at a time
         pvec = np.array(weights, dtype=float) / sum(weights)
-        order = starts + starts[:1]
         for mode, args in (("multinomial", (n, pvec)), ("poisson", (n * pvec,))):
             try:
-                want = [[getattr(philox_generator(seed, s + k), mode)(*args).tolist()
-                         for k in range(rows)] for s in order]
+                want = [getattr(philox_generator(seed, 1 + r), mode)(*args).tolist()
+                        for r in range(replicas)]
             except ValueError as exc:
                 # n * p past the largest Poisson mean numpy draws
                 assert mode == "poisson"
                 with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                    _sampler(mode, n)(seed, pvec)
+                    _replica_counts(mode, n, seed, pvec, (0, 3), replicas)
                 continue
-            draw = _sampler(mode, n)(seed, pvec)
-            got = [draw(s, rows) for s in order]
-            assert all(block.dtype == np.int64 and block.shape == (rows, 4) for block in got)
-            assert [block.tolist() for block in got] == want
+            for cols in ((0, 3), (2, 1)):
+                got = _replica_counts(mode, n, seed, pvec, cols, replicas)
+                assert all(counts.dtype == np.float64 for counts in got)
+                assert [counts.tolist() for counts in got] == [
+                    [float(row[col]) for row in want] for col in cols]
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
-           first=st.integers(1, 2**32),
-           rows=st.integers(1, 3),
-           read=st.integers(1, 4),
+           replicas=st.integers(1, 3),
+           cols=st.tuples(st.integers(0, 3), st.integers(0, 3)),
            n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
            weights=st.one_of(
                st.just([29, 21, 29, 21]),
@@ -200,31 +213,26 @@ class TestPhiloxStreams:
            ))
     # [1, 1, 1, 4] / 7 lumps to a vector that sums to 1 - 2^-53, so a
     # rescaled vector would move cells 0 and 1 at this n
-    @example(seed=0, first=1, rows=1, read=2, n=2**63 - 1, weights=[1, 1, 1, 4])
-    def test_reduced_draw_keeps_the_read_cells(self, seed, first, rows, read, n, weights):
-        # the first `read` cells of a reduced draw are those of the
-        # four-cell Generator draw; a multinomial lumps the rest into one
-        # last cell, a Poisson draw stops
+    @example(seed=0, replicas=1, cols=(0, 1), n=2**63 - 1, weights=[1, 1, 1, 4])
+    def test_reduced_draw_keeps_the_read_cells(self, seed, replicas, cols, n, weights):
+        # a draw that stops at the last cell of cols, and in multinomial
+        # mode lumps the rest into one last cell, reads the counts of the
+        # four-cell Generator draw in cols
         pvec = np.array(weights, dtype=float) / sum(weights)
         for mode, args in (("multinomial", (n, pvec)), ("poisson", (n * pvec,))):
             try:
-                full = [getattr(philox_generator(seed, first + k), mode)(*args).tolist()
-                        for k in range(rows)]
+                full = [getattr(philox_generator(seed, 1 + r), mode)(*args).tolist()
+                        for r in range(replicas)]
             except ValueError as exc:
                 # n * p past the largest Poisson mean numpy draws: refused
                 # as for the full table, even where that cell is not drawn
                 assert mode == "poisson"
                 with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                    _sampler(mode, n)(seed, pvec, read=read)
+                    _replica_counts(mode, n, seed, pvec, cols, replicas)
                 continue
-            if mode == "poisson":
-                want = [counts[:read] for counts in full]
-            elif read < 3:
-                want = [counts[:read] + [n - sum(counts[:read])] for counts in full]
-            else:
-                want = full
-            got = _sampler(mode, n)(seed, pvec, read=read)(first, rows)
-            assert got.dtype == np.int64 and got.tolist() == want
+            got = _replica_counts(mode, n, seed, pvec, cols, replicas)
+            assert [counts.tolist() for counts in got] == [
+                [float(row[col]) for row in full] for col in cols]
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_layout_check_passes(self, seed):
@@ -239,7 +247,8 @@ class TestPhiloxStreams:
         pvec = np.array([0.29, 0.21, 0.29, 0.21])
         for mode, args in (("multinomial", (10, pvec)), ("poisson", (10 * pvec,))):
             want = getattr(philox_generator(seed, 1), mode)(*args).tolist()
-            assert _sampler(mode, 10)(seed, pvec)(1, 1).tolist() == [want]
+            got = _replica_counts(mode, 10, seed, pvec, (0, 3), 1)
+            assert [counts.tolist() for counts in got] == [[want[0]], [want[3]]]
 
     def test_layout_check_refuses_a_wrong_mapping(self, monkeypatch):
         # buffer_pos and has_uint32 swapped: the rekey's buffer_pos write
@@ -253,11 +262,15 @@ class TestPhiloxStreams:
         assert ctypes.sizeof(Swapped) == ctypes.sizeof(_PhiloxState)
         monkeypatch.setattr("weakmeas.montecarlo._PhiloxState", Swapped)
         pvec = np.array([0.29, 0.21, 0.29, 0.21])
+        version = re.escape(f"numpy {np.__version__}: ")
         for mode in ("multinomial", "poisson"):
-            with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}: ")):
-                _sampler(mode, 10)(0, pvec)
-        with pytest.raises(RuntimeError, match="philox_state layout"):
-            sample_counts(pvec, 10, seed=0)
+            with pytest.raises(RuntimeError, match=version):
+                _replica_counts(mode, 10, 0, pvec, (0, 1), 2)
+            with pytest.raises(RuntimeError, match=version):
+                run_ensemble(30.0, 0.08, ModelTag.LINEAR, 10, 2, base_seed=0, mode=mode)
+        # sample_counts is numpy's own draw and reads no private layout
+        counts = sample_counts(linear(0.0, 0.08), 10**4, seed=42)
+        assert dict(zip(CELLS, counts.tolist())) == FROZEN_COUNTS_SEED42
 
     @pytest.mark.parametrize("mode, n, pvec", [
         ("multinomial", 10, [0.5, 0.5, 0.5, -0.5]),
@@ -272,8 +285,10 @@ class TestPhiloxStreams:
         args = (n, pvec) if mode == "multinomial" else (n * pvec,)
         with pytest.raises(ValueError) as want:
             getattr(philox_generator(0), mode)(*args)
-        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-            _sampler(mode, n)(0, pvec)
+        # on the full table, also where only the first two cells are drawn
+        for cols in ((0, 1), (2, 3)):
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                _replica_counts(mode, n, 0, pvec, cols, 1)
 
 
 class TestRunEnsemble:
@@ -367,14 +382,12 @@ class TestRunEnsemble:
                 continue
             want.append(plain_estimate(n_d, n_a, wv_ref))
             kept.append((n_d, n_a))
-        got, got_discarded = _replica_estimates(
-            _sampler(mode, shots), pvec, wv_ref, f, 200, seed
-        )
-        assert got_discarded == discarded
-        assert got.tolist() == want
-        # the estimator the ensemble runs, on the counts, and its N = 1 call
-        counts = np.array(kept, dtype=np.int64).reshape(-1, 2)
-        eps_hat, status = moment_estimates(counts[:, 0], counts[:, 1], wv_ref)
+        n_d, n_a = _replica_counts(mode, shots, seed, pvec, (i_d, i_a), 200)
+        usable = (n_d != 0) & (n_a != 0)
+        assert 200 - usable.sum() == discarded
+        assert list(zip(n_d[usable].tolist(), n_a[usable].tolist())) == kept
+        # the estimator the ensemble runs, on those counts, and its N = 1 call
+        eps_hat, status = moment_estimates(n_d[usable], n_a[usable], wv_ref)
         assert eps_hat.tolist() == want and not status.any()
         assert [estimate_epsilon(n_d, n_a, wv_ref)[0] for n_d, n_a in kept] == want
         if discarded > DISCARD_TOLERANCE * 200:
@@ -400,10 +413,9 @@ class TestRunEnsemble:
             gen = philox_generator(seed, stream=1 + r)
             drawn = gen.multinomial(shots, pvec) if mode == "multinomial" else gen.poisson(shots * pvec)
             want.append(plain_estimate(int(drawn[i_d]), int(drawn[i_a]), wv_ref))
-        got, discarded = _replica_estimates(_sampler(mode, shots), pvec, wv_ref, F_A,
-                                            n_replicas, seed)
-        assert discarded == 0
-        assert got.tolist() == want
+        n_d, n_a = _replica_counts(mode, shots, seed, pvec, (i_d, i_a), n_replicas)
+        assert n_d.all() and n_a.all()
+        assert moment_estimates(n_d, n_a, wv_ref)[0].tolist() == want
 
     def test_poisson_counts_summing_past_int64(self):
         # near the A state nearly every event lands in the f = A column, so
@@ -418,8 +430,9 @@ class TestRunEnsemble:
             n_d, n_a = int(drawn[0]), int(drawn[1])
             past += n_d + n_a >= 2**63
             want.append(plain_estimate(n_d, n_a, wv_ref))
-        got, discarded = _replica_estimates(_sampler("poisson", shots), pvec, wv_ref, F_A, 20, 5)
-        assert past and not discarded
+        n_d, n_a = _replica_counts("poisson", shots, 5, pvec, (0, 1), 20)
+        assert past and n_d.all() and n_a.all()
+        got = moment_estimates(n_d, n_a, wv_ref)[0]
         # counts above 2^53 are rounded to float: p(D|f) - p(A|f) may then
         # differ by a few ulp of 1/2 from the exact-integer quotients
         assert np.abs(got - want).max() * 2.0 * abs(wv_ref) <= 4 * 2.0**-53
@@ -441,6 +454,17 @@ class TestRunEnsemble:
         monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
         with pytest.raises(ValueError, match="shots"):
             run_ensemble(0.0, 0.0, ModelTag.LINEAR, shots, 2, base_seed=0)
+
+    @pytest.mark.parametrize("mode", ["multinomial", "poisson"])
+    @pytest.mark.parametrize("n, name", NON_INTEGER_SHOTS)
+    def test_shots_must_be_an_integer(self, monkeypatch, mode, n, name):
+        args = (0.0, 0.08, ModelTag.LINEAR)
+        assert (run_ensemble(*args, np.int64(100), 4, base_seed=0, mode=mode)
+                == run_ensemble(*args, 100, 4, base_seed=0, mode=mode))
+        # refused before the model is evaluated
+        monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
+        with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
+            run_ensemble(*args, n, 4, base_seed=0, mode=mode)
 
     def test_replicas_bound(self, monkeypatch):
         monkeypatch.setattr("weakmeas.montecarlo.MAX_REPLICAS", 4)
