@@ -76,6 +76,8 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     w_d, w_a, wv_reference = float(w_d), float(w_a), float(wv_reference)
     if not (0.0 <= w_d < math.inf and 0.0 <= w_a < math.inf):
         raise ValueError(f"weights must be finite and nonnegative, got ({w_d!r}, {w_a!r})")
+    if math.isinf(wv_reference):
+        raise ValueError(f"wv_reference must be finite, got {wv_reference!r}")
     eps_hat, status = moment_estimates([w_d], [w_a], wv_reference)
     if status[0] == ZeroProbability.exit_code:
         raise ZeroProbability("the (D, f) and (A, f) weights sum to zero")
@@ -87,8 +89,8 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
         raise PostselectionSingular("wv_reference is NaN: the post-selection is singular")
     if n_events is None:
         return eps_hat.item(), None
-    if not n_events > 0:
-        raise ValueError("n_events must be positive when present")
+    if not 0 < n_events < math.inf:
+        raise ValueError(f"n_events must be positive and finite when present, got {n_events!r}")
     total = w_d + w_a
     return eps_hat.item(), math.sqrt(w_d / total * (w_a / total) / n_events) / abs(wv_reference)
 

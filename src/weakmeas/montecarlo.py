@@ -25,7 +25,10 @@ the functions of numpy's C distribution API
 without their per-call argument checks. numpy's checks run once per
 ensemble, by one Generator draw on the full table before the first.
 Replicas are drawn in blocks of consecutive streams, each row of counts
-written by the C function straight into a zeroed block.
+written by the C function straight into a zeroed block. Each block is
+estimated as soon as it is drawn, so an ensemble holds one block of
+counts and one float64 estimate per kept replica: at its peak, when the
+variance subtracts the mean, 16 bytes a replica.
 
 An ensemble draws the cells in CELLS order up to the last one its
 estimator reads. For f = A those are cells 0 and 1, (D, A) and (A, A):
@@ -42,6 +45,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +61,9 @@ from .kernel import (
 #: Replicas with unusable counts may be discarded up to this fraction.
 DISCARD_TOLERANCE = 0.01
 
-#: Most replicas one ensemble may run. Each keeps two float64 counts, so
-#: the bound holds the counts to 160 MB.
+#: Most replicas one ensemble may run. Each keeps one float64 estimate,
+#: and the variance one temporary of it, so the bound holds an ensemble
+#: to 160 MB.
 MAX_REPLICAS = 10**7
 
 #: Replicas drawn per block of counts: 4,096 rows of four int64 counts
@@ -238,12 +243,17 @@ def run_ensemble(
     per_f = fisher_split(psi[None])[0, row].item()
     crb = cramer_rao_bound(per_f, n_per_replica, f)
 
-    n_d, n_a = _replica_counts(mode, n_per_replica, base_seed, pvec, COLUMN[f], n_replicas)
-    usable = (n_d != 0) & (n_a != 0)
-    # rebound, so the unfiltered counts are freed before the estimator runs
-    n_d, n_a = n_d[usable], n_a[usable]
-    arr = moment_estimates(n_d, n_a, wv_ref)[0]
-    discarded = n_replicas - len(arr)
+    # the kept estimates in replica order; their mean and variance sum
+    # them as one array would
+    estimates = np.empty(n_replicas)
+    kept = 0
+    for n_d, n_a in _replica_counts(mode, n_per_replica, base_seed, pvec, COLUMN[f], n_replicas):
+        usable = (n_d != 0) & (n_a != 0)
+        block = moment_estimates(n_d[usable], n_a[usable], wv_ref)[0]
+        estimates[kept:kept + len(block)] = block
+        kept += len(block)
+    arr = estimates[:kept]
+    discarded = n_replicas - kept
     if discarded > DISCARD_TOLERANCE * n_replicas:
         raise TooManyDiscardedReplicas(
             f"{discarded} of {n_replicas} replicas had a zero count in the "
@@ -261,15 +271,18 @@ def run_ensemble(
 
 
 def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[int, int],
-                    n_replicas: int) -> tuple[np.ndarray, np.ndarray]:
+                    n_replicas: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The counts in cells ``cols`` = (i, j) of CELLS of replicas
-    0 .. n_replicas - 1, as float64 arrays (n_i, n_j): row r holds what
-    ``philox_generator(seed, 1 + r).multinomial(n, pvec)`` (or
-    ``.poisson(n * pvec)``) would return in those cells. n and ``mode``
-    are checked by the caller (:func:`_checked_shots`).
+    0 .. n_replicas - 1, yielded block by block as each block of up to
+    ``_BLOCK_ROWS`` consecutive replicas is drawn: int64 arrays
+    (n_i, n_j), whose row k of the block from replica ``first`` holds
+    what ``philox_generator(seed, 1 + first + k).multinomial(n, pvec)``
+    (or ``.poisson(n * pvec)``) would return in those cells. n and
+    ``mode`` are checked by the caller (:func:`_checked_shots`).
 
     One generator runs numpy's checks of n and pvec by one Generator draw
-    and the check of the Philox state layout (:func:`_philox_words`).
+    and the check of the Philox state layout (:func:`_philox_words`),
+    both when the first block is asked for, before any replica is drawn.
     Only the cells up to the last of ``cols`` are drawn (see the module
     docstring): a Poisson replica draws over those cells of pvec, a
     multinomial one over them followed by the sum of the rest, not
@@ -307,8 +320,6 @@ def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[
                 ctypes.byref(_Binomial()))
         stride = 8 * cells
 
-    n_i = np.empty(n_replicas)
-    n_j = np.empty(n_replicas)
     for first in range(0, n_replicas, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n_replicas - first)
         streams = range(1 + first, 1 + first + rows)
@@ -334,6 +345,4 @@ def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[
                 counter[0] = 0
                 state.buffer_pos = 4
                 multinomial(*args)
-        n_i[first:first + rows] = out[:, cols[0]]
-        n_j[first:first + rows] = out[:, cols[1]]
-    return n_i, n_j
+        yield out[:, cols[0]], out[:, cols[1]]

@@ -91,6 +91,9 @@ class TestEstimateEpsilon:
         (0.0, 0.0, math.nan, ZeroProbability),
         (0.6, 0.4, 1e-9, WeakValueReferenceZero),
         (0.6, 0.4, math.nan, PostselectionSingular),
+        # an infinite reference would give a zero estimate
+        (1.0, 0.0, math.inf, ValueError),
+        (1.0, 0.0, -math.inf, ValueError),
     ])
     def test_raises_the_error_of_the_status(self, w_d, w_a, wv, error):
         with pytest.raises(error):
@@ -98,6 +101,7 @@ class TestEstimateEpsilon:
 
     @pytest.mark.parametrize("w_d, w_a, n_events", [
         (-0.1, 1.1, None), (0.5, math.nan, None), (math.inf, 1.0, None), (0.5, 0.5, 0.0),
+        (0.5, 0.5, math.inf),
     ])
     def test_rejects_bad_weights_and_events(self, w_d, w_a, n_events):
         with pytest.raises(ValueError):

@@ -494,11 +494,6 @@ class TestJointProbabilitiesLinear:
         assert cell(d, A_OUT, F_A) == pytest.approx(0.0, abs=1e-15)
         assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_non_orthonormal_basis_raises(self):
-        basis = linear_states([0.0, 10.0])
-        with pytest.raises(NonOrthonormalBasis):
-            model_distribution(30.0, 0.05, "linear", f_basis=basis)
-
 
 def expected_slope(deg, m):
     """2 kappa_m Re wv_A, kappa_D = -kappa_A = 1."""
@@ -507,14 +502,6 @@ def expected_slope(deg, m):
 
 
 class TestLogDerivative:
-    def test_values_at_zero_theta(self):
-        assert expected_slope(0.0, D_OUT) == pytest.approx(2.0, abs=1e-12)
-        assert expected_slope(0.0, A_OUT) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_anomalous_value_at_60(self):
-        got = expected_slope(60.0, D_OUT)
-        assert got == pytest.approx(2.0 * (2.0 + math.sqrt(3.0)), abs=1e-12)
-
     @pytest.mark.parametrize("deg", [0.0, 20.0, 45.0, 60.0, 120.0, 250.0])
     def test_matches_finite_difference_of_linear_model(self, deg):
         # d ln p(m, f) / d eps at eps = 0 is 2 kappa_m Re wv_f

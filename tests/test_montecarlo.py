@@ -1,6 +1,7 @@
 import ctypes
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ def plain_estimate(n_d: int, n_a: int, wv_ref: float) -> float:
     exact integer total, each quotient rounded once."""
     total = n_d + n_a
     return (n_d / total - n_a / total) / (2.0 * wv_ref)
+
+
+def replica_counts(*args):
+    """The blocks of ``_replica_counts(*args)`` joined: the two count
+    columns of all its replicas."""
+    return tuple(np.concatenate(col) for col in zip(*_replica_counts(*args)))
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a draw was prepared")
 
 
 def linear(deg, eps):
@@ -194,13 +205,13 @@ class TestPhiloxStreams:
                 # n * p past the largest Poisson mean numpy draws
                 assert mode == "poisson"
                 with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                    _replica_counts(mode, n, seed, pvec, (0, 3), replicas)
+                    replica_counts(mode, n, seed, pvec, (0, 3), replicas)
                 continue
             for cols in ((0, 3), (2, 1)):
-                got = _replica_counts(mode, n, seed, pvec, cols, replicas)
-                assert all(counts.dtype == np.float64 for counts in got)
+                got = replica_counts(mode, n, seed, pvec, cols, replicas)
+                assert all(counts.dtype == np.int64 for counts in got)
                 assert [counts.tolist() for counts in got] == [
-                    [float(row[col]) for row in want] for col in cols]
+                    [row[col] for row in want] for col in cols]
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
@@ -228,11 +239,11 @@ class TestPhiloxStreams:
                 # as for the full table, even where that cell is not drawn
                 assert mode == "poisson"
                 with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                    _replica_counts(mode, n, seed, pvec, cols, replicas)
+                    replica_counts(mode, n, seed, pvec, cols, replicas)
                 continue
-            got = _replica_counts(mode, n, seed, pvec, cols, replicas)
+            got = replica_counts(mode, n, seed, pvec, cols, replicas)
             assert [counts.tolist() for counts in got] == [
-                [float(row[col]) for row in full] for col in cols]
+                [row[col] for row in full] for col in cols]
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_layout_check_passes(self, seed):
@@ -247,7 +258,7 @@ class TestPhiloxStreams:
         pvec = np.array([0.29, 0.21, 0.29, 0.21])
         for mode, args in (("multinomial", (10, pvec)), ("poisson", (10 * pvec,))):
             want = getattr(philox_generator(seed, 1), mode)(*args).tolist()
-            got = _replica_counts(mode, 10, seed, pvec, (0, 3), 1)
+            got = replica_counts(mode, 10, seed, pvec, (0, 3), 1)
             assert [counts.tolist() for counts in got] == [[want[0]], [want[3]]]
 
     def test_layout_check_refuses_a_wrong_mapping(self, monkeypatch):
@@ -264,8 +275,11 @@ class TestPhiloxStreams:
         pvec = np.array([0.29, 0.21, 0.29, 0.21])
         version = re.escape(f"numpy {np.__version__}: ")
         for mode in ("multinomial", "poisson"):
-            with pytest.raises(RuntimeError, match=version):
-                _replica_counts(mode, 10, 0, pvec, (0, 1), 2)
+            # refused when the first block is asked for, before any draw
+            with monkeypatch.context() as m:
+                m.setattr("weakmeas.montecarlo._distributions", no_draw)
+                with pytest.raises(RuntimeError, match=version):
+                    next(_replica_counts(mode, 10, 0, pvec, (0, 1), 2))
             with pytest.raises(RuntimeError, match=version):
                 run_ensemble(30.0, 0.08, ModelTag.LINEAR, 10, 2, base_seed=0, mode=mode)
         # sample_counts is numpy's own draw and reads no private layout
@@ -280,15 +294,16 @@ class TestPhiloxStreams:
         ("poisson", 10, [np.nan, 0.5, 0.5, 0.0]),
         ("poisson", 2**63 - 1, [1.0, 0.0, 0.0, 0.0]),
     ])
-    def test_numpy_checks_run_before_any_draw(self, mode, n, pvec):
+    def test_numpy_checks_run_before_any_draw(self, monkeypatch, mode, n, pvec):
         pvec = np.array(pvec)
         args = (n, pvec) if mode == "multinomial" else (n * pvec,)
         with pytest.raises(ValueError) as want:
             getattr(philox_generator(0), mode)(*args)
+        monkeypatch.setattr("weakmeas.montecarlo._distributions", no_draw)
         # on the full table, also where only the first two cells are drawn
         for cols in ((0, 1), (2, 3)):
             with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-                _replica_counts(mode, n, 0, pvec, cols, 1)
+                next(_replica_counts(mode, n, 0, pvec, cols, 1))
 
 
 class TestRunEnsemble:
@@ -382,7 +397,7 @@ class TestRunEnsemble:
                 continue
             want.append(plain_estimate(n_d, n_a, wv_ref))
             kept.append((n_d, n_a))
-        n_d, n_a = _replica_counts(mode, shots, seed, pvec, (i_d, i_a), 200)
+        n_d, n_a = replica_counts(mode, shots, seed, pvec, (i_d, i_a), 200)
         usable = (n_d != 0) & (n_a != 0)
         assert 200 - usable.sum() == discarded
         assert list(zip(n_d[usable].tolist(), n_a[usable].tolist())) == kept
@@ -413,7 +428,9 @@ class TestRunEnsemble:
             gen = philox_generator(seed, stream=1 + r)
             drawn = gen.multinomial(shots, pvec) if mode == "multinomial" else gen.poisson(shots * pvec)
             want.append(plain_estimate(int(drawn[i_d]), int(drawn[i_a]), wv_ref))
-        n_d, n_a = _replica_counts(mode, shots, seed, pvec, (i_d, i_a), n_replicas)
+        blocks = list(_replica_counts(mode, shots, seed, pvec, (i_d, i_a), n_replicas))
+        assert [(len(n_d), len(n_a)) for n_d, n_a in blocks] == [(_BLOCK_ROWS, _BLOCK_ROWS), (3, 3)]
+        n_d, n_a = (np.concatenate(col) for col in zip(*blocks))
         assert n_d.all() and n_a.all()
         assert moment_estimates(n_d, n_a, wv_ref)[0].tolist() == want
 
@@ -430,7 +447,7 @@ class TestRunEnsemble:
             n_d, n_a = int(drawn[0]), int(drawn[1])
             past += n_d + n_a >= 2**63
             want.append(plain_estimate(n_d, n_a, wv_ref))
-        n_d, n_a = _replica_counts("poisson", shots, 5, pvec, (0, 1), 20)
+        n_d, n_a = replica_counts("poisson", shots, 5, pvec, (0, 1), 20)
         assert past and n_d.all() and n_a.all()
         got = moment_estimates(n_d, n_a, wv_ref)[0]
         # counts above 2^53 are rounded to float: p(D|f) - p(A|f) may then
@@ -441,9 +458,6 @@ class TestRunEnsemble:
     def test_zero_reference_refused_before_any_draw(self, monkeypatch, shots):
         # theta = 270 deg is the A state: wv_A = 0, and p(f = A) = 1, so one
         # shot leaves an empty cell in every replica
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a generator was built")
-
         monkeypatch.setattr("weakmeas.montecarlo.philox_generator", no_draw)
         with pytest.raises(WeakValueReferenceZero):
             run_ensemble(270.0, 0.0, ModelTag.LINEAR, shots, 50, base_seed=0)
@@ -465,6 +479,21 @@ class TestRunEnsemble:
         monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
         with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
             run_ensemble(*args, n, 4, base_seed=0, mode=mode)
+
+    def test_peak_memory_per_replica(self):
+        # the ensemble keeps one float64 estimate a replica and one block
+        # of counts at a time: below 20 traced bytes a replica, where
+        # full-length count columns and their filtered copies took 42
+        args = (0.0, 0.08, ModelTag.EXACT_IDEAL, 10**5)
+        run_ensemble(*args, 100, base_seed=7)  # warm-up: imports and caches
+        n_replicas = 200_000
+        tracemalloc.start()
+        try:
+            run_ensemble(*args, n_replicas, base_seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n_replicas < 20
 
     def test_replicas_bound(self, monkeypatch):
         monkeypatch.setattr("weakmeas.montecarlo.MAX_REPLICAS", 4)
