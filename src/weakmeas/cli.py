@@ -93,11 +93,6 @@ def _gate_params(args) -> GateParams | None:
     return GateParams(t_h=t_h, t_v=t_v, a_h=a_h)
 
 
-def _distribution(args, theta: float, eps: float) -> np.ndarray:
-    basis = analyzer_basis(args.postselect)
-    return model_distribution(theta, eps, args.model, _gate_params(args), basis)
-
-
 def _print_json(payload: dict) -> None:
     import json
 
@@ -105,7 +100,9 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_probs(args) -> int:
-    p_da, p_aa, p_dd, p_ad = _distribution(args, args.theta, args.epsilon).tolist()
+    p_da, p_aa, p_dd, p_ad = model_distribution(
+        args.theta, args.epsilon, args.model, _gate_params(args), args.postselect
+    ).tolist()
     payload = {
         "theta_deg": args.theta,
         "epsilon": args.epsilon,
@@ -206,8 +203,8 @@ def cmd_weakvalue(args) -> int:
     psi = linear_states(args.theta)
     basis = analyzer_basis(args.postselect)
     analytic = weak_value(psi, basis[1]).real
-    p_eps = model_distribution(args.theta, args.eps_probe, ModelTag.LINEAR, f_basis=basis)
-    p_zero = model_distribution(args.theta, 0.0, ModelTag.LINEAR, f_basis=basis)
+    p_eps, p_zero = (model_distribution(args.theta, eps, ModelTag.LINEAR, None, args.postselect)
+                     for eps in (args.eps_probe, 0.0))
     finite_diff = extract_weak_value(p_eps, p_zero, Outcome.A, args.eps_probe)
     _print_json(
         {
@@ -224,8 +221,7 @@ def cmd_weakvalue(args) -> int:
 def cmd_fisher(args) -> int:
     from .estimation import cramer_rao_bound
 
-    psi, basis = linear_states(args.theta), analyzer_basis(args.postselect)
-    f_d, f_a = fisher_information(psi, basis).tolist()
+    f_d, f_a = fisher_information(linear_states(args.theta), args.postselect).tolist()
     payload = {
         "theta_deg": args.theta,
         "postselect_deg": args.postselect,
@@ -244,9 +240,8 @@ def cmd_estimate(args) -> int:
     from .estimation import estimate_epsilon
 
     psi = linear_states(args.theta)
-    basis = analyzer_basis(args.postselect)
-    p = _distribution(args, args.theta, args.epsilon)
-    wv_ref = weak_value(psi, basis[1]).real
+    p = model_distribution(args.theta, args.epsilon, args.model, _gate_params(args), args.postselect)
+    wv_ref = weak_value(psi, analyzer_basis(args.postselect)[1]).real
     w_d, w_a = (p[i].item() for i in COLUMN[Outcome.A])
     # the expected number of post-selected events among the shots
     n_events = None if args.shots is None else args.shots * (w_d + w_a)

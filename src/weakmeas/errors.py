@@ -31,7 +31,7 @@ class LinearizationInvalid(WeakMeasError):
 
 
 class NonOrthonormalBasis(WeakMeasError):
-    """Post-selection basis pair is not orthonormal."""
+    """An analyzer angle whose state and partner round to non-orthogonal rays."""
 
     exit_code = 6
 

@@ -29,18 +29,19 @@ what makes weak values the natural sensitivity measure for estimating
 eps. The exact models (:func:`exact_table`) apply the two-photon gate of
 :mod:`weakmeas.gatesim` to the probe |H> + eps |V> without linearizing.
 
-Arrays. A state is a (2,) complex array of (H, V) amplitudes, a basis a
-(2, 2) complex array whose rows map positionally to the outcomes (D, A),
-and a joint table is p[4] in CELLS order. The array functions take input
-states as the rows of an (N, 2) array; a rule that fails for one row
-leaves that row NaN, and its ``status`` is the exit code of the error
-the scalar function raises for it (0 where the row is defined). The
-arithmetic is elementwise, so a row's value does not depend on N and
-uses no BLAS kernel. States built here (:func:`linear_states`, the probe)
-are unit vectors by construction. A caller's own input is checked once,
-at the scalar functions: a state must be finite and nonzero and is
-normalized, a basis must be orthonormal. The scalar functions are N = 1
-calls of the array functions, so each model has one implementation.
+Arrays. A state is a (2,) complex array of (H, V) amplitudes, a basis
+the (2, 2) array :func:`analyzer_basis` makes, its rows mapped to the
+outcomes (D, A), and a joint table is p[4] in CELLS order. The array
+functions take input states as the rows of an (N, 2) array; a rule that
+fails for one row leaves that row NaN, and its ``status`` is the exit
+code of the error the scalar function raises for it (0 where the row is
+defined). The arithmetic is elementwise, so a row's value does not
+depend on N and uses no BLAS kernel. States built here (the probe, the
+rows of :func:`linear_states` and of a basis) are unit vectors by
+construction. A caller's own state is checked once, at the scalar
+functions: it must be finite and nonzero and is normalized. The scalar
+functions are N = 1 calls of the array functions, so each model has one
+implementation.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ SINGULARITY_THRESHOLD = 1e-8
 #: second-order terms below 25% of the first-order ones.
 WEAKNESS_GUARD = 0.5
 
-#: Tolerance for the orthonormality of a post-selection basis pair.
+#: Largest overlap |<f0|f1>| of the two rows of a post-selection basis.
 ORTHONORMAL_TOL = 1e-10
 
 #: |wv_ref| below this cannot be inverted meaningfully.
@@ -88,9 +89,9 @@ _SWAP_MASK = np.array([0.0, 1.0, 1.0, 0.0])
 _STOKES = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: The diagonal pair (|D>, |A>) = ((|H>+|V>)/sqrt2, (|H>-|V>)/sqrt2): the
-#: meter basis of the probe photon and the default post-selection basis.
-#: It is not analyzer_basis(270), which differs from it in the last bit
-#: and in the sign of |A>.
+#: meter basis of the probe photon. The post-selection basis is
+#: analyzer_basis(postselect_deg), which at 270 deg differs from this pair
+#: in the last bit and in the sign of |A>.
 DIAG_BASIS = (np.array([[1, 1], [1, -1]]) / np.sqrt(2)).astype(complex)
 DIAG_BASIS.flags.writeable = False
 
@@ -157,21 +158,6 @@ def probe_state(eps: float) -> np.ndarray:
     return _unit(1.0, float(eps))
 
 
-def _check_orthonormal(f_basis) -> np.ndarray:
-    """``f_basis`` as a (2, 2) complex array; NonOrthonormalBasis unless
-    its rows are unit vectors and orthogonal within ORTHONORMAL_TOL."""
-    basis = np.asarray(f_basis, dtype=complex)
-    if basis.shape != (2, 2):
-        raise ValueError(f"a basis is a (2, 2) array of two states, got shape {basis.shape}")
-    norms = _norm(basis[:, 0], basis[:, 1])
-    if not (np.abs(norms - 1.0) <= ORTHONORMAL_TOL).all():
-        raise NonOrthonormalBasis(f"basis row norms {norms[0]:.3g}, {norms[1]:.3g}, expected 1")
-    overlap = abs(_braket(basis[0], basis[1:])[0])
-    if not overlap <= ORTHONORMAL_TOL:
-        raise NonOrthonormalBasis(f"basis overlap |<f0|f1>| = {overlap:.3g}")
-    return basis
-
-
 def _state(psi) -> np.ndarray:
     """A caller's state as a unit (2,) complex array: finite and nonzero,
     normalized elementwise with its global phase kept."""
@@ -191,12 +177,16 @@ def _state(psi) -> np.ndarray:
 
 
 def analyzer_basis(postselect_deg: float) -> np.ndarray:
-    """Basis for a post-selection angle: row 0, the orthogonal partner,
-    maps to outcome label D, row 1, the analyzer state itself, to label A.
-    The default 270 deg gives the diagonal (D, A) pair up to the sign of
-    A. An angle so large that the partner's angle rounds to a different
-    ray gives a pair that is not orthonormal, which is refused."""
-    return _check_orthonormal(linear_states(np.array([postselect_deg - 180.0, postselect_deg])))
+    """The post-selection basis of an analyzer angle in degrees, the only
+    way one is made: row 0, the orthogonal partner, maps to outcome label
+    D, row 1, the analyzer state itself, to label A. 270 deg gives the
+    diagonal (D, A) pair up to the sign of A. An angle so large that its
+    partner rounds to a ray not orthogonal to it is NonOrthonormalBasis."""
+    basis = linear_states(np.array([postselect_deg - 180.0, postselect_deg]))
+    overlap = abs(_braket(basis[0], basis[1:])[0])
+    if not overlap <= ORTHONORMAL_TOL:
+        raise NonOrthonormalBasis(f"basis overlap |<f0|f1>| = {overlap:.3g}")
+    return basis
 
 
 def _braket(f: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -219,12 +209,12 @@ def weak_values(states: np.ndarray, f: np.ndarray) -> np.ndarray:
         return np.where(singular, np.nan, num / np.where(singular, 1.0, den))
 
 
-def fisher_split(states: np.ndarray, f_basis: np.ndarray = DIAG_BASIS) -> np.ndarray:
-    """(N, 2) Fisher contributions 4 p(f) (Re wv_f)^2 for f = (D, A), as
+def fisher_split(states: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(N, 2) Fisher contributions 4 p(f) (Re wv_f)^2 for f = (D, A), the basis rows, as
     4 (Re(<f|A|psi> conj<f|psi>))^2 / |<f|psi>|^2, continuously extended
     to p(f) -> 0 where the product stays finite."""
     out = np.empty((len(states), 2))
-    for col, f in enumerate(f_basis):
+    for col, f in enumerate(basis):
         num, den = _transitions(f, states)
         mag = np.abs(den)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -260,20 +250,20 @@ def check_table(p) -> np.ndarray:
     return _checked(np.maximum(values, 0.0)[None], np.zeros(1))[0][0]
 
 
-def linear_table(states, eps: float, f_basis: np.ndarray = DIAG_BASIS):
+def linear_table(states, eps: float, basis: np.ndarray):
     """First-order table p(m, f) = w_m |<f|psi>|^2 (1 + 2 eps kappa_m Re wv_f)
     in CELLS order, and the row status.
 
-    f_basis is an orthonormal pair mapped positionally to the outcomes
-    (D, A), by default the diagonal pair. Where the post-selection is
-    singular the row falls back to the interaction-free w_m |<f|psi>|^2,
-    exact there to the order retained. A negative cell marks the breakdown
-    of the weak-coupling premise: the row is LinearizationInvalid.
+    ``basis`` (:func:`analyzer_basis`) maps its rows positionally to the
+    outcomes (D, A). Where the post-selection is singular the row falls
+    back to the interaction-free w_m |<f|psi>|^2, exact there to the order
+    retained. A negative cell marks the breakdown of the weak-coupling
+    premise: the row is LinearizationInvalid.
     """
     if not abs(eps) < WEAKNESS_GUARD:
         raise CouplingTooStrong(f"weakness margin {abs(eps):.6g} exceeds guard {WEAKNESS_GUARD:.6g}")
     pf, re_wv = {}, {}
-    for f_out, f in zip(Outcome, f_basis):
+    for f_out, f in zip(Outcome, basis):
         pf[f_out] = np.abs(_braket(f, states)) ** 2
         re_wv[f_out] = np.nan_to_num(weak_values(states, f).real, nan=0.0)
     cells = [_W * pf[f] * (1.0 + 2.0 * eps * _KAPPA[m] * re_wv[f]) for m, f in CELLS]
@@ -290,23 +280,22 @@ def two_photon_amplitudes(states: np.ndarray, probe: np.ndarray, gate: tuple) ->
     return amps * diag + swap * amps[:, _SWAP] * _SWAP_MASK
 
 
-def exact_table(states, eps: float, gate: tuple, f_basis: np.ndarray = DIAG_BASIS):
+def exact_table(states, eps: float, gate: tuple, basis: np.ndarray):
     """Coincidence table p(m, f) of the exact gate model in CELLS order,
     and the row status.
 
-    The probe enters as |H> + eps |V> normalized. The post-selection basis
-    acts on the system photon and defaults to the diagonal pair; the
-    meter basis, the diagonal pair, acts on the probe photon. Both map
-    positionally onto (D, A). Probabilities are renormalized over
-    coincidence events; a row with no coincidence amplitude left is
-    ZeroCoincidenceNorm.
+    The probe enters as |H> + eps |V> normalized. The post-selection
+    ``basis`` (:func:`analyzer_basis`) acts on the system photon and the
+    meter basis DIAG_BASIS on the probe photon, both mapped onto (D, A).
+    Probabilities are renormalized over coincidence events; a row with no
+    coincidence amplitude left is ZeroCoincidenceNorm.
     """
     if not math.isfinite(eps * eps):
         raise ValueError(f"coupling eps={eps!r}: the probe |H> + eps|V> cannot be normalized")
     amps = two_photon_amplitudes(states, probe_state(eps), gate)
     weights = np.abs(amps) ** 2
     norm = weights[:, 0] + weights[:, 1] + weights[:, 2] + weights[:, 3]
-    f_states = dict(zip(Outcome, f_basis))
+    f_states = dict(zip(Outcome, basis))
     m_states = dict(zip(Outcome, DIAG_BASIS))
     p = np.empty((len(states), 4))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -317,12 +306,12 @@ def exact_table(states, eps: float, gate: tuple, f_basis: np.ndarray = DIAG_BASI
     return _checked(p, np.where(norm < COINCIDENCE_FLOOR, ZeroCoincidenceNorm.exit_code, 0))
 
 
-def _table(states, eps: float, model: ModelTag, gate_params, f_basis):
+def _table(states, eps: float, model: ModelTag, gate_params, basis):
     if model is ModelTag.LINEAR:
-        return linear_table(states, eps, f_basis)
+        return linear_table(states, eps, basis)
     if model is ModelTag.EXACT_IDEAL:
-        return exact_table(states, eps, IDEAL_GATE, f_basis)
-    return exact_table(states, eps, ppbs_coincidence_operator(gate_params or COMPENSATED_PPBS), f_basis)
+        return exact_table(states, eps, IDEAL_GATE, basis)
+    return exact_table(states, eps, ppbs_coincidence_operator(gate_params or COMPENSATED_PPBS), basis)
 
 
 def joint_table(theta_deg, eps: float, model: ModelTag | str, gate_params=None, postselect_deg=270.0):
@@ -375,9 +364,13 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
 # -- the scalar API: N = 1 calls -------------------------------------------
 
 
-def unit_weak_value(psi: np.ndarray, f: np.ndarray) -> complex:
-    """Weak value of a unit state and post-selection used as they are, not
-    renormalized as :func:`weak_value` would; PostselectionSingular where singular."""
+def weak_value(psi, f) -> complex:
+    """Weak value <f|A|psi> / <f|psi> of the Stokes observable for
+    preparation psi and post-selection f, both (2,) amplitude arrays.
+    Raises PostselectionSingular when |<f|psi>| is below the singularity
+    threshold (the divergence there is physical, but a float result past
+    measurement precision would be meaningless)."""
+    psi, f = _state(psi), _state(f)
     wv = complex(weak_values(psi[None], f)[0])
     if math.isnan(wv.real):
         raise PostselectionSingular(
@@ -387,24 +380,12 @@ def unit_weak_value(psi: np.ndarray, f: np.ndarray) -> complex:
     return wv
 
 
-def weak_value(psi, f) -> complex:
-    """Weak value <f|A|psi> / <f|psi> of the Stokes observable for
-    preparation psi and post-selection f, both (2,) amplitude arrays.
-    Raises PostselectionSingular when |<f|psi>| is below the singularity
-    threshold (the divergence there is physical, but a float result past
-    measurement precision would be meaningless)."""
-    return unit_weak_value(_state(psi), _state(f))
-
-
-def model_distribution(
-    theta: float, eps: float, model: ModelTag | str, gate_params=None, f_basis=None,
-) -> np.ndarray:
+def model_distribution(theta: float, eps: float, model: ModelTag | str, gate_params=None,
+                       postselect_deg=270.0) -> np.ndarray:
     """Joint table p[4] in CELLS order of the selected model at
-    (theta, eps). ``f_basis`` overrides the post-selection basis, the
-    diagonal pair by default, and must be orthonormal. A row the model
-    leaves undefined raises the error of its status."""
-    basis = DIAG_BASIS if f_basis is None else _check_orthonormal(f_basis)
-    p, status = _table(linear_states([theta]), eps, ModelTag.parse(model), gate_params, basis)
+    (theta, eps), post-selected in ``analyzer_basis(postselect_deg)``. A
+    row the model leaves undefined raises the error of its status."""
+    p, status = joint_table([theta], eps, model, gate_params, postselect_deg)
     if status[0] == LinearizationInvalid.exit_code:
         raise LinearizationInvalid(
             f"a first-order probability is negative; coupling eps={eps:g} is too strong "
@@ -415,13 +396,11 @@ def model_distribution(
     return p[0]
 
 
-def fisher_information(psi, f_basis=None) -> np.ndarray:
+def fisher_information(psi, postselect_deg=270.0) -> np.ndarray:
     """Fisher information about eps at eps = 0 of the state psi, a (2,)
     amplitude array, split by post-selection outcome: the (2,) array
-    (F_D, F_A) in the order of the basis rows, a row of
-    :func:`fisher_split`. ``f_basis`` is an orthonormal (2, 2) basis, the
-    diagonal pair by default. It takes no meter: with the meter's
+    (F_D, F_A) in the order of the rows of ``analyzer_basis(postselect_deg)``,
+    a row of :func:`fisher_split`. It takes no meter: with the meter's
     normalization sum_m w_m kappa_m^2 = 1 the result is the same for
     every meter."""
-    basis = DIAG_BASIS if f_basis is None else _check_orthonormal(f_basis)
-    return fisher_split(_state(psi)[None], basis)[0]
+    return fisher_split(_state(psi)[None], analyzer_basis(postselect_deg))[0]

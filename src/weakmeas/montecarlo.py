@@ -54,8 +54,8 @@ from .errors import TooManyDiscardedReplicas, ZeroProbability
 from .estimation import cramer_rao_bound, estimate_epsilon
 from .gatesim import GateParams
 from .kernel import (
-    COLUMN, DIAG_BASIS, ModelTag, Outcome, check_table, fisher_split, linear_states,
-    model_distribution, moment_estimates, unit_weak_value,
+    COLUMN, ModelTag, Outcome, analyzer_basis, check_table, fisher_split, linear_states,
+    model_distribution, moment_estimates, weak_value,
 )
 
 #: Replicas with unusable counts may be discarded up to this fraction.
@@ -218,14 +218,16 @@ def run_ensemble(
     """Repeatedly sample counts, estimate eps from the chosen post-selected
     column, and compare the empirical variance with the Cramer-Rao bound.
 
-    The bound uses the per-f Fisher contribution with n_per_replica total
-    trials (equivalently, 4 wv^2 with the expected number of post-selected
-    events). Replicas with a zero count in either (D, f) or (A, f) cell
-    are discarded, not imputed; if more than DISCARD_TOLERANCE of the
-    replicas are lost, TooManyDiscardedReplicas is raised. The estimates
-    are :func:`weakmeas.kernel.moment_estimates` of the kept counts, so
-    each equals ``estimate_epsilon(n_d, n_a, wv_ref)[0]`` of that
-    replica's counts bit for bit.
+    The table, reference weak value and bound are those of
+    ``analyzer_basis(270)``; an outcome with p(f) = 0 and a reference below
+    the floor are refused before any draw. The bound uses the per-f Fisher
+    contribution with n_per_replica total trials (equivalently, 4 wv^2 with
+    the expected number of post-selected events). Replicas with a zero count
+    in either (D, f) or (A, f) cell are discarded, not imputed; if more than
+    DISCARD_TOLERANCE of the replicas are lost, TooManyDiscardedReplicas is
+    raised. The estimates are :func:`weakmeas.kernel.moment_estimates` of
+    the kept counts, each bit for bit its replica's
+    ``estimate_epsilon(n_d, n_a, wv_ref)[0]``.
     """
     f = Outcome(f)
     if n_replicas < 2:
@@ -236,11 +238,14 @@ def run_ensemble(
     p = model_distribution(theta, eps_true, model, gate_params)
     pvec = p / p.sum()  # the model has checked its table
 
-    psi = linear_states(theta)
+    psi, basis = linear_states(theta), analyzer_basis(270.0)
     row = list(Outcome).index(f)
-    wv_ref = unit_weak_value(psi, DIAG_BASIS[row]).real
-    estimate_epsilon(1.0, 1.0, wv_ref)  # refuses a reference below the floor before any draw
-    per_f = fisher_split(psi[None])[0, row].item()
+    wv_ref = weak_value(psi, basis[row]).real
+    try:
+        estimate_epsilon(*p[list(COLUMN[f])].tolist(), wv_ref)
+    except ZeroProbability:  # the estimator's weights do not name their outcome
+        raise ZeroProbability(f"post-selection probability p(f={f.value}) is zero") from None
+    per_f = fisher_split(psi[None], basis)[0, row].item()
     crb = cramer_rao_bound(per_f, n_per_replica, f)
 
     # the kept estimates in replica order; their mean and variance sum

@@ -34,6 +34,7 @@ eps = 0.08:
 import json
 import math
 import time
+from statistics import NormalDist
 
 from conftest import record_criterion
 from weakmeas import (
@@ -49,11 +50,12 @@ from weakmeas import (
     fisher_information,
     linear_states,
     model_distribution,
+    philox_generator,
     run_ensemble,
     weak_value,
 )
 from weakmeas.cli import main as cli_main
-from weakmeas.kernel import COLUMN, DIAG_BASIS
+from weakmeas.kernel import COLUMN, DIAG_BASIS, analyzer_basis, moment_estimates
 
 F_A = Outcome.A
 #: The cells (D, A) and (A, A) of a joint table, the weights of f = A.
@@ -231,6 +233,92 @@ def test_criterion_6_monte_carlo_crb_saturation():
         passed,
         f"var/crb: " + ", ".join(f"theta={d:g}: {r:.4f}" for d, r in ratios.items())
         + f"; runtime={elapsed:.1f}s; byte-identical rerun: {bytes_a == bytes_b}",
+    )
+
+
+#: Base seed of criterion 10, fixed before its first run.
+SPLIT_SEED = 4735
+
+
+def chi2_ratio_limits(dof, level=0.999):
+    """Two-sided ``level`` limits of a sample variance over the true one,
+    chi^2_dof / dof for normal samples, by the Wilson-Hilferty cube of a
+    normal quantile: (1 - a +- z sqrt(a))^3 with a = 2 / (9 dof)."""
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    a = 2.0 / (9.0 * dof)
+    return tuple((1.0 - a + sign * z * math.sqrt(a)) ** 3 for sign in (-1.0, 1.0))
+
+
+def test_criterion_10_sensitivity_split_over_outcomes():
+    """The paper's split of input-state sensitivity between post-selected
+    outcomes, checked on counts with the default analyzer at 270 deg,
+    where F_A = 2 (1 + sin theta) and F_D = 2 (1 - sin theta).
+
+    Per outcome f, at eps = 0.08, the ensemble variance is the binomial
+    variance of the model's own conditionals over the n p(f) post-selected
+    events, p(D|f) p(A|f) / (n p(f) wv_f^2), with wv_f the reference weak
+    value at eps = 0. The estimate is linear in the count ratio, so only
+    the spread of n p(f), O(1/n), is dropped. 4 p(D|f) p(A|f) / (n F_f)
+    is the same thing only at eps = 0: off it, it keeps the eps = 0 p(f).
+
+    At eps = 0 the two outcomes of one four-cell table per replica combine
+    as (F_D eps_D + F_A eps_A) / 4. Given the column totals, the two
+    column splits are independent binomials with mean 1/2, so the
+    estimates are uncorrelated, and the variance is
+    (F_D^2 / (n F_D) + F_A^2 / (n F_A)) / 16 = 1 / (4 n) = 1 / (n F_total),
+    while the per-outcome variances 1 / (n F_f) trade places between
+    theta = 30 deg, (F_D, F_A) = (1, 3), and theta = 330 deg, (3, 1).
+
+    Each ratio of a sample variance of R replicas to its prediction lies
+    within the chi-square 99.9% limits at R - 1 degrees of freedom."""
+    shots, replicas = 10**6, 10**4
+    low, high = chi2_ratio_limits(replicas - 1)
+    basis = analyzer_basis(270.0)
+    per_f = {}
+    for model in ("linear", "exact-ideal"):
+        for deg in (30.0, 60.0, 330.0):
+            p = model_distribution(deg, EPS_OP, model)
+            for row, f in enumerate(Outcome):
+                i_d, i_a = COLUMN[f]
+                pf = p[i_d] + p[i_a]
+                wv = weak_value(linear_states(deg), basis[row]).real
+                want = (p[i_d] / pf) * (p[i_a] / pf) / (shots * pf * wv * wv)
+                stats = run_ensemble(deg, EPS_OP, model, shots, replicas, base_seed=SPLIT_SEED, f=f)
+                assert stats.n_discarded == 0
+                per_f[model, deg, f.value] = stats.var_eps_hat / want
+
+    # one stream the ensembles above do not use: run_ensemble draws 1 + r
+    gen = philox_generator(SPLIT_SEED, 0)
+    combined, shares = {}, {}
+    for deg, split in ((30.0, (1.0, 3.0)), (330.0, (3.0, 1.0))):
+        psi = linear_states(deg)
+        fisher = fisher_information(psi)
+        assert max(abs(fisher - split)) < 1e-12
+        p = model_distribution(deg, 0.0, "linear")
+        counts = gen.multinomial(shots, p / p.sum(), size=replicas)
+        est = []
+        for row, f in enumerate(Outcome):
+            i_d, i_a = COLUMN[f]
+            eps_hat, status = moment_estimates(counts[:, i_d], counts[:, i_a],
+                                               weak_value(psi, basis[row]).real)
+            assert not status.any()
+            est.append(eps_hat)
+            shares[deg, f.value] = eps_hat.var(ddof=1) * shots * fisher[row]
+        mix = (fisher[0] * est[0] + fisher[1] * est[1]) / 4.0
+        combined[deg] = mix.var(ddof=1) * 4.0 * shots
+
+    ratios = [*per_f.values(), *shares.values(), *combined.values()]
+    passed = all(low <= r <= high for r in ratios)
+    _record_and_assert(
+        10,
+        "post-selection splits the sensitivity; the F-weighted outcomes sum to the total",
+        passed,
+        f"limits [{low:.4f}, {high:.4f}]; per-f var ratio at eps={EPS_OP:g}: "
+        + ", ".join(f"{m} {d:g} {f}: {r:.4f}" for (m, d, f), r in per_f.items())
+        + "; eps=0 per-f n F_f var: "
+        + ", ".join(f"{d:g} {f}: {r:.4f}" for (d, f), r in shares.items())
+        + "; combination 4 n var: "
+        + ", ".join(f"theta={d:g}: {r:.4f}" for d, r in combined.items()),
     )
 
 

@@ -489,6 +489,18 @@ class TestMonteCarloCommand:
         assert "wv_reference" in err
         assert out == ""
 
+    def test_empty_outcome_refused_before_any_draw(self, capsys):
+        # the uncompensated PPBS at eps = 0 leaves no f = A coincidence at
+        # theta = 120 deg: refused as estimate refuses it, where drawing
+        # every replica would end in the discard error (exit 12)
+        code, out, err = run_cli(
+            capsys,
+            "montecarlo", "--theta", "120", "--epsilon", "0", "--model", "exact-ppbs",
+            "--th", "1", "--tv", str(1 / math.sqrt(3)), "--ah", "1", "--shots", "100",
+            "--replicas", "20", "--seed", "3",
+        )
+        assert (code, out, err) == (9, "", "error: post-selection probability p(f=A) is zero\n")
+
     def test_discard_error_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -549,6 +561,9 @@ class TestErrorExitCodes:
         ("estimate", "--theta", "0", "--epsilon", "0.08", "--th", "1.0"),
         ("montecarlo", "--theta", "0", "--epsilon", "0.08", "--shots", "100",
          "--replicas", "2", "--seed", "0", "--model", "exact-ideal", "--tv", "0.6"),
+        # before the analyzer angle is turned into a basis, as in a sweep
+        ("probs", "--theta", "0", "--epsilon", "0.08", "--tv", "0.5", "--postselect", "1e300"),
+        ("estimate", "--theta", "0", "--epsilon", "0.08", "--tv", "0.5", "--postselect", "1e300"),
     ])
     def test_gate_options_refused_for_other_models(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

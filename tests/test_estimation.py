@@ -217,7 +217,7 @@ class TestFisherInformation:
     @pytest.mark.parametrize("deg, postselect", [(0.0, 270.0), (60.0, 30.0), (150.0, 30.0)])
     def test_is_the_row_of_fisher_split(self, deg, postselect):
         psi, basis = linear_states(deg), analyzer_basis(postselect)
-        got = fisher_information(psi, basis)
+        got = fisher_information(psi, postselect)
         assert got.shape == (2,)
         np.testing.assert_array_equal(got, fisher_split(psi[None], basis)[0])
 

@@ -24,11 +24,11 @@ F_D, F_A = Outcome.D, Outcome.A
 SQRT3 = math.sqrt(3.0)
 
 
-def exact(deg, eps, params=None, f_basis=None):
+def exact(deg, eps, params=None, postselect_deg=270.0):
     """The exact table of the ideal gate, or of the PPBS with ``params``."""
     if params is None:
-        return model_distribution(deg, eps, "exact-ideal", f_basis=f_basis)
-    return model_distribution(deg, eps, "exact-ppbs", params, f_basis)
+        return model_distribution(deg, eps, "exact-ideal", postselect_deg=postselect_deg)
+    return model_distribution(deg, eps, "exact-ppbs", params, postselect_deg)
 
 
 def cell(p, m, f):
@@ -250,8 +250,9 @@ class TestExactJointProbabilities:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_custom_bases_reduce_to_marginals(self):
-        # post-selecting in the H/V basis at eps=0 reproduces |<f|psi>|^2
-        d = exact(60.0, 0.0, f_basis=linear_states([0.0, 180.0]))
+        # post-selecting in the H/V basis (the analyzer at 180 deg, V, and
+        # its partner H) at eps=0 reproduces |<f|psi>|^2
+        d = exact(60.0, 0.0, postselect_deg=180.0)
         assert marginal(d, F_D) == pytest.approx(
             math.cos(math.radians(30.0)) ** 2, abs=1e-12
         )

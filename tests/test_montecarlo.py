@@ -16,15 +16,17 @@ from weakmeas import (
     Outcome,
     TooManyDiscardedReplicas,
     WeakValueReferenceZero,
+    ZeroProbability,
     fisher_information,
     linear_states,
     model_distribution,
     philox_generator,
     run_ensemble,
     sample_counts,
+    weak_value,
 )
 from weakmeas.estimation import estimate_epsilon
-from weakmeas.kernel import DIAG_BASIS, moment_estimates, unit_weak_value
+from weakmeas.kernel import analyzer_basis, moment_estimates
 from weakmeas.montecarlo import (
     DISCARD_TOLERANCE, _BLOCK_ROWS, _PhiloxState, _philox_words, _replica_counts,
 )
@@ -380,9 +382,9 @@ class TestRunEnsemble:
         theta, eps, model, gate, shots, mode, seed = params
         pvec = model_distribution(theta, eps, model, gate)
         pvec = pvec / pvec.sum()
-        # run_ensemble's reference: the DIAG_BASIS row as it is, not
-        # renormalized as weak_value would renormalize a caller's state
-        wv_ref = unit_weak_value(linear_states(theta), DIAG_BASIS[0 if f is Outcome.D else 1]).real
+        # run_ensemble's reference: the row of the default analyzer basis
+        row = 0 if f is Outcome.D else 1
+        wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[row]).real
         i_d, i_a = CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))
         want, kept, discarded = [], [], 0
         for r in range(200):
@@ -421,7 +423,7 @@ class TestRunEnsemble:
         theta, shots, seed, n_replicas = 30.0, 10**5, 2024, _BLOCK_ROWS + 3
         pvec = linear(theta, 0.08)
         pvec = pvec / pvec.sum()
-        wv_ref = unit_weak_value(linear_states(theta), DIAG_BASIS[1]).real
+        wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[1]).real
         i_d, i_a = CELLS.index((Outcome.D, F_A)), CELLS.index((Outcome.A, F_A))
         want = []
         for r in range(n_replicas):
@@ -440,7 +442,7 @@ class TestRunEnsemble:
         theta, shots = 270.001, 2**63 - 1
         pvec = model_distribution(theta, 0.0, ModelTag.LINEAR)
         pvec = pvec / pvec.sum()
-        wv_ref = unit_weak_value(linear_states(theta), DIAG_BASIS[1]).real
+        wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[1]).real
         want, past = [], 0
         for r in range(20):
             drawn = philox_generator(5, stream=1 + r).poisson(shots * pvec)
@@ -461,6 +463,16 @@ class TestRunEnsemble:
         monkeypatch.setattr("weakmeas.montecarlo.philox_generator", no_draw)
         with pytest.raises(WeakValueReferenceZero):
             run_ensemble(270.0, 0.0, ModelTag.LINEAR, shots, 50, base_seed=0)
+
+    def test_empty_outcome_refused_before_any_draw(self, monkeypatch):
+        # the uncompensated PPBS at eps = 0 leaves no f = A coincidence at
+        # theta = 120 deg, where wv_A is defined: both cells are exactly 0
+        gate = GateParams(t_h=1.0, t_v=1 / math.sqrt(3), a_h=1.0)
+        p = model_distribution(120.0, 0.0, ModelTag.EXACT_PPBS, gate)
+        assert p[0] == p[1] == 0.0
+        monkeypatch.setattr("weakmeas.montecarlo.philox_generator", no_draw)
+        with pytest.raises(ZeroProbability, match=r"^post-selection probability p\(f=A\) is zero$"):
+            run_ensemble(120.0, 0.0, ModelTag.EXACT_PPBS, 100, 20, base_seed=3, gate_params=gate)
 
     @pytest.mark.parametrize("shots", [0, 2**63])
     def test_rejects_shots_out_of_range(self, monkeypatch, shots):
