@@ -7,11 +7,14 @@ significant digits; undefined cells are emitted as empty fields. JSON
 output is a single object or array with stable key order. Identical
 invocations produce identical bytes.
 
-The sweep writer formats a block of rows per % call and holds the text
-of one block at a time. Its bytes are those of the output contract
-above: each CSV cell as ``f"{x:.12g}"``, the JSON as
+A sweep is computed and written one block of grid rows at a time: the
+kernel's columns of one block, the text of one % chunk of it, and the
+theta grid, 8 bytes a row, are all it holds. The first block is computed
+before the file is opened, so a refusal leaves no file, and an error
+after that removes the partial file. The bytes are those of the output
+contract above: each CSV cell as ``f"{x:.12g}"``, the JSON as
 ``json.dumps(indent=2)`` of the whole file, an undefined cell empty or
-null.
+null. The kernel is elementwise, so they do not depend on the block size.
 
 Only numpy, ``errors``, ``gatesim`` and ``kernel`` are loaded by every
 command. ``estimation``, ``montecarlo`` and ``json`` are imported inside
@@ -21,7 +24,11 @@ the commands that use them, so ``--help`` and a sweep load none of them.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import math
+import os
+import stat
 import sys
 from typing import Sequence
 
@@ -122,7 +129,8 @@ def cmd_probs(args) -> int:
 
 
 #: Most rows a sweep may have, about 28 times the 36,000 rows of a sweep
-#: over the circle at 0.01 deg. The kernel holds the whole grid in memory.
+#: over the circle at 0.01 deg. A sweep holds the grid, 8 bytes a row, and
+#: one block of rows: at this bound it peaks at about 40 MB of process RSS.
 MAX_SWEEP_ROWS = 10**6
 
 
@@ -140,12 +148,19 @@ def _theta_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise ValueError(
             f"--theta-start/--theta-stop/--theta-step give more than {MAX_SWEEP_ROWS} rows"
         )
-    theta = start + np.arange(int(rows) + 1) * step
-    return theta[theta <= limit]
+    # in place, in one array: the bits of start + k * step
+    theta = np.arange(int(rows) + 1, dtype=float)
+    theta *= step
+    theta += start
+    return theta[:np.searchsorted(theta, limit, "right")]
 
+
+#: Grid rows the kernel computes per sweep_columns call of a sweep. A
+#: smaller block pays the kernel's fixed cost per call more often.
+_KERNEL_ROWS = 1024
 
 #: Rows formatted by one % call of the sweep writer. The writer holds the
-#: text of one block at a time, whatever the size of the grid.
+#: text of one chunk at a time, whatever the size of the grid.
 _BLOCK_ROWS = 256
 
 _NUMERIC_COLUMNS = SWEEP_COLUMNS[:-1]
@@ -162,38 +177,56 @@ _JSON_ROW = (
 )
 
 
-def _write_rows(handle, columns, row: str, sep: str, words: tuple[tuple[str, str], ...]) -> None:
-    """Write the numeric columns as ``row % cells`` per row, rows separated
-    by ``sep``, one block of rows per % call. % prints NaN and the
-    infinities as nan, inf and -inf, which ``words`` rewrites in the text;
-    no column name, version token or finite float contains them."""
-    cols = [columns[c] for c in _NUMERIC_COLUMNS]
-    for start in range(0, len(cols[0]), _BLOCK_ROWS):
-        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in cols])
-        text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
-        for word, printed in words:
-            text = text.replace(word, printed)
-        handle.write(sep + text if start else text)
+def _write_rows(handle, blocks, row: str, sep: str, words: tuple[tuple[str, str], ...]) -> None:
+    """Write the numeric columns of each block of rows in turn as
+    ``row % cells`` per row, rows separated by ``sep``, _BLOCK_ROWS rows
+    per % call. % prints NaN and the infinities as nan, inf and -inf,
+    which ``words`` rewrites in the text; no column name, version token or
+    finite float contains them."""
+    lead = ""
+    for columns in blocks:
+        cols = [columns[c] for c in _NUMERIC_COLUMNS]
+        for start in range(0, len(cols[0]), _BLOCK_ROWS):
+            chunk = np.column_stack([col[start:start + _BLOCK_ROWS] for col in cols])
+            text = sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+            for word, printed in words:
+                text = text.replace(word, printed)
+            handle.write(lead + text)
+            lead = sep
+
+
+def _remove_partial(path: str) -> None:
+    """Remove the file a failed sweep left behind. A path that is not a
+    regular file, such as a symlink, /dev/stdout or a FIFO, is left alone."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
 
 
 def cmd_sweep(args) -> int:
-    columns = sweep_columns(
-        _theta_grid(args.theta_start, args.theta_stop, args.theta_step),
-        args.epsilon,
-        ModelTag.parse(args.model),
-        _gate_params(args),
-        args.postselect,
+    theta = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
+    model, gate_params = ModelTag.parse(args.model), _gate_params(args)
+    blocks = (
+        sweep_columns(theta[i:i + _KERNEL_ROWS], args.epsilon, model, gate_params, args.postselect)
+        for i in range(0, len(theta), _KERNEL_ROWS)
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        if args.format == "csv":
-            handle.write(",".join(SWEEP_COLUMNS) + "\n")
-            _write_rows(handle, columns, _CSV_ROW, "\n", (("nan", ""),))
-            handle.write("\n")
-        else:
-            # json.dumps(indent=2) of {"format": ..., "rows": [...]}
-            handle.write(f'{{\n  "format": "{SWEEP_FORMAT_VERSION}",\n  "rows": [\n')
-            _write_rows(handle, columns, _JSON_ROW, ",\n", (("nan", "null"), ("inf", "Infinity")))
-            handle.write("\n  ]\n}\n")
+    # a grid has at least one row; every refusal comes with its first block
+    blocks = itertools.chain([next(blocks)], blocks)
+    handle = open(args.out, "w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            if args.format == "csv":
+                handle.write(",".join(SWEEP_COLUMNS) + "\n")
+                _write_rows(handle, blocks, _CSV_ROW, "\n", (("nan", ""),))
+                handle.write("\n")
+            else:
+                # json.dumps(indent=2) of {"format": ..., "rows": [...]}
+                handle.write(f'{{\n  "format": "{SWEEP_FORMAT_VERSION}",\n  "rows": [\n')
+                _write_rows(handle, blocks, _JSON_ROW, ",\n", (("nan", "null"), ("inf", "Infinity")))
+                handle.write("\n  ]\n}\n")
+    except BaseException:
+        _remove_partial(args.out)
+        raise
     return 0
 
 

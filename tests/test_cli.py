@@ -1,8 +1,11 @@
+import errno
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from weakmeas import cli
 from weakmeas.cli import (
     MAX_SWEEP_ROWS, SWEEP_COLUMNS, SWEEP_FORMAT_VERSION, _theta_grid, main,
 )
+from weakmeas.kernel import sweep_columns
 from weakmeas.montecarlo import MAX_REPLICAS
 
 
@@ -43,6 +47,9 @@ def read_csv(path):
 
 #: Rows the sweep writer formats per call.
 BLOCK_ROWS = cli._BLOCK_ROWS
+
+#: Grid rows a sweep computes per sweep_columns call.
+KERNEL_ROWS = cli._KERNEL_ROWS
 
 
 def _synthetic_columns(rows):
@@ -217,11 +224,19 @@ class TestSweep:
         text = out_file.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
-    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [
+        1, BLOCK_ROWS, BLOCK_ROWS + 1,
+        2 * KERNEL_ROWS + BLOCK_ROWS + 1,  # three kernel blocks, the last one partial
+    ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writer_prints_synthetic_columns(self, monkeypatch, tmp_path, capsys, fmt, rows):
         columns = _synthetic_columns(rows)
-        monkeypatch.setattr(cli, "sweep_columns", lambda *args: columns)
+
+        def block_of(theta, *args):
+            # the grid is 0, 1, ..., rows - 1: each angle is its row's index
+            return {name: col[theta.astype(int)] for name, col in columns.items()}
+
+        monkeypatch.setattr(cli, "sweep_columns", block_of)
         out_file = tmp_path / f"sweep.{fmt}"
         code, _, _ = run_cli(
             capsys,
@@ -230,6 +245,108 @@ class TestSweep:
         )
         assert code == 0
         assert out_file.read_bytes() == _printed_sweep(columns, fmt).encode("utf-8")
+
+    @pytest.mark.parametrize("model", [
+        ("--model", "linear"), ("--model", "exact-ideal"),
+        ("--model", "exact-ppbs", "--tv", "0.6", "--ah", "0.55", "--postselect", "300"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_print_the_whole_grid_bytes(self, monkeypatch, tmp_path, capsys, model, fmt):
+        grid = ("--theta-start", "0", "--theta-stop", "359.9", "--theta-step", "0.1")
+        rows = len(_theta_grid(0.0, 359.9, 0.1))
+        assert rows >= 3 * KERNEL_ROWS and rows % KERNEL_ROWS
+        calls = []
+
+        def counted(theta, *args):
+            calls.append(len(theta))
+            return sweep_columns(theta, *args)
+
+        monkeypatch.setattr(cli, "sweep_columns", counted)
+        printed = {}
+        for block_rows in (KERNEL_ROWS, rows):
+            monkeypatch.setattr(cli, "_KERNEL_ROWS", block_rows)
+            out_file = tmp_path / f"{block_rows}.{fmt}"
+            code, _, _ = run_cli(capsys, "sweep", *grid, "--epsilon", "0.08", *model,
+                                 "--format", fmt, "--out", str(out_file))
+            assert code == 0
+            printed[block_rows] = out_file.read_bytes()
+        # one call a block, then one whole-grid call through the same writer
+        assert calls == [KERNEL_ROWS] * (rows // KERNEL_ROWS) + [rows % KERNEL_ROWS, rows]
+        assert printed[KERNEL_ROWS] == printed[rows]
+
+    @pytest.mark.parametrize("model, fmt", [
+        ("linear", "csv"), ("exact-ideal", "csv"), ("exact-ppbs", "json"),
+    ])
+    def test_peak_memory_per_row(self, capsys, model, fmt):
+        # a sweep holds the grid, 8 bytes a row, and one block of rows:
+        # below 16 traced bytes a row, where whole-grid columns and
+        # kernel temporaries took 248 (linear CSV) to 296 (exact JSON)
+        argv = ["sweep", "--epsilon", "0.08", "--model", model, "--format", fmt,
+                "--theta-start", "0", "--theta-step", "0.0018", "--out", os.devnull]
+        assert run_cli(capsys, *argv, "--theta-stop", "1")[0] == 0  # warm-up: imports and caches
+        rows = 200_000
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--theta-stop", str(0.0018 * (rows - 1))])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / rows < 16
+
+    def test_failed_block_leaves_no_file(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def fails_second(theta, *args):
+            calls.append(len(theta))
+            if len(calls) == 2:
+                raise ValueError("probabilities sum to 2.0, expected 1")
+            return sweep_columns(theta, *args)
+
+        monkeypatch.setattr(cli, "sweep_columns", fails_second)
+        out_file = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--theta-stop", str(2 * KERNEL_ROWS - 1),
+                               "--epsilon", "0.08", "--out", str(out_file))
+        assert (code, len(calls)) == (2, 2)
+        assert "sum to 2.0" in err
+        assert not out_file.exists()
+
+    @staticmethod
+    def _failing_writes(monkeypatch):
+        """Make the third write to a file the sweep opens raise ENOSPC."""
+        def opener(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            writes = []
+
+            def write(text):
+                writes.append(text)
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return type(handle).write(handle, text)
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(cli, "open", opener, raising=False)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_leaves_no_file(self, monkeypatch, tmp_path, capsys, fmt):
+        self._failing_writes(monkeypatch)
+        out_file = tmp_path / f"sweep.{fmt}"
+        code, _, err = run_cli(capsys, "sweep", "--epsilon", "0.08", "--format", fmt,
+                               "--out", str(out_file))
+        assert code == 20
+        assert "No space left on device" in err
+        assert not out_file.exists()
+
+    def test_failed_write_leaves_a_symlink_alone(self, monkeypatch, tmp_path, capsys):
+        # only a regular file is removed: the link, like /dev/stdout, stays
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        self._failing_writes(monkeypatch)
+        code, _, _ = run_cli(capsys, "sweep", "--epsilon", "0.08", "--out", str(link))
+        assert code == 20
+        assert link.is_symlink() and target.exists()
 
     def test_names_hold_no_float_token(self):
         # the writer prints nan and inf and then rewrites them in the text
@@ -297,6 +414,18 @@ class TestSweep:
         )
         assert code == 2
         assert "eps=1e+200" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("--postselect", "1e300"), 6, "basis overlap"),
+        (("--model", "linear", "--tv", "0.5"), 2, "--tv apply only to --model exact-ppbs"),
+        (("--model", "exact-ppbs", "--th", "0"), 2, "t_h must lie in (0, 1]"),
+    ])
+    def test_refused_before_writing(self, tmp_path, capsys, argv, code, message):
+        out_file = tmp_path / "sweep.csv"
+        got, _, err = run_cli(capsys, "sweep", "--epsilon", "0.08", *argv, "--out", str(out_file))
+        assert got == code
+        assert message in err
         assert not out_file.exists()
 
     def test_invalid_spec(self, capsys, tmp_path):
