@@ -211,8 +211,9 @@ def cmd_sweep(args) -> int:
         sweep_columns(theta[i:i + _KERNEL_ROWS], args.epsilon, model, gate_params, args.postselect)
         for i in range(0, len(theta), _KERNEL_ROWS)
     )
-    # a grid has at least one row. The kernel's whole-call checks (the
-    # coupling guard, the probe, the basis) run on it before the file opens
+    # the first block (a grid has at least one row) runs the kernel's
+    # whole-call checks, the coupling guard, the probe and the basis,
+    # before the file opens
     blocks = itertools.chain([next(blocks)], blocks)
     handle = open(args.out, "w", encoding="utf-8", newline="\n")
     try:
