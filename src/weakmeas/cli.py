@@ -10,11 +10,14 @@ invocations produce identical bytes.
 A sweep is computed and written one block of grid rows at a time: the
 kernel's columns of one block, the text of one % chunk of it, and the
 theta grid, 8 bytes a row, are all it holds. The first block is computed
-before the file is opened, so a refusal leaves no file, and an error
-after that removes the partial file. The bytes are those of the output
-contract above: each CSV cell as ``f"{x:.12g}"``, the JSON as
-``json.dumps(indent=2)`` of the whole file, an undefined cell empty or
-null. The kernel is elementwise, so they do not depend on the block size.
+before any file is created, so a refusal leaves no file. The rows go to
+a temporary file beside ``--out`` that replaces it once it is whole, so
+a sweep that fails later leaves the file at ``--out`` as it was; a
+symlink, /dev/stdout or a FIFO is written in place. The bytes are those
+of the output contract above: each CSV cell as ``f"{x:.12g}"``, the JSON
+as ``json.dumps(indent=2)`` of the whole file, an undefined cell empty
+or null. The kernel is elementwise, so they do not depend on the block
+size.
 
 Only numpy, ``errors``, ``gatesim`` and ``kernel`` are loaded by every
 command. ``estimation``, ``montecarlo`` and ``json`` are imported inside
@@ -30,6 +33,7 @@ import math
 import os
 import stat
 import sys
+import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -156,8 +160,9 @@ def _theta_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 
 #: Grid rows the kernel computes per sweep_columns call of a sweep. A
-#: call has a fixed cost of about 0.45 ms, which smaller blocks pay more
-#: often.
+#: call has a fixed cost, which smaller blocks pay more often: an 8-row
+#: call takes about 0.16 ms (linear) to 0.29 ms (exact PPBS), the fastest
+#: of 1,000 calls on one core of a Xeon server with numpy 2.4.
 _KERNEL_ROWS = 1024
 
 #: Rows formatted by one % call of the sweep writer. The writer holds the
@@ -196,12 +201,41 @@ def _write_rows(handle, blocks, row: str, sep: str, words: tuple[tuple[str, str]
             lead = sep
 
 
-def _remove_partial(path: str) -> None:
-    """Remove the file a failed sweep left behind. A path that is not a
-    regular file, such as a symlink, /dev/stdout or a FIFO, is left alone."""
-    with contextlib.suppress(OSError):
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.remove(path)
+@contextlib.contextmanager
+def _sweep_file(path: str):
+    """A text handle for the sweep file at ``path``. A regular file, or a
+    path where there is none, is written as a temporary file in the same
+    directory, which replaces ``path`` after the last write with the mode
+    of the file it replaces, or 0o666 less the umask. On an error the
+    temporary file is removed and ``path`` keeps what it held. Anything
+    else, such as a symlink, /dev/stdout or a FIFO, is written in place."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        return
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    directory, name = os.path.split(path)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    except OSError as exc:  # name the caller's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    os.close(fd)
+    try:
+        os.chmod(temp, stat.S_IMODE(mode))
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
 
 
 def cmd_sweep(args) -> int:
@@ -213,23 +247,18 @@ def cmd_sweep(args) -> int:
     )
     # the first block (a grid has at least one row) runs the kernel's
     # whole-call checks, the coupling guard, the probe and the basis,
-    # before the file opens
+    # before any file is created
     blocks = itertools.chain([next(blocks)], blocks)
-    handle = open(args.out, "w", encoding="utf-8", newline="\n")
-    try:
-        with handle:
-            if args.format == "csv":
-                handle.write(",".join(SWEEP_COLUMNS) + "\n")
-                _write_rows(handle, blocks, _CSV_ROW, "\n", (("nan", ""),))
-                handle.write("\n")
-            else:
-                # json.dumps(indent=2) of {"format": ..., "rows": [...]}
-                handle.write(f'{{\n  "format": "{SWEEP_FORMAT_VERSION}",\n  "rows": [\n')
-                _write_rows(handle, blocks, _JSON_ROW, ",\n", (("nan", "null"), ("inf", "Infinity")))
-                handle.write("\n  ]\n}\n")
-    except BaseException:
-        _remove_partial(args.out)
-        raise
+    with _sweep_file(args.out) as handle:
+        if args.format == "csv":
+            handle.write(",".join(SWEEP_COLUMNS) + "\n")
+            _write_rows(handle, blocks, _CSV_ROW, "\n", (("nan", ""),))
+            handle.write("\n")
+        else:
+            # json.dumps(indent=2) of {"format": ..., "rows": [...]}
+            handle.write(f'{{\n  "format": "{SWEEP_FORMAT_VERSION}",\n  "rows": [\n')
+            _write_rows(handle, blocks, _JSON_ROW, ",\n", (("nan", "null"), ("inf", "Infinity")))
+            handle.write("\n  ]\n}\n")
     return 0
 
 

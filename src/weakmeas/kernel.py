@@ -35,7 +35,9 @@ outcomes (D, A), and a joint table is p[4] in CELLS order. The array
 functions take input states as the rows of an (N, 2) array; a rule that
 fails for one row leaves that row NaN, and its ``status`` is the exit
 code of the error the scalar function raises for it (0 where the row is
-defined). The arithmetic is elementwise, so a row's value does not
+defined). A call makes one amplitude pass, :func:`_transitions`, and
+reads the weak values, p(f), the Fisher split and the first-order table
+from its pair. The arithmetic is elementwise, so a row's value does not
 depend on N and uses no BLAS kernel. States built here (the probe, the
 rows of :func:`linear_states` and of a basis) are unit vectors by
 construction. A caller's own state is checked once, at the scalar
@@ -116,9 +118,12 @@ CELLS = (
 #: The cells (D, f) and (A, f) in CELLS order of each post-selection outcome f.
 COLUMN = {f: (CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))) for f in Outcome}
 
-#: The meter's baseline probabilities w_m and response coefficients kappa_m.
+#: Per cell of CELLS, the row of its m in DIAG_BASIS and of its f in a basis.
+_M_ROW, _F_ROW = np.array([[list(Outcome).index(o) for o in cell] for cell in CELLS]).T
+
+#: The meter's baseline probability w_m and, per cell, its response kappa_m.
 _W = 0.5
-_KAPPA = {Outcome.D: 1.0, Outcome.A: -1.0}
+_KAPPA = np.array([1.0, -1.0])[_M_ROW]
 
 
 class ModelTag(Enum):
@@ -128,6 +133,8 @@ class ModelTag(Enum):
 
     @classmethod
     def parse(cls, text: "ModelTag | str") -> "ModelTag":
+        if not isinstance(text, (cls, str)):
+            raise ValueError(f"{text!r} is not a valid {cls.__name__}")
         return text if isinstance(text, cls) else cls(text.strip().lower().replace("-", "_"))
 
 
@@ -183,48 +190,44 @@ def analyzer_basis(postselect_deg: float) -> np.ndarray:
     diagonal (D, A) pair up to the sign of A. An angle so large that its
     partner rounds to a ray not orthogonal to it is NonOrthonormalBasis."""
     basis = linear_states(np.array([postselect_deg - 180.0, postselect_deg]))
-    overlap = abs(_braket(basis[0], basis[1:])[0])
+    overlap = abs((np.conj(basis[0]) * basis[1]).sum())
     if not overlap <= ORTHONORMAL_TOL:
         raise NonOrthonormalBasis(f"basis overlap |<f0|f1>| = {overlap:.3g}")
     return basis
 
 
-def _braket(f: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<f|psi> for every row psi."""
-    return np.conj(f[0]) * states[:, 0] + np.conj(f[1]) * states[:, 1]
+def _transitions(states: np.ndarray, rows: np.ndarray):
+    """(<f|A|psi>, <f|psi>) as two (N, K) arrays over the rows psi of
+    ``states`` and f of ``rows``; <f|A|psi> = <A^dag f|psi>."""
+    a_dag_f = (np.conj(_STOKES) * rows[:, :, None]).sum(axis=1)
+    # the bras as (1, K) arrays: numpy multiplies a (1,) array by a (1, 1)
+    # one in another loop, which rounds a complex product differently
+    h, v = states[:, :1], states[:, 1:]
+    return (np.conj(a_dag_f[None, :, 0]) * h + np.conj(a_dag_f[None, :, 1]) * v,
+            np.conj(rows[None, :, 0]) * h + np.conj(rows[None, :, 1]) * v)
 
 
-def _transitions(f: np.ndarray, states: np.ndarray):
-    """(<f|A|psi>, <f|psi>) for every row psi; <f|A|psi> = <A^dag f|psi>."""
-    a_dag_f = (np.conj(_STOKES) * f[:, None]).sum(axis=0)
-    return _braket(a_dag_f, states), _braket(f, states)
-
-
-def weak_values(states: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Weak values <f|A|psi> / <f|psi>, NaN where |<f|psi>| is below
-    SINGULARITY_THRESHOLD (PostselectionSingular)."""
-    num, den = _transitions(f, states)
+def weak_values(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Weak values num / den of a :func:`_transitions` pair, NaN where
+    |<f|psi>| is below SINGULARITY_THRESHOLD (PostselectionSingular)."""
     singular = np.abs(den) < SINGULARITY_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(singular, np.nan, num / np.where(singular, 1.0, den))
 
 
-def fisher_split(states: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(N, 2) Fisher contributions 4 p(f) (Re wv_f)^2 for f = (D, A), the basis rows, as
+def fisher_split(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Fisher contributions 4 p(f) (Re wv_f)^2 of a :func:`_transitions`
+    pair, (N, 2) for f = (D, A) of a basis, as
     4 (Re(<f|A|psi> conj<f|psi>))^2 / |<f|psi>|^2, continuously extended
     to p(f) -> 0 where the product stays finite."""
-    out = np.empty((len(states), 2))
-    for col, f in enumerate(basis):
-        num, den = _transitions(f, states)
-        mag = np.abs(den)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            regular = 4.0 * (num * np.conj(den)).real ** 2 / (mag * mag)
-            # near the singular point only the phase of <f|psi> enters; 1 at 0
-            ph_re = np.where(mag > 0.0, den.real / mag, 1.0)
-            ph_im = np.where(mag > 0.0, den.imag / mag, 0.0)
-        singular = 4.0 * (num.real * ph_re + num.imag * ph_im) ** 2
-        out[:, col] = np.where(mag < SINGULARITY_THRESHOLD, singular, regular)
-    return out
+    mag = np.abs(den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        regular = 4.0 * (num * np.conj(den)).real ** 2 / (mag * mag)
+        # near the singular point only the phase of <f|psi> enters; 1 at 0
+        ph_re = np.where(mag > 0.0, den.real / mag, 1.0)
+        ph_im = np.where(mag > 0.0, den.imag / mag, 0.0)
+    singular = 4.0 * (num.real * ph_re + num.imag * ph_im) ** 2
+    return np.where(mag < SINGULARITY_THRESHOLD, singular, regular)
 
 
 def _checked(p: np.ndarray, status: np.ndarray):
@@ -250,11 +253,12 @@ def check_table(p) -> np.ndarray:
     return _checked(np.maximum(values, 0.0)[None], np.zeros(1))[0][0]
 
 
-def linear_table(states, eps: float, basis: np.ndarray):
+def linear_table(transitions, eps: float):
     """First-order table p(m, f) = w_m |<f|psi>|^2 (1 + 2 eps kappa_m Re wv_f)
     in CELLS order, and the row status.
 
-    ``basis`` (:func:`analyzer_basis`) maps its rows positionally to the
+    ``transitions`` is the :func:`_transitions` pair of the states and a
+    basis (:func:`analyzer_basis`), whose rows map positionally to the
     outcomes (D, A). Where the post-selection is singular the row falls
     back to the interaction-free w_m |<f|psi>|^2, exact there to the order
     retained. A negative cell marks the breakdown of the weak-coupling
@@ -262,12 +266,9 @@ def linear_table(states, eps: float, basis: np.ndarray):
     """
     if not abs(eps) < WEAKNESS_GUARD:
         raise CouplingTooStrong(f"weakness margin {abs(eps):.6g} exceeds guard {WEAKNESS_GUARD:.6g}")
-    pf, re_wv = {}, {}
-    for f_out, f in zip(Outcome, basis):
-        pf[f_out] = np.abs(_braket(f, states)) ** 2
-        re_wv[f_out] = np.nan_to_num(weak_values(states, f).real, nan=0.0)
-    cells = [_W * pf[f] * (1.0 + 2.0 * eps * _KAPPA[m] * re_wv[f]) for m, f in CELLS]
-    p = np.stack(cells, axis=1)
+    pf = np.abs(transitions[1]) ** 2
+    re_wv = np.nan_to_num(weak_values(*transitions).real, nan=0.0)
+    p = _W * pf[:, _F_ROW] * (1.0 + 2.0 * eps * _KAPPA * re_wv[:, _F_ROW])
     return _checked(p, np.where((p < 0.0).any(axis=1), LinearizationInvalid.exit_code, 0))
 
 
@@ -295,20 +296,18 @@ def exact_table(states, eps: float, gate: tuple, basis: np.ndarray):
     amps = two_photon_amplitudes(states, probe_state(eps), gate)
     weights = np.abs(amps) ** 2
     norm = weights[:, 0] + weights[:, 1] + weights[:, 2] + weights[:, 3]
-    f_states = dict(zip(Outcome, basis))
-    m_states = dict(zip(Outcome, DIAG_BASIS))
     p = np.empty((len(states), 4))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for col, (m, f) in enumerate(CELLS):
-            a = np.conj(np.kron(f_states[f], m_states[m]))
+        for col, (i, j) in enumerate(zip(_F_ROW, _M_ROW)):
+            a = np.conj(np.kron(basis[i], DIAG_BASIS[j]))
             amp = a[0] * amps[:, 0] + a[1] * amps[:, 1] + a[2] * amps[:, 2] + a[3] * amps[:, 3]
             p[:, col] = (amp.real**2 + amp.imag**2) / norm
     return _checked(p, np.where(norm < COINCIDENCE_FLOOR, ZeroCoincidenceNorm.exit_code, 0))
 
 
-def _table(states, eps: float, model: ModelTag, gate_params, basis):
+def _table(states, transitions, eps: float, model: ModelTag, gate_params, basis):
     if model is ModelTag.LINEAR:
-        return linear_table(states, eps, basis)
+        return linear_table(transitions, eps)
     if model is ModelTag.EXACT_IDEAL:
         return exact_table(states, eps, IDEAL_GATE, basis)
     return exact_table(states, eps, ppbs_coincidence_operator(gate_params or COMPENSATED_PPBS), basis)
@@ -318,8 +317,8 @@ def joint_table(theta_deg, eps: float, model: ModelTag | str, gate_params=None, 
     """(p[N, 4], status[N]) of the selected model over an array of input
     angles in degrees. ``gate_params`` applies to the exact PPBS model and
     defaults to the compensated gate."""
-    basis = analyzer_basis(postselect_deg)
-    return _table(linear_states(theta_deg), eps, ModelTag.parse(model), gate_params, basis)
+    basis, states = analyzer_basis(postselect_deg), linear_states(theta_deg)
+    return _table(states, _transitions(states, basis), eps, ModelTag.parse(model), gate_params, basis)
 
 
 def moment_estimates(w_d, w_a, wv_ref):
@@ -347,9 +346,10 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     relative error scale 1 / sqrt(F_A) and the Fisher split."""
     theta = np.asarray(theta_deg, dtype=float)
     states, basis = linear_states(theta), analyzer_basis(postselect_deg)
-    p, _ = _table(states, eps, ModelTag.parse(model), gate_params, basis)
-    wv_d, wv_a = (weak_values(states, f).real for f in basis)
-    f_d, f_a = fisher_split(states, basis).T
+    transitions = _transitions(states, basis)
+    p, _ = _table(states, transitions, eps, ModelTag.parse(model), gate_params, basis)
+    wv_d, wv_a = weak_values(*transitions).real.T
+    f_d, f_a = fisher_split(*transitions).T
     i_d, i_a = COLUMN[Outcome.A]
     eps_hat, _ = moment_estimates(p[:, i_d], p[:, i_a], wv_a)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -370,12 +370,11 @@ def weak_value(psi, f) -> complex:
     Raises PostselectionSingular when |<f|psi>| is below the singularity
     threshold (the divergence there is physical, but a float result past
     measurement precision would be meaningless)."""
-    psi, f = _state(psi), _state(f)
-    wv = complex(weak_values(psi[None], f)[0])
+    num, den = _transitions(_state(psi)[None], _state(f)[None])
+    wv = complex(weak_values(num, den)[0, 0])
     if math.isnan(wv.real):
         raise PostselectionSingular(
-            f"|<f|psi>| = {abs(_braket(f, psi[None])[0]):.3g} below threshold "
-            f"{SINGULARITY_THRESHOLD:g}"
+            f"|<f|psi>| = {abs(den[0, 0]):.3g} below threshold {SINGULARITY_THRESHOLD:g}"
         )
     return wv
 
@@ -400,7 +399,7 @@ def fisher_information(psi, postselect_deg=270.0) -> np.ndarray:
     """Fisher information about eps at eps = 0 of the state psi, a (2,)
     amplitude array, split by post-selection outcome: the (2,) array
     (F_D, F_A) in the order of the rows of ``analyzer_basis(postselect_deg)``,
-    a row of :func:`fisher_split`. It takes no meter: with the meter's
+    a row of :func:`fisher_split` of its amplitude pair. It takes no meter: with the meter's
     normalization sum_m w_m kappa_m^2 = 1 the result is the same for
     every meter."""
-    return fisher_split(_state(psi)[None], analyzer_basis(postselect_deg))[0]
+    return fisher_split(*_transitions(_state(psi)[None], analyzer_basis(postselect_deg)))[0]

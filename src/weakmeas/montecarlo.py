@@ -54,7 +54,7 @@ from .errors import TooManyDiscardedReplicas, ZeroProbability
 from .estimation import cramer_rao_bound, estimate_epsilon
 from .gatesim import GateParams
 from .kernel import (
-    COLUMN, ModelTag, Outcome, analyzer_basis, check_table, fisher_split, linear_states,
+    COLUMN, ModelTag, Outcome, analyzer_basis, check_table, fisher_information, linear_states,
     model_distribution, moment_estimates, weak_value,
 )
 
@@ -245,7 +245,7 @@ def run_ensemble(
         estimate_epsilon(*p[list(COLUMN[f])].tolist(), wv_ref)
     except ZeroProbability:  # the estimator's weights do not name their outcome
         raise ZeroProbability(f"post-selection probability p(f={f.value}) is zero") from None
-    per_f = fisher_split(psi[None], basis)[0, row].item()
+    per_f = fisher_information(psi)[row].item()
     crb = cramer_rao_bound(per_f, n_per_replica, f)
 
     # the kept estimates in replica order; their mean and variance sum

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -309,7 +310,7 @@ class TestSweep:
                                "--epsilon", "0.08", "--out", str(out_file))
         assert (code, len(calls)) == (2, 2)
         assert "sum to 2.0" in err
-        assert not out_file.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def _failing_writes(monkeypatch):
@@ -337,7 +338,7 @@ class TestSweep:
                                "--out", str(out_file))
         assert code == 20
         assert "No space left on device" in err
-        assert not out_file.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_a_symlink_alone(self, monkeypatch, tmp_path, capsys):
         # only a regular file is removed: the link, like /dev/stdout, stays
@@ -347,6 +348,64 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--epsilon", "0.08", "--out", str(link))
         assert code == 20
         assert link.is_symlink() and target.exists()
+
+    @staticmethod
+    def _existing(tmp_path):
+        """A file at --out with its own bytes and mode."""
+        out_file = tmp_path / "keep.csv"
+        out_file.write_bytes(b"theta_deg\n1\n")
+        out_file.chmod(0o640)
+        return out_file
+
+    def _assert_untouched(self, tmp_path, out_file):
+        assert list(tmp_path.iterdir()) == [out_file]
+        assert out_file.read_bytes() == b"theta_deg\n1\n"
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o640
+
+    def test_failed_block_keeps_the_file_at_out(self, monkeypatch, tmp_path, capsys):
+        out_file = self._existing(tmp_path)
+
+        def fails_second(theta, *args):
+            if theta[0] > 0.0:
+                raise ValueError("probabilities sum to 2.0, expected 1")
+            return sweep_columns(theta, *args)
+
+        monkeypatch.setattr(cli, "sweep_columns", fails_second)
+        code, _, _ = run_cli(capsys, "sweep", "--theta-stop", str(2 * KERNEL_ROWS - 1),
+                             "--epsilon", "0.08", "--out", str(out_file))
+        assert code == 2
+        self._assert_untouched(tmp_path, out_file)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_keeps_the_file_at_out(self, monkeypatch, tmp_path, capsys, fmt):
+        out_file = self._existing(tmp_path)
+        self._failing_writes(monkeypatch)
+        code, _, _ = run_cli(capsys, "sweep", "--epsilon", "0.08", "--format", fmt,
+                             "--out", str(out_file))
+        assert code == 20
+        self._assert_untouched(tmp_path, out_file)
+
+    def test_missing_directory_is_named(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--epsilon", "0.08", "--out", str(out_file))
+        assert code == 20
+        assert err.strip() == f"io error: [Errno 2] No such file or directory: '{out_file}'"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys):
+        out_file = self._existing(tmp_path)
+        new_file = tmp_path / "new.csv"
+        for path in (out_file, new_file):
+            code, _, _ = run_cli(capsys, "sweep", "--theta-stop", "3", "--epsilon", "0.08",
+                                 "--out", str(path))
+            assert code == 0
+        assert out_file.read_bytes() == new_file.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [out_file, new_file]
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o640
+        umask = os.umask(0)
+        os.umask(umask)
+        # the mode open(path, "w") gives a new file
+        assert stat.S_IMODE(new_file.stat().st_mode) == 0o666 & ~umask
 
     def test_names_hold_no_float_token(self):
         # the writer prints nan and inf and then rewrites them in the text

@@ -22,7 +22,7 @@ from weakmeas import (
     weak_value,
 )
 from weakmeas import estimation
-from weakmeas.kernel import DIAG_BASIS, analyzer_basis, fisher_split
+from weakmeas.kernel import DIAG_BASIS, _transitions, analyzer_basis, fisher_split
 
 F_D, F_A = Outcome.D, Outcome.A
 
@@ -219,7 +219,7 @@ class TestFisherInformation:
         psi, basis = linear_states(deg), analyzer_basis(postselect)
         got = fisher_information(psi, postselect)
         assert got.shape == (2,)
-        np.testing.assert_array_equal(got, fisher_split(psi[None], basis)[0])
+        np.testing.assert_array_equal(got, fisher_split(*_transitions(psi[None], basis))[0])
 
     def test_orthogonal_postselection_defined_by_continuity(self):
         f_d, f_a = fisher_information(linear_states(90.0))

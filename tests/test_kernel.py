@@ -30,8 +30,10 @@ from weakmeas import (
     sample_counts,
     weak_value,
 )
+from weakmeas import kernel
 from weakmeas.kernel import (
-    DIAG_BASIS, _braket, _state, analyzer_basis, check_table, joint_table, sweep_columns,
+    DIAG_BASIS, _state, _transitions, analyzer_basis, check_table, joint_table, sweep_columns,
+    weak_values,
 )
 
 D_OUT, A_OUT = Outcome.D, Outcome.A
@@ -56,7 +58,7 @@ def assert_same_ray(state, amp_h, amp_v, tol=1e-12):
 
 def inner(bra, ket):
     """<bra|ket> as the kernel computes it."""
-    return complex(_braket(np.asarray(bra), np.asarray(ket)[None])[0])
+    return complex(_transitions(np.asarray(ket)[None], np.asarray(bra)[None])[1][0, 0])
 
 
 def random_states(seed, count):
@@ -118,8 +120,9 @@ def reference_row(theta, eps, model, gate, postselect):
 
 
 @pytest.mark.parametrize("model, gate", MODELS)
-@pytest.mark.parametrize("postselect", [270.0, 300.0])
+@pytest.mark.parametrize("postselect", [270.0, 300.0, 200.0, 45.5])
 def test_sweep_columns_match_scalar_api(model, gate, postselect):
+    # bit for bit, the sign of a zero included: NaN where the scalar API raises
     cols = sweep_columns(GRID, 0.08, model, gate, postselect)
     for i, theta in enumerate(GRID):
         for key, want in reference_row(float(theta), 0.08, model, gate, postselect).items():
@@ -127,8 +130,25 @@ def test_sweep_columns_match_scalar_api(model, gate, postselect):
             if want is None:
                 assert math.isnan(got), (theta, key)
             else:
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (theta, key)
+                assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), (theta, key)
     np.testing.assert_array_equal(cols["F_total"], cols["F_D"] + cols["F_A"])
+
+
+@pytest.mark.parametrize("model, gate", MODELS)
+def test_one_amplitude_pass_per_call(monkeypatch, model, gate):
+    # weak values, p(f), the Fisher split and the first-order table all
+    # read the pair of one _transitions call over both basis rows
+    calls = []
+
+    def counted(states, rows):
+        calls.append((len(states), len(rows)))
+        return _transitions(states, rows)
+
+    monkeypatch.setattr(kernel, "_transitions", counted)
+    for function in (sweep_columns, joint_table):
+        calls.clear()
+        function(GRID[:8], 0.08, model, gate, 300.0)
+        assert calls == [(8, 2)], function.__name__
 
 
 @pytest.mark.parametrize("model, gate", MODELS)
@@ -138,6 +158,19 @@ def test_rows_do_not_depend_on_batch(model, gate):
         p1, status1 = joint_table([theta], 0.08, model, gate)
         np.testing.assert_array_equal(p1[0], p[i])
         assert status1[0] == status[i]
+
+
+def test_scalar_weak_value_is_a_row_for_complex_states():
+    # numpy multiplies a (1,) complex array by a (1, 1) one in a loop that
+    # rounds differently: the N = 1 call must still give a row's bits.
+    # weak_value normalizes its arguments, so it takes the raw states
+    raw_states, raw_basis = random_states(21, 200), random_states(22, 2)
+    states = np.array([_state(psi) for psi in raw_states])
+    basis = np.array([_state(f) for f in raw_basis])
+    wv = weak_values(*_transitions(states, basis))
+    for i, psi in enumerate(raw_states):
+        for k, f in enumerate(raw_basis):
+            assert weak_value(psi, f) == complex(wv[i, k]), (i, k)
 
 
 def test_linearization_status():

@@ -99,6 +99,11 @@ class TestModelDistribution:
         assert ModelTag.parse("exact-ideal") is ModelTag.EXACT_IDEAL
         assert ModelTag.parse("LINEAR") is ModelTag.LINEAR
 
+    @pytest.mark.parametrize("model", [None, 3, "bogus"])
+    def test_unknown_model_is_named(self, model):
+        with pytest.raises(ValueError, match=f"{model!r} is not a valid ModelTag"):
+            model_distribution(0.0, 0.08, model)
+
 
 class TestSampleCounts:
     def test_degenerate_distribution(self):
