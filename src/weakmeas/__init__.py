@@ -24,10 +24,10 @@ _SOURCES = {
         ("apparent_fisher", "cramer_rao_bound", "estimate_epsilon", "extract_weak_value"),
         "estimation",
     ),
-    **dict.fromkeys(("COMPENSATED_PPBS", "UNCOMPENSATED_PPBS", "GateParams"), "gatesim"),
     **dict.fromkeys(
-        ("CELLS", "SINGULARITY_THRESHOLD", "WEAKNESS_GUARD", "ModelTag", "Outcome",
-         "fisher_information", "linear_states", "model_distribution", "weak_value"),
+        ("CELLS", "COMPENSATED_PPBS", "GateParams", "ModelTag", "Outcome",
+         "SINGULARITY_THRESHOLD", "UNCOMPENSATED_PPBS", "WEAKNESS_GUARD", "fisher_information",
+         "linear_states", "model_distribution", "weak_value"),
         "kernel",
     ),
     **dict.fromkeys(

@@ -19,9 +19,9 @@ as ``json.dumps(indent=2)`` of the whole file, an undefined cell empty
 or null. The kernel is elementwise, so they do not depend on the block
 size.
 
-Only numpy, ``errors``, ``gatesim`` and ``kernel`` are loaded by every
-command. ``estimation``, ``montecarlo`` and ``json`` are imported inside
-the commands that use them, so ``--help`` and a sweep load none of them.
+Only numpy, ``errors`` and ``kernel`` are loaded by every command.
+``estimation``, ``montecarlo`` and ``json`` are imported inside the
+commands that use them, so ``--help`` and a sweep load none of them.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ import numpy as np
 
 from . import errors
 from .errors import WeakMeasError
-from .gatesim import COMPENSATED_PPBS, GateParams
 from .kernel import (
-    COLUMN, ModelTag, Outcome, analyzer_basis, fisher_information, linear_states,
-    model_distribution, sweep_columns, weak_value,
+    COLUMN, COMPENSATED_PPBS, GateParams, ModelTag, Outcome, analyzer_basis, fisher_information,
+    linear_states, model_distribution, sweep_columns, weak_value,
 )
 
 SWEEP_FORMAT_VERSION = "sweep-1"

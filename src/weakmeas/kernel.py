@@ -26,8 +26,40 @@ call (CouplingTooStrong), and a row with a negative cell is
 LinearizationInvalid, never clamped. The logarithmic derivative of
 p(m, f) with respect to eps at eps = 0 equals 2 kappa_m Re wv_f, which is
 what makes weak values the natural sensitivity measure for estimating
-eps. The exact models (:func:`exact_table`) apply the two-photon gate of
-:mod:`weakmeas.gatesim` to the probe |H> + eps |V> without linearizing.
+eps.
+
+The exact models. :func:`exact_table` applies a two-photon gate to the
+system photon and the probe |H> + eps |V>, normalized, without
+linearizing, so its tables expose the quadratic corrections that the
+first-order model drops. A gate acts on the amplitudes over
+{HH, HV, VH, VV} and is given as (d, s): a diagonal d plus a
+coefficient s that swaps HV and VH. ``exact-ideal`` applies IDEAL_GATE,
+the controlled sign diag(1, 1, 1, -1). ``exact-ppbs`` applies
+:func:`ppbs_coincidence_operator`: a single partially polarizing beam
+splitter (PPBS) hit by the system photon and the probe photon, one per
+input port, keeping only coincidence events (one photon per output
+port). With amplitude transmittivities t_H = 1 and t_V = 1/sqrt(3) and
+per-photon H compensation a_H = 1/sqrt(3) (COMPENSATED_PPBS), its
+coincidence amplitudes reduce to (1/3) diag(1, 1, 1, -1): a
+controlled-sign gate with success amplitude 1/3 that flips the sign of
+the |V,V> component only. Conventions:
+
+* beam-splitter amplitudes are real, r_x = sqrt(1 - t_x^2); a
+  coincidence leaves both photons transmitted (t_x t_y, each photon
+  keeps its port) or both reflected (-r_x r_y, the photons exchange
+  ports), and the compensation multiplies by a_H per output H photon;
+* on same-polarization components (HH, VV) the two paths end in the same
+  state and add to the t^2 - r^2 form; on mixed components the
+  both-reflected path turns HV into VH and back, so the operator is a
+  diagonal d plus a swap coefficient s = -a_H r_H r_V on HV <-> VH,
+  which vanishes whenever r_H = 0 (the experimentally relevant setting);
+* every t_H < 1 is an imperfect gate: with r_H > 0, s = 0 forces
+  r_V = 0, so t_V = 1 and d_VV = +1; a scaled controlled sign
+  c diag(1, 1, 1, -1) then needs c = -1 and d_HV = a_H t_H = -1, which
+  no positive t_H, a_H give;
+* coincidence post-selection is modeled as renormalization over the four
+  two-photon amplitudes, discarding the norm deficit, exactly as
+  coincidence-count analysis does.
 
 Arrays. A state is a (2,) complex array of (H, V) amplitudes, a basis
 the (2, 2) array :func:`analyzer_basis` makes, its rows mapped to the
@@ -49,6 +81,7 @@ implementation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -57,7 +90,6 @@ from .errors import (
     CouplingTooStrong, LinearizationInvalid, NonOrthonormalBasis, PostselectionSingular,
     WeakValueReferenceZero, ZeroCoincidenceNorm, ZeroProbability,
 )
-from .gatesim import COINCIDENCE_FLOOR, COMPENSATED_PPBS, ppbs_coincidence_operator
 
 #: |<f|psi>| below this is treated as singular post-selection.
 SINGULARITY_THRESHOLD = 1e-8
@@ -76,16 +108,8 @@ WV_REFERENCE_FLOOR = 1e-8
 #: A state whose norm is below this is refused as the zero vector.
 _NORM_FLOOR = 1e-12
 
-#: Coincidence amplitudes of the ideal controlled-sign gate over
-#: {HH, HV, VH, VV}, as the diagonal and the HV <-> VH swap coefficient
-#: of :func:`weakmeas.gatesim.ppbs_coincidence_operator`: the VV
-#: amplitude changes sign.
-IDEAL_GATE = (np.array([1.0, 1.0, 1.0, -1.0]), 0.0)
-
-#: The two-photon amplitudes a swap acts on: HV and VH exchange, HH and
-#: VV take no part.
-_SWAP = [0, 2, 1, 3]
-_SWAP_MASK = np.array([0.0, 1.0, 1.0, 0.0])
+#: Coincidence norm below this raises ZeroCoincidenceNorm.
+COINCIDENCE_FLOOR = 1e-30
 
 #: The Stokes observable A = |H><H| - |V><V| (eigenvalues +-1).
 _STOKES = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -272,6 +296,67 @@ def linear_table(transitions, eps: float):
     return _checked(p, np.where((p < 0.0).any(axis=1), LinearizationInvalid.exit_code, 0))
 
 
+# -- the two-photon gate and the exact model ------------------------------
+
+
+@dataclass(frozen=True)
+class GateParams:
+    """Amplitude transmittivities of the PPBS and the per-photon H
+    compensation amplitude applied after the gate."""
+
+    t_h: float
+    t_v: float
+    a_h: float
+
+    def __post_init__(self) -> None:
+        for name, value in (("t_h", self.t_h), ("t_v", self.t_v), ("a_h", self.a_h)):
+            if not (0.0 < value <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+
+    @property
+    def r_h(self) -> float:
+        return math.sqrt(1.0 - self.t_h**2)
+
+    @property
+    def r_v(self) -> float:
+        return math.sqrt(1.0 - self.t_v**2)
+
+
+#: Gate parameters realizing the controlled-sign gate exactly.
+COMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0 / math.sqrt(3.0))
+
+#: Single PPBS without H-compensation elements.
+UNCOMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0)
+
+
+def ppbs_coincidence_operator(params: GateParams) -> tuple[np.ndarray, float]:
+    """Coincidence amplitudes of the compensated PPBS over
+    {HH, HV, VH, VV}: the diagonal d and the swap coefficient s, with
+    out = d * in + s * (in with HV and VH exchanged, HH and VV zeroed)."""
+    t_h, t_v, a_h = params.t_h, params.t_v, params.a_h
+    r_h, r_v = params.r_h, params.r_v
+    mixed = a_h * t_h * t_v
+    diag = np.array(
+        [
+            a_h**2 * (t_h**2 - r_h**2),
+            mixed,
+            mixed,
+            t_v**2 - r_v**2,
+        ]
+    )
+    return diag, -a_h * (r_h * r_v)
+
+
+#: Coincidence amplitudes of the ideal controlled-sign gate as the (d, s)
+#: pair of :func:`ppbs_coincidence_operator`: the VV amplitude changes sign.
+IDEAL_GATE = (np.array([1.0, 1.0, 1.0, -1.0]), 0.0)
+
+#: The two-photon amplitudes a swap acts on: HV and VH exchange, HH and
+#: VV take no part.
+_SWAP = [0, 2, 1, 3]
+_SWAP_MASK = np.array([0.0, 1.0, 1.0, 0.0])
+
+
 def two_photon_amplitudes(states: np.ndarray, probe: np.ndarray, gate: tuple) -> np.ndarray:
     """Amplitudes over {HH, HV, VH, VV} of system (x) probe after a gate
     given as (d, s), its four diagonal coincidence amplitudes and its
@@ -306,17 +391,19 @@ def exact_table(states, eps: float, gate: tuple, basis: np.ndarray):
 
 
 def _table(states, transitions, eps: float, model: ModelTag, gate_params, basis):
+    if model is ModelTag.EXACT_PPBS:
+        return exact_table(states, eps, ppbs_coincidence_operator(gate_params or COMPENSATED_PPBS), basis)
+    if gate_params is not None:
+        raise ValueError("gate_params apply only to model exact-ppbs")
     if model is ModelTag.LINEAR:
         return linear_table(transitions, eps)
-    if model is ModelTag.EXACT_IDEAL:
-        return exact_table(states, eps, IDEAL_GATE, basis)
-    return exact_table(states, eps, ppbs_coincidence_operator(gate_params or COMPENSATED_PPBS), basis)
+    return exact_table(states, eps, IDEAL_GATE, basis)
 
 
 def joint_table(theta_deg, eps: float, model: ModelTag | str, gate_params=None, postselect_deg=270.0):
     """(p[N, 4], status[N]) of the selected model over an array of input
     angles in degrees. ``gate_params`` applies to the exact PPBS model and
-    defaults to the compensated gate."""
+    defaults to the compensated gate; another model refuses it (ValueError)."""
     basis, states = analyzer_basis(postselect_deg), linear_states(theta_deg)
     return _table(states, _transitions(states, basis), eps, ModelTag.parse(model), gate_params, basis)
 

@@ -52,10 +52,9 @@ import numpy as np
 
 from .errors import TooManyDiscardedReplicas, ZeroProbability
 from .estimation import cramer_rao_bound, estimate_epsilon
-from .gatesim import GateParams
 from .kernel import (
-    COLUMN, ModelTag, Outcome, analyzer_basis, check_table, fisher_information, linear_states,
-    model_distribution, moment_estimates, weak_value,
+    COLUMN, GateParams, ModelTag, Outcome, analyzer_basis, check_table, fisher_information,
+    linear_states, model_distribution, moment_estimates, weak_value,
 )
 
 #: Replicas with unusable counts may be discarded up to this fraction.
@@ -73,10 +72,11 @@ _BLOCK_ROWS = 4096
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator over Philox4x64 keyed by (seed, stream); the seed must
-    lie in [0, 2^64)."""
+    be an integer in [0, 2^64)."""
+    seed = operator.index(seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed!r}")
-    key = int(seed) | (int(stream) << 64)
+    key = seed | (int(stream) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -264,10 +264,9 @@ def run_ensemble(
             f"{discarded} of {n_replicas} replicas had a zero count in the "
             f"f={f.value} column"
         )
-    if len(arr) < 2:
-        raise ZeroProbability("fewer than two usable replicas")
     # the steps of arr.mean() and arr.var(ddof=1), with the deviations
-    # taken in place of a second kept-length temporary
+    # taken in place of a second kept-length temporary; at least two
+    # replicas are kept, as DISCARD_TOLERANCE < 0.5 and n_replicas >= 2
     n = len(arr)
     mean = np.add.reduce(arr) / n
     np.subtract(arr, mean, out=arr)

@@ -16,8 +16,7 @@ from weakmeas import (
     linear_states,
     model_distribution,
 )
-from weakmeas.gatesim import ppbs_coincidence_operator
-from weakmeas.kernel import IDEAL_GATE, probe_state, two_photon_amplitudes
+from weakmeas.kernel import IDEAL_GATE, ppbs_coincidence_operator, probe_state, two_photon_amplitudes
 
 D_OUT, A_OUT = Outcome.D, Outcome.A
 F_D, F_A = Outcome.D, Outcome.A

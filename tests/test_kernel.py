@@ -19,6 +19,7 @@ from weakmeas import (
     NonOrthonormalBasis,
     Outcome,
     PostselectionSingular,
+    UNCOMPENSATED_PPBS,
     WeakMeasError,
     ZeroCoincidenceNorm,
     apparent_fisher,
@@ -189,6 +190,16 @@ def test_zero_coincidence_status():
     p, status = joint_table([0.0, 30.0], 0.05, ModelTag.EXACT_PPBS, gate)
     assert status.tolist() == [0, 0]
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", ["linear", "exact-ideal"])
+def test_gate_params_refused_for_other_models(model):
+    # a gate another model would not apply: the table would come back as
+    # if no gate had been given
+    with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
+        model_distribution(30.0, 0.08, model, UNCOMPENSATED_PPBS)
+    with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
+        sweep_columns([30.0], 0.08, model, UNCOMPENSATED_PPBS)
 
 
 def test_coupling_guard_raises_for_the_whole_call():

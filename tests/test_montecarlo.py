@@ -15,6 +15,7 @@ from weakmeas import (
     ModelTag,
     Outcome,
     TooManyDiscardedReplicas,
+    UNCOMPENSATED_PPBS,
     WeakValueReferenceZero,
     ZeroProbability,
     fisher_information,
@@ -60,9 +61,10 @@ PINNED_ENSEMBLES = [
 ]
 
 
-#: Shots of a float type, refused with TypeError, and the type name the
-#: error gives.
+#: Shots and seeds of a float type, refused with TypeError, and the type
+#: name the error gives.
 NON_INTEGER_SHOTS = [(10.5, "float"), (np.float64(10.0), r"numpy\.float64")]
+NON_INTEGER_SEEDS = [(1.5, "float"), (np.float64(2.0), r"numpy\.float64")]
 
 
 def plain_estimate(n_d: int, n_a: int, wv_ref: float) -> float:
@@ -164,6 +166,16 @@ class TestSampleCounts:
             sample_counts(dist, n, seed=0, mode=mode)
         assert (sample_counts(dist, np.int64(10), seed=0, mode=mode).tolist()
                 == sample_counts(dist, 10, seed=0, mode=mode).tolist())
+
+    @pytest.mark.parametrize("mode", ["multinomial", "poisson"])
+    @pytest.mark.parametrize("seed, name", NON_INTEGER_SEEDS)
+    def test_seed_must_be_an_integer(self, mode, seed, name):
+        # int() would draw the counts of seed 1 for a seed of 1.5
+        dist = linear(0.0, 0.08)
+        with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
+            sample_counts(dist, 1000, seed, mode=mode)
+        assert (sample_counts(dist, 1000, np.uint64(2), mode=mode).tolist()
+                == sample_counts(dist, 1000, 2, mode=mode).tolist())
 
     @pytest.mark.parametrize("table, match", [
         ([0.5, 0.5], "4 cells"), ([-0.01, 0.51, 0.25, 0.25], "negative"), ([0.3] * 4, "sum to"),
@@ -496,6 +508,20 @@ class TestRunEnsemble:
         monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
         with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
             run_ensemble(*args, n, 4, base_seed=0, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["multinomial", "poisson"])
+    @pytest.mark.parametrize("seed, name", NON_INTEGER_SEEDS)
+    def test_seed_must_be_an_integer(self, mode, seed, name):
+        args = (0.0, 0.08, ModelTag.LINEAR, 100, 4)
+        with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
+            run_ensemble(*args, base_seed=seed, mode=mode)
+        assert (run_ensemble(*args, base_seed=np.uint64(2), mode=mode)
+                == run_ensemble(*args, base_seed=2, mode=mode))
+
+    @pytest.mark.parametrize("model", [ModelTag.LINEAR, ModelTag.EXACT_IDEAL])
+    def test_gate_params_refused_for_other_models(self, model):
+        with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
+            run_ensemble(30.0, 0.08, model, 1000, 10, 1, gate_params=UNCOMPENSATED_PPBS)
 
     def test_peak_memory_per_replica(self):
         # the ensemble keeps one float64 estimate a replica and one block
