@@ -19,17 +19,16 @@ as ``json.dumps(indent=2)`` of the whole file, an undefined cell empty
 or null. The kernel is elementwise, so they do not depend on the block
 size.
 
-Only numpy, ``errors`` and ``kernel`` are loaded by every command.
+Every command loads numpy, ``args``, ``errors`` and ``kernel``;
 ``estimation``, ``montecarlo`` and ``json`` are imported inside the
-commands that use them, so ``--help`` and a sweep load none of them.
+commands that use them. ``__main__`` parses the command line with
+``args``, which loads no numpy, before it imports this module.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
-import math
 import os
 import stat
 import sys
@@ -39,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import errors
+from .args import IO_EXIT_CODE, build_parser
 from .errors import WeakMeasError
 from .kernel import (
     COLUMN, COMPENSATED_PPBS, GateParams, ModelTag, Outcome, analyzer_basis, fisher_information,
@@ -62,34 +62,6 @@ SWEEP_COLUMNS = (
     "F_total",
     "format_version",
 )
-
-_IO_EXIT_CODE = 20
-
-
-#: Errors only a library caller can meet: ``--eps-probe`` refuses a probe
-#: small enough to raise ZeroProbeCoupling.
-_LIBRARY_ONLY = (errors.ZeroProbeCoupling,)
-
-
-def _exit_code_table() -> list[tuple[int, str]]:
-    rows = [
-        (err.exit_code, name)
-        for name, err in vars(errors).items()
-        if isinstance(err, type)
-        and issubclass(err, WeakMeasError)
-        and err not in (WeakMeasError, *_LIBRARY_ONLY)
-    ]
-    rows.append((_IO_EXIT_CODE, "I/O error"))
-    rows.append((2, "invalid arguments"))
-    return sorted(rows)
-
-
-def _epilog() -> str:
-    lines = ["exit codes:"]
-    for code, name in _exit_code_table():
-        lines.append(f"  {code:>3}  {name}")
-    return "\n".join(lines)
-
 
 def _gate_params(args) -> GateParams | None:
     if args.model != "exact-ppbs":
@@ -360,147 +332,15 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+#: The function that runs each subcommand of ``weakmeas.args.build_parser``.
+_COMMANDS = {"probs": cmd_probs, "sweep": cmd_sweep, "weakvalue": cmd_weakvalue,
+             "fisher": cmd_fisher, "estimate": cmd_estimate, "montecarlo": cmd_montecarlo}
 
 
-# argparse names a type function in "invalid <name> value: ..."
-_finite.__name__ = "number"
-
-
-#: Smallest --eps-probe magnitude. The finite difference divides a
-#: difference of logarithms by eps_probe, so round-off grows as the probe
-#: shrinks: at theta = 30 deg its relative error is 9e-12 at 1e-6, 5e-6
-#: at 1e-12 and 1e-2 at 1e-15, and at 1e-17 it prints 0.
-MIN_EPS_PROBE = 1e-6
-
-
-def _eps_probe(text: str) -> float:
-    value = _finite(text)
-    if abs(value) < MIN_EPS_PROBE:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {MIN_EPS_PROBE:g} in magnitude, got {text!r}: "
-            "a smaller probe leaves only round-off in the finite difference"
-        )
-    return value
-
-
-_eps_probe.__name__ = "number"
-
-
-def _shots(text: str) -> int:
-    """A shot count in [1, 2^63), the range of the generator's counts."""
-    value = int(text)
-    if not 1 <= value < 1 << 63:
-        raise argparse.ArgumentTypeError(f"must lie in [1, 2^63), got {text}")
-    return value
-
-
-_shots.__name__ = "integer"
-
-
-def _add_model_args(sub) -> None:
-    sub.add_argument(
-        "--model",
-        choices=("linear", "exact-ideal", "exact-ppbs"),
-        default="linear",
-        help="probability model (default: linear)",
-    )
-    sub.add_argument("--tv", type=_finite, default=None, help="PPBS t_V amplitude")
-    sub.add_argument("--th", type=_finite, default=None,
-                     help="PPBS t_H amplitude; every t_H < 1 is an imperfect gate")
-    sub.add_argument("--ah", type=_finite, default=None, help="H compensation amplitude")
-
-
-def _add_postselect_arg(sub) -> None:
-    sub.add_argument(
-        "--postselect",
-        type=_finite,
-        default=270.0,
-        help="post-selection analyzer angle in degrees (default: 270)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="weakmeas",
-        description="Weak-measurement simulation and coupling estimation.",
-        epilog=_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("probs", help="joint probabilities p(m, f) at one point")
-    p.add_argument("--theta", type=_finite, required=True, help="input angle (deg)")
-    p.add_argument("--epsilon", type=_finite, required=True, help="coupling strength")
-    _add_model_args(p)
-    _add_postselect_arg(p)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.set_defaults(func=cmd_probs)
-
-    p = subs.add_parser("sweep", help="theta sweep written to a file")
-    p.add_argument("--theta-start", type=_finite, default=0.0)
-    p.add_argument("--theta-stop", type=_finite, default=359.0)
-    p.add_argument("--theta-step", type=_finite, default=1.0)
-    p.add_argument("--epsilon", type=_finite, required=True)
-    _add_model_args(p)
-    _add_postselect_arg(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", required=True, help="output file path")
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("weakvalue", help="analytic and finite-difference weak value")
-    p.add_argument("--theta", type=_finite, required=True)
-    _add_postselect_arg(p)
-    p.add_argument(
-        "--eps-probe",
-        type=_eps_probe,
-        default=0.08,
-        help="probe coupling for the finite difference, at least 1e-6 in magnitude "
-        "(default: 0.08)",
-    )
-    p.set_defaults(func=cmd_weakvalue)
-
-    p = subs.add_parser("fisher", help="Fisher information split by post-selection")
-    p.add_argument("--theta", type=_finite, required=True)
-    _add_postselect_arg(p)
-    p.add_argument("--shots", type=_shots, default=None, help="trials for the CRB")
-    p.set_defaults(func=cmd_fisher)
-
-    p = subs.add_parser("estimate", help="moment estimate from model conditionals")
-    p.add_argument("--theta", type=_finite, required=True)
-    p.add_argument("--epsilon", type=_finite, required=True)
-    _add_model_args(p)
-    _add_postselect_arg(p)
-    p.add_argument(
-        "--shots",
-        type=_shots,
-        default=None,
-        help="total trials; enables the binomial error on the estimate",
-    )
-    p.set_defaults(func=cmd_estimate)
-
-    p = subs.add_parser("montecarlo", help="seeded estimator ensemble")
-    p.add_argument("--theta", type=_finite, required=True)
-    p.add_argument("--epsilon", type=_finite, required=True)
-    _add_model_args(p)
-    p.add_argument("--shots", type=_shots, required=True, help="events per replica")
-    p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--f", choices=("D", "A"), default="A", help="post-selection column")
-    p.add_argument("--mode", choices=("multinomial", "poisson"), default="multinomial")
-    p.set_defaults(func=cmd_montecarlo)
-
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args) -> int:
+    """Run the subcommand parsed into ``args``; return its exit code."""
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except WeakMeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return type(exc).exit_code
@@ -509,7 +349,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return _IO_EXIT_CODE
+        return IO_EXIT_CODE
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
 Every error carries a distinct process exit code used by the command-line
-front end (see ``weakmeas.cli``).
+front end (see ``weakmeas.args``).
 """
 
 

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from weakmeas import args as cli_args
 from weakmeas import cli
 from weakmeas.cli import (
     MAX_SWEEP_ROWS, SWEEP_COLUMNS, SWEEP_FORMAT_VERSION, _theta_grid, main,
@@ -789,7 +790,7 @@ class TestErrorExitCodes:
         assert "ZeroProbeCoupling" not in out
 
     def test_every_listed_code_has_an_invocation(self):
-        assert sorted(EXIT_CODE_INVOCATIONS) == [code for code, _ in cli._exit_code_table()]
+        assert sorted(EXIT_CODE_INVOCATIONS) == [code for code, _ in cli_args._exit_code_table()]
 
     @pytest.mark.parametrize("code", sorted(EXIT_CODE_INVOCATIONS))
     def test_listed_code_is_returned(self, capsys, tmp_path, code):
@@ -825,6 +826,41 @@ class TestErrorExitCodes:
         assert "_shots" not in err and "_finite" not in err and "_eps_probe" not in err
 
 
+class TestNegativeNumbers:
+    """argparse in Python 3.10 and 3.11 takes '-1e-3' for an option; the
+    parser widens its private negative-number pattern so that every
+    subcommand reads it as a value."""
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["probs", "--theta", "30", "--epsilon", "-1e-3"], "epsilon", -1e-3),
+        (["probs", "--theta", "-1e1", "--epsilon", "0"], "theta", -10.0),
+        (["sweep", "--theta-start", "-1E+2", "--epsilon", "0", "--out", "x"], "theta_start", -100.0),
+        (["weakvalue", "--theta", "30", "--eps-probe", "-8e-2"], "eps_probe", -0.08),
+        (["fisher", "--theta", "30", "--postselect", "-.9e2"], "postselect", -90.0),
+        (["estimate", "--theta", "30", "--epsilon", "0", "--tv", "-5e-1"], "tv", -0.5),
+        (["montecarlo", "--theta", "-3e1", "--epsilon", "0", "--shots", "10", "--replicas", "2",
+          "--seed", "0"], "theta", -30.0),
+    ], ids=lambda x: x[0] if isinstance(x, list) else None)
+    def test_exponent_form_is_a_value(self, argv, dest, value):
+        assert getattr(cli_args.build_parser().parse_args(argv), dest) == value
+
+    def test_exponent_form_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "probs", "--theta", "30", "--epsilon", "-1e-3")
+        assert code == 0
+        assert json.loads(out)["epsilon"] == -1e-3
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--theta", "-inf"], "argument --theta: expected one argument"),
+        (["--theta=-inf"], "argument --theta: must be a finite number, got '-inf'"),
+        (["--theta", "-1e"], "argument --theta: expected one argument"),
+    ], ids=["-inf", "=-inf", "-1e"])
+    def test_non_numbers_are_still_refused(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["probs", *argv, "--epsilon", "0"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -837,7 +873,7 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["F_total"] == pytest.approx(4.0)
 
     def test_import_leaves_numpy_random_unloaded(self):
-        # the sweeps and --help never draw; numpy.random costs ~16 ms to
+        # the sweeps never draw; numpy.random costs ~16 ms to
         # load, so only a draw may load it (numpy 1.x loads it with numpy)
         code = ("import sys; import numpy; before = 'numpy.random' in sys.modules; "
                 "import weakmeas.cli; print(before, 'numpy.random' in sys.modules)")
@@ -846,26 +882,37 @@ class TestEntryPoint:
         before, after = proc.stdout.split()
         assert after == before
 
+    def test_console_script_target_runs_only_when_called(self):
+        # pyproject.toml's [project.scripts] imports weakmeas.__main__ and
+        # calls its main
+        code = ("import sys, weakmeas.__main__ as m; print('weakmeas.cli' in sys.modules); "
+                "sys.exit(m.main(['fisher', '--theta', '0']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=False, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded, payload = proc.stdout.split("\n", 1)
+        assert loaded == "False"
+        assert json.loads(payload)["F_total"] == pytest.approx(4.0)
 
-#: The modules every command loads.
-EVERY_COMMAND = {"weakmeas", "weakmeas.cli", "weakmeas.errors", "weakmeas.kernel"}
+
+#: The modules every command loads, of weakmeas, json and numpy.
+EVERY_COMMAND = {"numpy", "weakmeas", "weakmeas.args", "weakmeas.cli", "weakmeas.errors",
+                 "weakmeas.kernel"}
+
+#: The modules --help and a refused argument load: the parser's.
+PARSER_ONLY = {"weakmeas", "weakmeas.args", "weakmeas.errors"}
 
 
-def modules_loaded(argv):
-    """The weakmeas modules, and json, that a fresh interpreter loads
-    while it runs ``main`` on ``argv``."""
-    code = f"""
-import contextlib, io, sys
-before = set(sys.modules)
-from weakmeas.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-    assert main({list(argv)!r}) == 0
-new = set(sys.modules) - before
-sys.stderr.write(" ".join(m for m in new if m == "json" or m.split(".")[0] == "weakmeas"))
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=60)
-    return set(proc.stderr.split())
+def modules_loaded(argv, returncode=0):
+    """The weakmeas modules, json and numpy that ``python -m weakmeas``
+    imports while it runs on ``argv``, as its ``-X importtime`` report
+    lists them."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "weakmeas", *argv],
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert proc.returncode == returncode, proc.stderr[-500:]
+    names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {m for m in names if m in ("json", "numpy") or m.split(".")[0] == "weakmeas"}
 
 
 class TestImportGraph:
@@ -874,9 +921,24 @@ class TestImportGraph:
         for argv in (
             [*sweep, "--out", str(tmp_path / "s.csv")],
             [*sweep, "--format", "json", "--model", "exact-ppbs", "--out", str(tmp_path / "s.json")],
-            ["--help"],
         ):
             assert modules_loaded(argv) == EVERY_COMMAND, argv
+        for argv in (["--help"], ["sweep", "--help"]):
+            assert modules_loaded(argv) == PARSER_ONLY, argv
+
+    def test_usage_error_loads_only_the_parser(self):
+        argv = ["probs", "--theta", "x", "--epsilon", "0.08"]
+        assert modules_loaded(argv, returncode=2) == PARSER_ONLY
+
+    def test_cli_module_keeps_numpy_and_the_kernel_names(self):
+        # the benchmark times `import weakmeas.cli` against its numpy import
+        # and wraps these three names where weakmeas.cli looks them up
+        code = ("import sys, weakmeas.cli as c; print('numpy' in sys.modules, "
+                "all(callable(getattr(c, n)) for n in "
+                "('model_distribution', 'weak_value', 'fisher_information')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == ["True", "True"]
 
     def test_montecarlo_loads_estimation_and_montecarlo(self):
         argv = ["montecarlo", "--theta", "30", "--epsilon", "0.08", "--shots", "1000",
