@@ -87,6 +87,13 @@ def _shots(text: str) -> int:
 _shots.__name__ = "integer"
 
 
+def _out_path(text: str) -> str:
+    """A sweep's ``--out``: an empty path names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got ''")
+    return text
+
+
 def _add_model_args(sub) -> None:
     sub.add_argument(
         "--model",
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_postselect_arg(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", required=True, help="output file path")
+    p.add_argument("--out", type=_out_path, required=True, help="output file path")
 
     p = subs.add_parser("weakvalue", help="analytic and finite-difference weak value")
     p.add_argument("--theta", type=_finite, required=True)

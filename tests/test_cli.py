@@ -1,16 +1,21 @@
+import ast
 import errno
+import gc
 import json
 import math
 import os
+import re
 import resource
 import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakmeas.__main__ as weakmeas_main
 from weakmeas import args as cli_args
 from weakmeas import cli
 from weakmeas.cli import (
@@ -18,6 +23,8 @@ from weakmeas.cli import (
 )
 from weakmeas.kernel import sweep_columns
 from weakmeas.montecarlo import MAX_REPLICAS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -391,6 +398,19 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--epsilon", "0.08", "--out", str(out_file))
         assert code == 20
         assert err.strip() == f"io error: [Errno 2] No such file or directory: '{out_file}'"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_is_refused_before_the_sweep(self, monkeypatch, tmp_path, capsys):
+        # it used to compute the sweep into a temporary file and fail with
+        # exit 20 on replacing '', naming the temporary file
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--theta-step", "90", "--epsilon", "0.08", "--out", ""])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --out: must name a file, got ''" in captured.err
+        assert ".tmp" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_replaced_file_keeps_its_mode(self, tmp_path, capsys):
@@ -884,15 +904,52 @@ class TestEntryPoint:
 
     def test_console_script_target_runs_only_when_called(self):
         # pyproject.toml's [project.scripts] imports weakmeas.__main__ and
-        # calls its main
+        # calls its script, which reads sys.argv and exits itself
         code = ("import sys, weakmeas.__main__ as m; print('weakmeas.cli' in sys.modules); "
-                "sys.exit(m.main(['fisher', '--theta', '0']))")
+                "sys.argv[1:] = ['fisher', '--theta', '0']; m.script()")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=False, timeout=60)
         assert proc.returncode == 0, proc.stderr
         loaded, payload = proc.stdout.split("\n", 1)
         assert loaded == "False"
         assert json.loads(payload)["F_total"] == pytest.approx(4.0)
+
+    def test_console_script_and_module_run_one_function(self):
+        # Python 3.10 has no tomllib, so the script line is read as text
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^\[project\.scripts\]\nweakmeas = "(.+)"$', text, re.M).group(1)
+        module, _, function = target.partition(":")
+        assert module == "weakmeas.__main__"
+        # the body of `if __name__ == "__main__":` in that module
+        tree = ast.parse(Path(weakmeas_main.__file__).read_text(encoding="utf-8"))
+        guard, = (node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert [ast.unparse(node) for node in guard.body] == [f"{function}()"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fisher", "--theta", "0"], 0),
+        (["--help"], 0),
+        (["probs", "--theta", "x", "--epsilon", "0.08"], 2),
+    ], ids=["fisher", "help", "usage-error"])
+    def test_script_freezes_the_heap_as_it_exits(self, argv, code):
+        # --help and the usage error raise SystemExit inside argparse
+        program = ("import gc, sys, weakmeas.__main__ as m\n"
+                   f"sys.argv[1:] = {argv!r}\n"
+                   "try:\n    m.script()\n"
+                   "except SystemExit as exc:\n"
+                   "    print(exc.code, gc.get_freeze_count() > 0)\n")
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              check=False, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{code} True"
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert weakmeas_main.main(["fisher", "--theta", "0"]) == 0
+        with pytest.raises(SystemExit):
+            weakmeas_main.main(["--help"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
 
 
 #: The modules every command loads, of weakmeas, json and numpy.
@@ -928,6 +985,10 @@ class TestImportGraph:
 
     def test_usage_error_loads_only_the_parser(self):
         argv = ["probs", "--theta", "x", "--epsilon", "0.08"]
+        assert modules_loaded(argv, returncode=2) == PARSER_ONLY
+
+    def test_empty_out_loads_only_the_parser(self):
+        argv = ["sweep", "--theta-step", "90", "--epsilon", "0.08", "--out", ""]
         assert modules_loaded(argv, returncode=2) == PARSER_ONLY
 
     def test_cli_module_keeps_numpy_and_the_kernel_names(self):
