@@ -17,13 +17,7 @@ _LIBRARY_ONLY = (errors.ZeroProbeCoupling,)
 
 
 def _exit_code_table() -> list[tuple[int, str]]:
-    rows = [
-        (err.exit_code, name)
-        for name, err in vars(errors).items()
-        if isinstance(err, type)
-        and issubclass(err, errors.WeakMeasError)
-        and err not in (errors.WeakMeasError, *_LIBRARY_ONLY)
-    ]
+    rows = [(code, err.__name__) for code, err in errors.BY_CODE.items() if err not in _LIBRARY_ONLY]
     rows.append((IO_EXIT_CODE, "I/O error"))
     rows.append((2, "invalid arguments"))
     return sorted(rows)

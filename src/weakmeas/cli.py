@@ -37,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import errors
 from .args import IO_EXIT_CODE, build_parser
 from .errors import WeakMeasError
 from .kernel import (
@@ -281,10 +280,7 @@ def cmd_estimate(args) -> int:
     w_d, w_a = (p[i].item() for i in COLUMN[Outcome.A])
     # the expected number of post-selected events among the shots
     n_events = None if args.shots is None else args.shots * (w_d + w_a)
-    try:
-        eps_hat, sigma = estimate_epsilon(w_d, w_a, wv_ref, n_events)
-    except errors.ZeroProbability:  # the estimator's weights do not name their outcome
-        raise errors.ZeroProbability("post-selection probability p(f=A) is zero") from None
+    eps_hat, sigma = estimate_epsilon(w_d, w_a, wv_ref, n_events, f=Outcome.A)
     payload = {
         "theta_deg": args.theta,
         "epsilon_set": args.epsilon,

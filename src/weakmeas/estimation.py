@@ -39,13 +39,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    PostselectionSingular,
-    WeakValueReferenceZero,
-    ZeroInformation,
-    ZeroProbability,
-    ZeroProbeCoupling,
-)
+from .errors import ZeroInformation, ZeroProbability, ZeroProbeCoupling, raise_status
 from .kernel import COLUMN, WV_REFERENCE_FLOOR, Outcome, check_table, moment_estimates
 
 
@@ -55,17 +49,19 @@ def _conditional(cells: np.ndarray, f: Outcome) -> tuple[float, float]:
     i_d, i_a = COLUMN[f]
     pf = cells[i_d] + cells[i_a]
     if pf <= 0.0:
-        raise ZeroProbability(f"post-selection probability p(f={f.value}) is zero")
+        raise_status(ZeroProbability.exit_code, f=f.value)
     return cells[i_d] / pf, cells[i_a] / pf
 
 
 def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
-                     n_events: float | None = None) -> tuple[float, float | None]:
+                     n_events: float | None = None, *,
+                     f: Outcome | str) -> tuple[float, float | None]:
     """Moment estimate of the coupling from the (D, f) and (A, f) weights
-    of one post-selected outcome f, counts, joint cells or conditionals,
-    normalized by their sum, and its binomial error over ``n_events``
-    post-selected events, None without them. Raises the error of the
-    status of :func:`weakmeas.kernel.moment_estimates`.
+    of the post-selected outcome ``f``, counts, joint cells or
+    conditionals, normalized by their sum, and its binomial error over
+    ``n_events`` post-selected events, None without them. Raises the error
+    of the status of :func:`weakmeas.kernel.moment_estimates`; weights
+    that sum to zero are named as p(f) = 0.
 
     The estimate is (p(D|f) - p(A|f)) / (2 wv_reference). On linear-model
     conditionals this is the set eps exactly. On exact ideal-gate
@@ -73,20 +69,14 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     eps / (1 + eps^2 wv^2) identically: a finite-coupling bias that grows
     toward the orthogonality point.
     """
+    f = Outcome(f)
     w_d, w_a, wv_reference = float(w_d), float(w_a), float(wv_reference)
     if not (0.0 <= w_d < math.inf and 0.0 <= w_a < math.inf):
         raise ValueError(f"weights must be finite and nonnegative, got ({w_d!r}, {w_a!r})")
     if math.isinf(wv_reference):
         raise ValueError(f"wv_reference must be finite, got {wv_reference!r}")
     eps_hat, status = moment_estimates([w_d], [w_a], wv_reference)
-    if status[0] == ZeroProbability.exit_code:
-        raise ZeroProbability("the (D, f) and (A, f) weights sum to zero")
-    if status[0] == WeakValueReferenceZero.exit_code:
-        raise WeakValueReferenceZero(
-            f"|wv_reference| = {abs(wv_reference):.3g} below {WV_REFERENCE_FLOOR:g}"
-        )
-    if status[0] == PostselectionSingular.exit_code:
-        raise PostselectionSingular("wv_reference is NaN: the post-selection is singular")
+    raise_status(status[0], f=f.value, wv_abs=abs(wv_reference), wv_floor=WV_REFERENCE_FLOOR)
     if n_events is None:
         return eps_hat.item(), None
     if not 0 < n_events < math.inf:

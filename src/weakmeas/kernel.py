@@ -88,7 +88,7 @@ import numpy as np
 
 from .errors import (
     CouplingTooStrong, LinearizationInvalid, NonOrthonormalBasis, PostselectionSingular,
-    WeakValueReferenceZero, ZeroCoincidenceNorm, ZeroProbability,
+    WeakValueReferenceZero, ZeroCoincidenceNorm, ZeroProbability, raise_status,
 )
 
 #: |<f|psi>| below this is treated as singular post-selection.
@@ -472,13 +472,7 @@ def model_distribution(theta: float, eps: float, model: ModelTag | str, gate_par
     (theta, eps), post-selected in ``analyzer_basis(postselect_deg)``. A
     row the model leaves undefined raises the error of its status."""
     p, status = joint_table([theta], eps, model, gate_params, postselect_deg)
-    if status[0] == LinearizationInvalid.exit_code:
-        raise LinearizationInvalid(
-            f"a first-order probability is negative; coupling eps={eps:g} is too strong "
-            "for this post-selection"
-        )
-    if status[0] == ZeroCoincidenceNorm.exit_code:
-        raise ZeroCoincidenceNorm("no coincidence amplitude left after the gate")
+    raise_status(status[0], eps=eps)
     return p[0]
 
 

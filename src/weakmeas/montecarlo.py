@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooManyDiscardedReplicas, ZeroProbability
+from .errors import TooManyDiscardedReplicas
 from .estimation import cramer_rao_bound, estimate_epsilon
 from .kernel import (
     COLUMN, GateParams, ModelTag, Outcome, analyzer_basis, check_table, fisher_information,
@@ -227,7 +227,7 @@ def run_ensemble(
     DISCARD_TOLERANCE of the replicas are lost, TooManyDiscardedReplicas is
     raised. The estimates are :func:`weakmeas.kernel.moment_estimates` of
     the kept counts, each bit for bit its replica's
-    ``estimate_epsilon(n_d, n_a, wv_ref)[0]``.
+    ``estimate_epsilon(n_d, n_a, wv_ref, f=f)[0]``.
     """
     f = Outcome(f)
     if n_replicas < 2:
@@ -241,10 +241,7 @@ def run_ensemble(
     psi, basis = linear_states(theta), analyzer_basis(270.0)
     row = list(Outcome).index(f)
     wv_ref = weak_value(psi, basis[row]).real
-    try:
-        estimate_epsilon(*p[list(COLUMN[f])].tolist(), wv_ref)
-    except ZeroProbability:  # the estimator's weights do not name their outcome
-        raise ZeroProbability(f"post-selection probability p(f={f.value}) is zero") from None
+    estimate_epsilon(*p[list(COLUMN[f])].tolist(), wv_ref, f=f)
     per_f = fisher_information(psi)[row].item()
     crb = cramer_rao_bound(per_f, n_per_replica, f)
 

@@ -153,7 +153,7 @@ def test_criterion_4_estimator_round_trip():
         try:
             wv_ref = weak_value(psi, a_state).real
             dist = model_distribution(float(deg), EPS_OP, "linear")
-            eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_ref)
+            eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_ref, f=F_A)
         except WeakMeasError:
             continue  # undefined here; not part of "wherever valid"
         if abs(eps_hat - EPS_OP) > 1e-12:
@@ -164,7 +164,7 @@ def test_criterion_4_estimator_round_trip():
     residuals = []
     for deg in (0, 15, 30, 45):
         dist = model_distribution(float(deg), EPS_OP, "exact-ideal")
-        eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_a(float(deg)))
+        eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_a(float(deg)), f=F_A)
         want = EPS_OP / (1.0 + (EPS_OP * wv_a(float(deg))) ** 2)
         residuals.append((abs(eps_hat / want - 1.0), deg))
     worst_rel, worst_deg = max(residuals)
@@ -174,7 +174,7 @@ def test_criterion_4_estimator_round_trip():
     biases = []
     for deg in (0, 30, 60, 80, 85):
         dist = model_distribution(float(deg), EPS_OP, "exact-ideal")
-        eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_a(float(deg)))
+        eps_hat, _ = estimate_epsilon(dist[I_D], dist[I_A], wv_a(float(deg)), f=F_A)
         biases.append(abs(eps_hat - EPS_OP))
     monotone = biases == sorted(biases)
 
@@ -197,7 +197,7 @@ def test_criterion_5_error_information_duality():
         _, f_a = fisher_information(psi)
         half = math.radians(deg) / 2.0
         pf = (math.cos(half) - math.sin(half)) ** 2 / 2.0
-        _, sigma = estimate_epsilon(0.5, 0.5, wv_a(deg), n * pf)
+        _, sigma = estimate_epsilon(0.5, 0.5, wv_a(deg), n * pf, f=F_A)
         rel = abs(1.0 / sigma**2 / (n * f_a) - 1.0)
         worst = max(worst, rel)
     passed = worst <= 1e-9

@@ -742,6 +742,39 @@ EXIT_CODE_INVOCATIONS = {
     20: ("sweep", "--epsilon", "0.08", "--out", "{tmp}/missing/sweep.csv"),
 }
 
+#: The stderr line each EXIT_CODE_INVOCATIONS entry ends with: all of
+#: stderr, or after argparse's usage text for code 2.
+EXIT_CODE_LINES = {
+    2: "weakmeas probs: error: argument --theta: invalid number value: 'x'",
+    3: "error: weakness margin 0.6 exceeds guard 0.5",
+    4: "error: |<f|psi>| = 0 below threshold 1e-08",
+    5: "error: a first-order probability is negative; coupling eps=0.3 is too strong for this "
+       "post-selection",
+    6: "error: basis overlap |<f0|f1>| = 1",
+    7: "error: no coincidence amplitude left after the gate",
+    8: "error: |wv_reference| = 2.22e-16 below 1e-08",
+    9: "error: p(A|f;eps) is zero; cannot take its logarithm",
+    11: "error: Fisher information F_A of the post-selected f=A events is zero",
+    12: "error: 4 of 50 replicas had a zero count in the f=A column",
+    20: "io error: [Errno 2] No such file or directory: '{tmp}/missing/sweep.csv'",
+}
+
+# the uncompensated PPBS at eps = 0 leaves no f = A coincidence at 120 deg
+_NO_A_EVENTS = ("--theta", "120", "--epsilon", "0", "--model", "exact-ppbs",
+                "--tv", str(1 / math.sqrt(3)), "--ah", "1")
+_FEW_REPLICAS = ("--shots", "100", "--replicas", "2", "--seed", "0")
+
+#: (code, argv, stderr line) of every EXIT_CODE_INVOCATIONS entry, and of
+#: the estimator's status errors as the other commands that run it print them.
+ERROR_LINES = [(code, argv, EXIT_CODE_LINES[code]) for code, argv in EXIT_CODE_INVOCATIONS.items()] + [
+    (9, ("estimate", *_NO_A_EVENTS), "error: post-selection probability p(f=A) is zero"),
+    (9, ("montecarlo", *_NO_A_EVENTS, *_FEW_REPLICAS),
+     "error: post-selection probability p(f=A) is zero"),
+    # wv_A at 270 deg is round-off, -2.2e-16
+    (8, ("montecarlo", "--theta", "270", "--epsilon", "0.08", *_FEW_REPLICAS),
+     "error: |wv_reference| = 2.22e-16 below 1e-08"),
+]
+
 
 class TestErrorExitCodes:
     def test_coupling_too_strong(self, capsys):
@@ -820,6 +853,18 @@ class TestErrorExitCodes:
         except SystemExit as exc:  # argparse refuses the arguments
             got = exc.code
         assert got == code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("code, argv, line", ERROR_LINES,
+                             ids=[f"{code}-{argv[0]}" for code, argv, _ in ERROR_LINES])
+    def test_error_line_is_pinned(self, capsys, tmp_path, code, argv, line):
+        try:
+            got = main([a.format(tmp=tmp_path) for a in argv])
+        except SystemExit as exc:  # argparse refuses the arguments
+            got = exc.code
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert (got, out, lines[-1]) == (code, "", line.format(tmp=tmp_path))
+        assert code == 2 or len(lines) == 1
 
     def test_zero_post_selected_information_is_named(self, capsys):
         # F_total is 4 here; only F_A, the information behind crb_A, is 0

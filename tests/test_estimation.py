@@ -52,38 +52,46 @@ def exact_eps_hat(theta_deg, eps):
 
 class TestEstimateEpsilon:
     def test_recovers_operating_point(self):
-        eps_hat, sigma = estimate_epsilon(0.58, 0.42, 1.0)
+        eps_hat, sigma = estimate_epsilon(0.58, 0.42, 1.0, f=F_A)
         assert eps_hat == pytest.approx(0.08, abs=1e-15)
         assert sigma is None
 
     def test_counts_are_normalized_by_their_sum(self):
-        assert estimate_epsilon(58, 42, 1.0, n_events=100) == estimate_epsilon(
-            0.58, 0.42, 1.0, n_events=100
+        assert estimate_epsilon(58, 42, 1.0, n_events=100, f=F_A) == estimate_epsilon(
+            0.58, 0.42, 1.0, n_events=100, f=F_A
         )
         # one empty meter outcome is an estimate, p(D|f) = 1
-        assert estimate_epsilon(10, 0, 0.5) == (1.0, None)
+        assert estimate_epsilon(10, 0, 0.5, f=F_A) == (1.0, None)
 
     def test_joint_cells_give_the_conditional_estimate(self):
         d = linear(0.0, 0.08)
-        eps_hat, sigma = estimate_epsilon(d[0], d[1], 1.0)
+        eps_hat, sigma = estimate_epsilon(d[0], d[1], 1.0, f=F_A)
         assert eps_hat == pytest.approx((0.58 - 0.42) / 2.0)
         assert sigma is None
 
     def test_symmetric_outcomes_give_zero(self):
         for wv in (1.0, -2.5, 7.0):
-            assert estimate_epsilon(0.5, 0.5, wv)[0] == 0.0
+            assert estimate_epsilon(0.5, 0.5, wv, f=F_A)[0] == 0.0
 
     def test_exact_model_bias_at_zero_theta(self):
         eps = 0.08
         d = exact(0.0, eps)
         assert d[0] / (d[0] + d[1]) == pytest.approx(0.57949, abs=5e-6)
-        eps_hat, _ = estimate_epsilon(d[0], d[1], 1.0)
+        eps_hat, _ = estimate_epsilon(d[0], d[1], 1.0, f=F_A)
         assert eps_hat == pytest.approx(exact_eps_hat(0.0, eps), abs=1e-12)
         assert eps_hat == pytest.approx(0.07949, abs=5e-6)
 
+    def test_zero_weights_name_the_outcome(self):
+        with pytest.raises(ZeroProbability, match=r"^post-selection probability p\(f=D\) is zero$"):
+            estimate_epsilon(0.0, 0.0, 1.0, f="D")
+
+    def test_outcome_is_required(self):
+        with pytest.raises(TypeError):
+            estimate_epsilon(0.58, 0.42, 1.0)
+
     def test_zero_reference_raises(self):
         with pytest.raises(WeakValueReferenceZero):
-            estimate_epsilon(0.6, 0.4, 0.0)
+            estimate_epsilon(0.6, 0.4, 0.0, f=F_A)
 
     @pytest.mark.parametrize("w_d, w_a, wv, error", [
         (0.0, 0.0, 1.0, ZeroProbability),
@@ -97,7 +105,7 @@ class TestEstimateEpsilon:
     ])
     def test_raises_the_error_of_the_status(self, w_d, w_a, wv, error):
         with pytest.raises(error):
-            estimate_epsilon(w_d, w_a, wv)
+            estimate_epsilon(w_d, w_a, wv, f=F_A)
 
     @pytest.mark.parametrize("w_d, w_a, n_events", [
         (-0.1, 1.1, None), (0.5, math.nan, None), (math.inf, 1.0, None), (0.5, 0.5, 0.0),
@@ -105,10 +113,10 @@ class TestEstimateEpsilon:
     ])
     def test_rejects_bad_weights_and_events(self, w_d, w_a, n_events):
         with pytest.raises(ValueError):
-            estimate_epsilon(w_d, w_a, 1.0, n_events)
+            estimate_epsilon(w_d, w_a, 1.0, n_events, f=F_A)
 
     def test_binomial_sigma(self):
-        _, sigma = estimate_epsilon(0.5, 0.5, 2.0, n_events=400)
+        _, sigma = estimate_epsilon(0.5, 0.5, 2.0, n_events=400, f=F_A)
         assert sigma == pytest.approx(math.sqrt(0.25 / 400) / 2.0)
 
     @pytest.mark.parametrize("deg", [0.0, 10.0, 30.0, 45.0, 60.0, 130.0, 200.0])
@@ -117,7 +125,7 @@ class TestEstimateEpsilon:
         d = linear(deg, eps)
         if d[0] + d[1] <= 0.0:  # p(f = A)
             return
-        eps_hat, _ = estimate_epsilon(d[0], d[1], wv_a(deg))
+        eps_hat, _ = estimate_epsilon(d[0], d[1], wv_a(deg), f=F_A)
         assert eps_hat == pytest.approx(eps, abs=1e-12)
 
     def test_bias_nondecreasing_towards_orthogonality(self):
@@ -125,7 +133,7 @@ class TestEstimateEpsilon:
         biases = []
         for deg in (0.0, 30.0, 60.0, 80.0, 85.0):
             d = exact(deg, eps)
-            eps_hat, _ = estimate_epsilon(d[0], d[1], wv_a(deg))
+            eps_hat, _ = estimate_epsilon(d[0], d[1], wv_a(deg), f=F_A)
             assert eps_hat == pytest.approx(exact_eps_hat(deg, eps), abs=1e-12)
             biases.append(abs(eps_hat - eps))
         assert biases == sorted(biases)
@@ -267,7 +275,7 @@ class TestErrorInformationDuality:
         psi = linear_states(deg)
         pf = abs(psi[0] - psi[1]) ** 2 / 2.0
         _, f_a = fisher_information(psi)
-        _, sigma = estimate_epsilon(0.5, 0.5, wv_a(deg), n * pf)
+        _, sigma = estimate_epsilon(0.5, 0.5, wv_a(deg), n * pf, f=F_A)
         assert 1.0 / sigma**2 == pytest.approx(n * f_a, rel=1e-9)
 
 

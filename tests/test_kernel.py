@@ -4,6 +4,7 @@ balanced diagonal meter, weak values, the table p[4] and its checks, the
 logarithmic derivative 2 kappa_m Re wv_f), bases, and the batched table
 and sweep columns against the scalar API."""
 
+import inspect
 import math
 import re
 
@@ -31,10 +32,10 @@ from weakmeas import (
     sample_counts,
     weak_value,
 )
-from weakmeas import kernel
+from weakmeas import errors, kernel
 from weakmeas.kernel import (
-    DIAG_BASIS, _state, _transitions, analyzer_basis, check_table, joint_table, sweep_columns,
-    weak_values,
+    DIAG_BASIS, _state, _transitions, analyzer_basis, check_table, joint_table, moment_estimates,
+    sweep_columns, weak_values,
 )
 
 D_OUT, A_OUT = Outcome.D, Outcome.A
@@ -114,7 +115,7 @@ def reference_row(theta, eps, model, gate, postselect):
     row["eps_hat_A"] = None
     if p is not None and row["wv_A"] is not None and p[0] + p[1] > 0.0:
         try:
-            row["eps_hat_A"], _ = estimate_epsilon(p[0], p[1], row["wv_A"])
+            row["eps_hat_A"], _ = estimate_epsilon(p[0], p[1], row["wv_A"], f=F_A)
         except WeakMeasError:
             pass
     return row
@@ -190,6 +191,31 @@ def test_zero_coincidence_status():
     p, status = joint_table([0.0, 30.0], 0.05, ModelTag.EXACT_PPBS, gate)
     assert status.tolist() == [0, 0]
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_every_row_status_has_an_error_with_a_reason():
+    # the codes kernel.py writes into a status array, each reached once:
+    # 5 and 7 by joint_table, 9, 8 and 4 by moment_estimates
+    written = {getattr(errors, name).exit_code
+               for name in re.findall(r"(\w+)\.exit_code", inspect.getsource(kernel))}
+    gate = GateParams(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0)
+    reached = {
+        *joint_table([0.0, 80.0], 0.3, ModelTag.LINEAR)[1].tolist(),
+        *joint_table([0.0], 0.0, ModelTag.EXACT_PPBS, gate)[1].tolist(),
+        *moment_estimates([0.0, 0.6, 0.6], [0.0, 0.4, 0.4], np.array([1.0, 1e-9, math.nan]))[1].tolist(),
+    }
+    assert reached - {0} == written == {4, 5, 7, 8, 9}
+    for code in written:
+        err = errors.BY_CODE[code]
+        assert err.exit_code == code and isinstance(err.reason, str)
+
+
+def test_raise_status():
+    assert errors.raise_status(0) is None
+    # a status element, with a fact its reason does not name
+    with pytest.raises(LinearizationInvalid, match=r"^a first-order probability is negative; "
+                       r"coupling eps=0.3 is too strong for this post-selection$"):
+        errors.raise_status(np.int64(5), eps=0.3, f="A")
 
 
 @pytest.mark.parametrize("model", ["linear", "exact-ideal"])
@@ -474,7 +500,7 @@ class TestJointDistribution:
         d = linear(0.0, 0.08)
         assert d[0] + d[1] == pytest.approx(0.5)
         # with wv_ref = 1/2 the estimate is p(D|f) - p(A|f)
-        assert estimate_epsilon(d[0], d[1], 0.5)[0] == pytest.approx(0.58 - 0.42)
+        assert estimate_epsilon(d[0], d[1], 0.5, f=F_A)[0] == pytest.approx(0.58 - 0.42)
 
 
 class TestJointProbabilitiesLinear:

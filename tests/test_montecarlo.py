@@ -349,7 +349,7 @@ class TestRunEnsemble:
         dist = model_distribution(deg, eps, ModelTag.EXACT_IDEAL)
         half = math.radians(deg) / 2.0
         wv = (math.cos(half) + math.sin(half)) / (math.cos(half) - math.sin(half))
-        expected, _ = estimate_epsilon(dist[0], dist[1], wv)
+        expected, _ = estimate_epsilon(dist[0], dist[1], wv, f=Outcome.A)
         se = math.sqrt(stats.var_eps_hat / stats.n_replicas)
         assert abs(stats.mean_eps_hat - expected) < 3.0 * se
 
@@ -423,7 +423,7 @@ class TestRunEnsemble:
         # the estimator the ensemble runs, on those counts, and its N = 1 call
         eps_hat, status = moment_estimates(n_d[usable], n_a[usable], wv_ref)
         assert eps_hat.tolist() == want and not status.any()
-        assert [estimate_epsilon(n_d, n_a, wv_ref)[0] for n_d, n_a in kept] == want
+        assert [estimate_epsilon(n_d, n_a, wv_ref, f=f)[0] for n_d, n_a in kept] == want
         if discarded > DISCARD_TOLERANCE * 200:
             with pytest.raises(TooManyDiscardedReplicas, match=f"{discarded} of 200"):
                 run_ensemble(theta, eps, model, shots, 200, base_seed=seed, f=f,
