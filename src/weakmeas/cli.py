@@ -40,7 +40,7 @@ import numpy as np
 from .args import IO_EXIT_CODE, build_parser
 from .errors import WeakMeasError
 from .kernel import (
-    COLUMN, COMPENSATED_PPBS, GateParams, ModelTag, Outcome, analyzer_basis, fisher_information,
+    COLUMN, GateParams, ModelTag, Outcome, analyzer_basis, fisher_information,
     linear_states, model_distribution, sweep_columns, weak_value,
 )
 
@@ -62,16 +62,18 @@ SWEEP_COLUMNS = (
     "format_version",
 )
 
-def _gate_params(args) -> GateParams | None:
-    if args.model != "exact-ppbs":
-        given = [f"--{n}" for n in ("tv", "th", "ah") if getattr(args, n) is not None]
-        if given:
-            raise ValueError(f"{'/'.join(given)} apply only to --model exact-ppbs")
-        return None
-    t_v = args.tv if args.tv is not None else COMPENSATED_PPBS.t_v
-    t_h = args.th if args.th is not None else COMPENSATED_PPBS.t_h
-    a_h = args.ah if args.ah is not None else COMPENSATED_PPBS.a_h
-    return GateParams(t_h=t_h, t_v=t_v, a_h=a_h)
+def _model_and_gate(args) -> tuple[ModelTag, GateParams | None]:
+    """The model of ``--model`` and, for exact-ppbs, the GateParams of the
+    --tv/--th/--ah given, its defaults filling the rest; another model
+    refuses them and has no gate."""
+    given = {k: v for k, v in (("t_v", args.tv), ("t_h", args.th), ("a_h", args.ah)) if v is not None}
+    model = ModelTag.parse(args.model)
+    if model is ModelTag.EXACT_PPBS:
+        return model, GateParams(**given)
+    if given:
+        flags = "/".join("--" + k.replace("_", "") for k in given)
+        raise ValueError(f"{flags} apply only to --model exact-ppbs")
+    return model, None
 
 
 def _print_json(payload: dict) -> None:
@@ -82,7 +84,7 @@ def _print_json(payload: dict) -> None:
 
 def cmd_probs(args) -> int:
     p_da, p_aa, p_dd, p_ad = model_distribution(
-        args.theta, args.epsilon, args.model, _gate_params(args), args.postselect
+        args.theta, args.epsilon, *_model_and_gate(args), args.postselect
     ).tolist()
     payload = {
         "theta_deg": args.theta,
@@ -210,7 +212,7 @@ def _sweep_file(path: str):
 
 def cmd_sweep(args) -> int:
     theta = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
-    model, gate_params = ModelTag.parse(args.model), _gate_params(args)
+    model, gate_params = _model_and_gate(args)
     blocks = (
         sweep_columns(theta[i:i + _KERNEL_ROWS], args.epsilon, model, gate_params, args.postselect)
         for i in range(0, len(theta), _KERNEL_ROWS)
@@ -275,7 +277,7 @@ def cmd_estimate(args) -> int:
     from .estimation import estimate_epsilon
 
     psi = linear_states(args.theta)
-    p = model_distribution(args.theta, args.epsilon, args.model, _gate_params(args), args.postselect)
+    p = model_distribution(args.theta, args.epsilon, *_model_and_gate(args), args.postselect)
     wv_ref = weak_value(psi, analyzer_basis(args.postselect)[1]).real
     w_d, w_a = (p[i].item() for i in COLUMN[Outcome.A])
     # the expected number of post-selected events among the shots
@@ -298,15 +300,16 @@ def cmd_estimate(args) -> int:
 def cmd_montecarlo(args) -> int:
     from .montecarlo import run_ensemble
 
+    model, gate_params = _model_and_gate(args)
     stats = run_ensemble(
         args.theta,
         args.epsilon,
-        ModelTag.parse(args.model),
+        model,
         n_per_replica=args.shots,
         n_replicas=args.replicas,
         base_seed=args.seed,
         f=args.f,
-        gate_params=_gate_params(args),
+        gate_params=gate_params,
         mode=args.mode,
     )
     _print_json(
@@ -353,4 +356,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from .__main__ import script
+
+    script()

@@ -88,6 +88,8 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
 def _finite_difference(at_eps: np.ndarray, at_zero: np.ndarray, f: Outcome,
                        eps_probe: float) -> float:
     """:func:`extract_weak_value` on checked tables."""
+    if not math.isfinite(eps_probe):
+        raise ValueError(f"eps_probe must be nonzero and finite, got {eps_probe!r}")
     if eps_probe == 0.0:
         raise ZeroProbeCoupling("eps_probe must be nonzero")
     pd_e, pa_e = _conditional(at_eps, f)
@@ -129,8 +131,10 @@ def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | str | None = Non
     F_f of the strategy that keeps the post-selected outcome f; a zero
     information is named as that outcome's when f is given."""
     f = None if f is None else Outcome(f)
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
+    if not 0 < n_trials < math.inf:
+        raise ValueError(f"n_trials must be positive and finite, got {n_trials!r}")
+    if not math.isfinite(fisher):
+        raise ValueError(f"fisher must be finite, got {fisher!r}")
     if fisher <= 0.0:
         if f is not None:
             raise ZeroInformation(

@@ -39,7 +39,7 @@ the controlled sign diag(1, 1, 1, -1). ``exact-ppbs`` applies
 splitter (PPBS) hit by the system photon and the probe photon, one per
 input port, keeping only coincidence events (one photon per output
 port). With amplitude transmittivities t_H = 1 and t_V = 1/sqrt(3) and
-per-photon H compensation a_H = 1/sqrt(3) (COMPENSATED_PPBS), its
+per-photon H compensation a_H = 1/sqrt(3) (``GateParams()``), its
 coincidence amplitudes reduce to (1/3) diag(1, 1, 1, -1): a
 controlled-sign gate with success amplitude 1/3 that flips the sign of
 the |V,V> component only. Conventions:
@@ -302,31 +302,24 @@ def linear_table(transitions, eps: float):
 @dataclass(frozen=True)
 class GateParams:
     """Amplitude transmittivities of the PPBS and the per-photon H
-    compensation amplitude applied after the gate."""
+    compensation amplitude applied after the gate. The defaults are the
+    compensated gate, which realizes the controlled sign exactly."""
 
-    t_h: float
-    t_v: float
-    a_h: float
+    t_h: float = 1.0
+    t_v: float = 1.0 / math.sqrt(3.0)
+    a_h: float = 1.0 / math.sqrt(3.0)
 
     def __post_init__(self) -> None:
         for name, value in (("t_h", self.t_h), ("t_v", self.t_v), ("a_h", self.a_h)):
             if not (0.0 < value <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
 
-    @property
-    def r_h(self) -> float:
-        return math.sqrt(1.0 - self.t_h**2)
-
-    @property
-    def r_v(self) -> float:
-        return math.sqrt(1.0 - self.t_v**2)
-
 
 #: Gate parameters realizing the controlled-sign gate exactly.
-COMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0 / math.sqrt(3.0))
+COMPENSATED_PPBS = GateParams()
 
 #: Single PPBS without H-compensation elements.
-UNCOMPENSATED_PPBS = GateParams(t_h=1.0, t_v=1.0 / math.sqrt(3.0), a_h=1.0)
+UNCOMPENSATED_PPBS = GateParams(a_h=1.0)
 
 
 def ppbs_coincidence_operator(params: GateParams) -> tuple[np.ndarray, float]:
@@ -334,7 +327,7 @@ def ppbs_coincidence_operator(params: GateParams) -> tuple[np.ndarray, float]:
     {HH, HV, VH, VV}: the diagonal d and the swap coefficient s, with
     out = d * in + s * (in with HV and VH exchanged, HH and VV zeroed)."""
     t_h, t_v, a_h = params.t_h, params.t_v, params.a_h
-    r_h, r_v = params.r_h, params.r_v
+    r_h, r_v = math.sqrt(1.0 - t_h**2), math.sqrt(1.0 - t_v**2)
     mixed = a_h * t_h * t_v
     diag = np.array(
         [

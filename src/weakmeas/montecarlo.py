@@ -71,13 +71,13 @@ _BLOCK_ROWS = 4096
 
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator over Philox4x64 keyed by (seed, stream); the seed must
-    be an integer in [0, 2^64)."""
-    seed = operator.index(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed!r}")
-    key = seed | (int(stream) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator over Philox4x64 keyed by (seed, stream); each must be an
+    integer in [0, 2^64)."""
+    seed, stream = operator.index(seed), operator.index(stream)
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {value!r}")
+    return np.random.Generator(np.random.Philox(key=seed | (stream << 64)))
 
 
 class _Binomial(ctypes.Structure):

@@ -1,6 +1,7 @@
 import ast
 import errno
 import gc
+import itertools
 import json
 import math
 import os
@@ -129,6 +130,20 @@ class TestProbs:
         ideal = json.loads(out)
         for key in ("p_DA", "p_AA", "p_DD", "p_AD"):
             assert ppbs[key] == pytest.approx(ideal[key], abs=1e-9)
+
+    @pytest.mark.parametrize("given", [
+        dict(subset) for k in range(4)
+        for subset in itertools.combinations((("tv", "0.6"), ("th", "0.9"), ("ah", "0.5")), k)
+    ], ids=lambda given: "+".join(given) or "none")
+    def test_gate_options_default_to_the_compensated_gate(self, capsys, given):
+        # a gate option not given takes its GateParams default; --tv 0.6
+        # prints the bytes of --tv 0.6 --th 1 --ah 0.5773502691896258
+        argv = ("probs", "--theta", "30", "--epsilon", "0.08", "--model", "exact-ppbs")
+        spelled = {"tv": str(1 / math.sqrt(3)), "th": "1", "ah": str(1 / math.sqrt(3)), **given}
+        short = run_cli(capsys, *argv, *(t for o, v in given.items() for t in (f"--{o}", v)))
+        full = run_cli(capsys, *argv, *(t for o, v in spelled.items() for t in (f"--{o}", v)))
+        assert short == full
+        assert short[0] == 0
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -987,6 +1002,32 @@ class TestEntryPoint:
                               check=False, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{code} True"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fisher", "--theta", "0"], 0),
+        (["probs", "--theta", "80", "--epsilon", "0.3"], 5),
+    ], ids=["fisher", "refused-row"])
+    def test_cli_module_invocation(self, argv, code):
+        proc = subprocess.run([sys.executable, "-m", "weakmeas.cli", *argv], capture_output=True,
+                              text=True, check=False, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert (proc.stdout, proc.stderr) == ("", EXIT_CODE_LINES[5] + "\n")
+        else:
+            assert json.loads(proc.stdout)["F_total"] == pytest.approx(4.0)
+
+    def test_cli_module_ends_through_the_script(self):
+        # python -m weakmeas.cli runs weakmeas.__main__.script, which
+        # freezes the heap as the command exits
+        program = ("import gc, runpy, sys\n"
+                   "sys.argv[1:] = ['fisher', '--theta', '0']\n"
+                   "try:\n    runpy.run_module('weakmeas.cli', run_name='__main__')\n"
+                   "except SystemExit as exc:\n"
+                   "    print(exc.code, gc.get_freeze_count() > 0)\n")
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              check=False, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
 
     def test_main_leaves_the_collector_alone(self, capsys):
         before = gc.get_freeze_count()

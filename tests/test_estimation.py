@@ -193,6 +193,13 @@ class TestExtractWeakValue:
         with pytest.raises(ZeroProbability, match="p\\(f=A\\)"):
             extract_weak_value([0.0, 0.0, 0.5, 0.5], p_0, F_A, 0.08)
 
+    @pytest.mark.parametrize("eps_probe", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_probe_coupling_raises(self, eps_probe):
+        # a NaN probe would give a NaN weak value, an infinite one 0.0
+        p_e, p_0 = linear(30.0, 0.08), linear(30.0, 0.0)
+        with pytest.raises(ValueError, match=r"^eps_probe must be nonzero and finite, got "):
+            extract_weak_value(p_e, p_0, F_A, eps_probe)
+
     def test_outcome_is_parsed(self):
         p_e, p_0 = linear(30.0, 0.08), linear(30.0, 0.0)
         for text, f in (("A", F_A), ("D", F_D)):
@@ -261,6 +268,16 @@ class TestCramerRaoBound:
         with pytest.raises(ValueError):
             cramer_rao_bound(2.0, 0, F_A)
 
+    @pytest.mark.parametrize("fisher, n_trials, message", [
+        (math.nan, 10, "fisher must be finite"), (math.inf, 10, "fisher must be finite"),
+        (4.0, math.inf, "n_trials must be positive and finite"),
+        (4.0, math.nan, "n_trials must be positive and finite"),
+    ])
+    def test_rejects_nonfinite_arguments(self, fisher, n_trials, message):
+        # the first three would give a bound of nan, 0.0 and 0.0
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            cramer_rao_bound(fisher, n_trials)
+
     def test_outcome_is_parsed(self):
         with pytest.raises(ZeroInformation, match=r"^Fisher information F_D "):
             cramer_rao_bound(0.0, 100, "D")
@@ -289,6 +306,13 @@ class TestApparentFisher:
             want = fisher_information(linear_states(deg))
             assert got[1] == pytest.approx(want[1], rel=1e-6)
             assert got[0] == pytest.approx(want[0], rel=1e-6)
+
+    @pytest.mark.parametrize("eps_probe", [math.nan, math.inf])
+    def test_nonfinite_probe_coupling_raises(self, eps_probe):
+        # these would give the split [nan, nan] and [0.0, 0.0]
+        p_e, p_0 = linear(30.0, 0.08), linear(30.0, 0.0)
+        with pytest.raises(ValueError, match=r"^eps_probe must be nonzero and finite, got "):
+            apparent_fisher(p_e, p_0, eps_probe)
 
     def test_uncompensated_gate_produces_asymmetric_deviation(self):
         eps = 0.08

@@ -46,9 +46,22 @@ class TestGateParams:
             GateParams(t_h=1.2, t_v=0.5, a_h=1.0)
 
     def test_reflectivities(self):
-        p = GateParams(t_h=1.0, t_v=1.0 / SQRT3, a_h=1.0)
-        assert p.r_h == pytest.approx(0.0)
-        assert p.r_v == pytest.approx(math.sqrt(2.0 / 3.0))
+        # the operator takes r_x = sqrt(1 - t_x^2): s = -a_H r_H r_V and
+        # d_VV = t_V^2 - r_V^2 = 2 t_V^2 - 1
+        for p in (GateParams(t_h=1.0, t_v=1.0 / SQRT3, a_h=1.0), GateParams(0.28, 0.96, 0.5),
+                  GateParams(0.6, 1.0 / SQRT3, 0.9), GateParams()):
+            diag, swap = ppbs_coincidence_operator(p)
+            r_h, r_v = math.sqrt(1.0 - p.t_h**2), math.sqrt(1.0 - p.t_v**2)
+            assert swap == pytest.approx(-p.a_h * r_h * r_v, abs=1e-15)
+            assert diag[3] == pytest.approx(2.0 * p.t_v**2 - 1.0, abs=1e-15)
+        # r_H = 0 and r_V = sqrt(2/3): no swap, and d_VV = 2/3 - 1
+        diag, swap = ppbs_coincidence_operator(GateParams(t_h=1.0, t_v=1.0 / SQRT3, a_h=1.0))
+        assert (swap, diag[3]) == pytest.approx((0.0, -1.0 / 3.0), abs=1e-15)
+
+    def test_defaults_are_the_compensated_gate(self):
+        assert GateParams() == COMPENSATED_PPBS
+        assert COMPENSATED_PPBS == GateParams(t_h=1.0, t_v=1.0 / SQRT3, a_h=1.0 / SQRT3)
+        assert UNCOMPENSATED_PPBS == GateParams(a_h=1.0)
 
 
 def ideal_csign(system, probe):

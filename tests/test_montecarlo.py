@@ -203,6 +203,17 @@ class TestPhiloxStreams:
             with pytest.raises(ValueError):
                 philox_generator(seed)
 
+    @pytest.mark.parametrize("stream, error", [
+        (1.5, TypeError), ("3", TypeError), (np.float64(2.0), TypeError),
+        (-1, ValueError), (2**64, ValueError),
+    ], ids=["1.5", "str", "float64", "-1", "2^64"])
+    def test_stream_is_an_integer_in_range(self, stream, error):
+        # a stream is an integer, never truncated to one: 1.5 is not stream 1
+        philox_generator(0, 2**64 - 1)
+        message = r"^stream must lie in \[0, 2\^64\)" if error is ValueError else None
+        with pytest.raises(error, match=message):
+            philox_generator(0, stream)
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
            replicas=st.integers(1, 5),
