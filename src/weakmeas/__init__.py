@@ -25,9 +25,8 @@ _SOURCES = {
         "estimation",
     ),
     **dict.fromkeys(
-        ("CELLS", "COMPENSATED_PPBS", "GateParams", "ModelTag", "Outcome",
-         "SINGULARITY_THRESHOLD", "UNCOMPENSATED_PPBS", "WEAKNESS_GUARD", "fisher_information",
-         "linear_states", "model_distribution", "weak_value"),
+        ("CELLS", "GateParams", "ModelTag", "Outcome", "SINGULARITY_THRESHOLD", "WEAKNESS_GUARD",
+         "fisher_information", "linear_states", "model_distribution", "weak_value"),
         "kernel",
     ),
     **dict.fromkeys(

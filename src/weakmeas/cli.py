@@ -23,9 +23,16 @@ Every command loads numpy, ``args``, ``errors`` and ``kernel``;
 ``estimation``, ``montecarlo`` and ``json`` are imported inside the
 commands that use them. ``__main__`` parses the command line with
 ``args``, which loads no numpy, before it imports this module.
+``python -m weakmeas.cli`` hands over to ``weakmeas.__main__.script()``
+before anything else loads, so it runs as ``python -m weakmeas`` does.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":
+    from weakmeas.__main__ import script
+
+    script()
 
 import contextlib
 import itertools
@@ -67,7 +74,7 @@ def _model_and_gate(args) -> tuple[ModelTag, GateParams | None]:
     --tv/--th/--ah given, its defaults filling the rest; another model
     refuses them and has no gate."""
     given = {k: v for k, v in (("t_v", args.tv), ("t_h", args.th), ("a_h", args.ah)) if v is not None}
-    model = ModelTag.parse(args.model)
+    model = ModelTag(args.model)
     if model is ModelTag.EXACT_PPBS:
         return model, GateParams(**given)
     if given:
@@ -353,9 +360,3 @@ def run(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     return run(build_parser().parse_args(argv))
-
-
-if __name__ == "__main__":
-    from .__main__ import script
-
-    script()

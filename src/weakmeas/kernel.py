@@ -151,15 +151,11 @@ _KAPPA = np.array([1.0, -1.0])[_M_ROW]
 
 
 class ModelTag(Enum):
-    LINEAR = "linear"
-    EXACT_IDEAL = "exact_ideal"
-    EXACT_PPBS = "exact_ppbs"
+    """A model: ``ModelTag(x)`` takes a member or its name, else raises "'x' is not a valid ModelTag"."""
 
-    @classmethod
-    def parse(cls, text: "ModelTag | str") -> "ModelTag":
-        if not isinstance(text, (cls, str)):
-            raise ValueError(f"{text!r} is not a valid {cls.__name__}")
-        return text if isinstance(text, cls) else cls(text.strip().lower().replace("-", "_"))
+    LINEAR = "linear"
+    EXACT_IDEAL = "exact-ideal"
+    EXACT_PPBS = "exact-ppbs"
 
 
 def _norm(h, v):
@@ -286,8 +282,11 @@ def linear_table(transitions, eps: float):
     outcomes (D, A). Where the post-selection is singular the row falls
     back to the interaction-free w_m |<f|psi>|^2, exact there to the order
     retained. A negative cell marks the breakdown of the weak-coupling
-    premise: the row is LinearizationInvalid.
+    premise: the row is LinearizationInvalid. A non-finite ``eps`` is a
+    ValueError, not a coupling past the guard.
     """
+    if not math.isfinite(eps):
+        raise ValueError(f"coupling eps={eps!r} is not finite")
     if not abs(eps) < WEAKNESS_GUARD:
         raise CouplingTooStrong(f"weakness margin {abs(eps):.6g} exceeds guard {WEAKNESS_GUARD:.6g}")
     pf = np.abs(transitions[1]) ** 2
@@ -313,13 +312,6 @@ class GateParams:
         for name, value in (("t_h", self.t_h), ("t_v", self.t_v), ("a_h", self.a_h)):
             if not (0.0 < value <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
-
-
-#: Gate parameters realizing the controlled-sign gate exactly.
-COMPENSATED_PPBS = GateParams()
-
-#: Single PPBS without H-compensation elements.
-UNCOMPENSATED_PPBS = GateParams(a_h=1.0)
 
 
 def ppbs_coincidence_operator(params: GateParams) -> tuple[np.ndarray, float]:
@@ -385,7 +377,7 @@ def exact_table(states, eps: float, gate: tuple, basis: np.ndarray):
 
 def _table(states, transitions, eps: float, model: ModelTag, gate_params, basis):
     if model is ModelTag.EXACT_PPBS:
-        return exact_table(states, eps, ppbs_coincidence_operator(gate_params or COMPENSATED_PPBS), basis)
+        return exact_table(states, eps, ppbs_coincidence_operator(gate_params or GateParams()), basis)
     if gate_params is not None:
         raise ValueError("gate_params apply only to model exact-ppbs")
     if model is ModelTag.LINEAR:
@@ -398,7 +390,7 @@ def joint_table(theta_deg, eps: float, model: ModelTag | str, gate_params=None, 
     angles in degrees. ``gate_params`` applies to the exact PPBS model and
     defaults to the compensated gate; another model refuses it (ValueError)."""
     basis, states = analyzer_basis(postselect_deg), linear_states(theta_deg)
-    return _table(states, _transitions(states, basis), eps, ModelTag.parse(model), gate_params, basis)
+    return _table(states, _transitions(states, basis), eps, ModelTag(model), gate_params, basis)
 
 
 def moment_estimates(w_d, w_a, wv_ref):
@@ -427,7 +419,7 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     theta = np.asarray(theta_deg, dtype=float)
     states, basis = linear_states(theta), analyzer_basis(postselect_deg)
     transitions = _transitions(states, basis)
-    p, _ = _table(states, transitions, eps, ModelTag.parse(model), gate_params, basis)
+    p, _ = _table(states, transitions, eps, ModelTag(model), gate_params, basis)
     wv_d, wv_a = weak_values(*transitions).real.T
     f_d, f_a = fisher_split(*transitions).T
     i_d, i_a = COLUMN[Outcome.A]

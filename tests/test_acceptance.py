@@ -38,8 +38,7 @@ from statistics import NormalDist
 
 from conftest import record_criterion
 from weakmeas import (
-    COMPENSATED_PPBS,
-    UNCOMPENSATED_PPBS,
+    GateParams,
     LinearizationInvalid,
     ModelTag,
     Outcome,
@@ -349,7 +348,7 @@ def test_criterion_8_gate_model_identity_and_imperfection():
     worst = 0.0
     for deg in (0.0, 40.0, 80.0, 120.0, 160.0):
         for eps in (0.04, 0.08):
-            via_gate = model_distribution(deg, eps, "exact-ppbs", COMPENSATED_PPBS)
+            via_gate = model_distribution(deg, eps, "exact-ppbs", GateParams())
             via_csign = model_distribution(deg, eps, "exact-ideal")
             worst = max(worst, max(abs(via_gate - via_csign)))
     identity_ok = worst <= 1e-12
@@ -357,16 +356,16 @@ def test_criterion_8_gate_model_identity_and_imperfection():
     # uncompensated PPBS analyzed with the ideal pipeline: per-row deviation
     # asymmetry and apparent total away from 4
     deg = 30.0
-    p_e = model_distribution(deg, EPS_OP, "exact-ppbs", UNCOMPENSATED_PPBS)
-    p_0 = model_distribution(deg, 0.0, "exact-ppbs", UNCOMPENSATED_PPBS)
+    p_e = model_distribution(deg, EPS_OP, "exact-ppbs", GateParams(a_h=1.0))
+    p_0 = model_distribution(deg, 0.0, "exact-ppbs", GateParams(a_h=1.0))
     got = apparent_fisher(p_e, p_0, EPS_OP)
     dev_d, dev_a = got / fisher_information(linear_states(deg))
     asymmetry_ok = abs(dev_a - dev_d) > 0.05
     total_off = abs(got.sum() - 4.0) > 0.5
 
     # apparent F > 4 artifact of the finite-coupling analysis at large wv
-    p_e = model_distribution(80.0, EPS_OP, "exact-ppbs", COMPENSATED_PPBS)
-    p_0 = model_distribution(80.0, 0.0, "exact-ppbs", COMPENSATED_PPBS)
+    p_e = model_distribution(80.0, EPS_OP, "exact-ppbs", GateParams())
+    p_0 = model_distribution(80.0, 0.0, "exact-ppbs", GateParams())
     artifact = apparent_fisher(p_e, p_0, EPS_OP).sum()
     artifact_ok = artifact > 4.0
 

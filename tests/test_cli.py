@@ -1,3 +1,4 @@
+import argparse
 import ast
 import errno
 import gc
@@ -22,7 +23,7 @@ from weakmeas import cli
 from weakmeas.cli import (
     MAX_SWEEP_ROWS, SWEEP_COLUMNS, SWEEP_FORMAT_VERSION, _theta_grid, main,
 )
-from weakmeas.kernel import sweep_columns
+from weakmeas.kernel import ModelTag, sweep_columns
 from weakmeas.montecarlo import MAX_REPLICAS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -906,6 +907,18 @@ class TestErrorExitCodes:
         assert "_shots" not in err and "_finite" not in err and "_eps_probe" not in err
 
 
+def test_model_choices_are_the_model_tags():
+    # the parser loads no numpy, so it spells the models out itself: as
+    # the values of ModelTag, which the kernel resolves them with
+    subs = next(a for a in cli_args.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    choices = {name: action.choices for name, sub in subs.choices.items()
+               for action in sub._actions if action.dest == "model"}
+    assert sorted(choices) == ["estimate", "montecarlo", "probs", "sweep"]
+    for name in choices:
+        assert tuple(choices[name]) == tuple(m.value for m in ModelTag), name
+
+
 class TestNegativeNumbers:
     """argparse in Python 3.10 and 3.11 takes '-1e-3' for an option; the
     parser widens its private negative-number pattern so that every
@@ -1028,6 +1041,26 @@ class TestEntryPoint:
                               check=False, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 True"
+
+    @staticmethod
+    def cli_module_imports(argv):
+        """(depth, name) of each import ``python -X importtime -m
+        weakmeas.cli`` reports, depth 0 for an import no other import made."""
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "weakmeas.cli", *argv],
+                              capture_output=True, text=True, check=False, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        names = [line.rpartition("|")[2][1:] for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")]
+        return [((len(n) - len(n.lstrip())) // 2, n.strip()) for n in names]
+
+    def test_cli_module_hands_over_before_its_imports(self):
+        # the guard of weakmeas.cli runs before its own imports: --help
+        # loads no numpy, and a command imports weakmeas.cli once, with
+        # numpy and the kernel inside that import
+        assert "numpy" not in {name for _, name in self.cli_module_imports(["--help"])}
+        top = [name for depth, name in self.cli_module_imports(["fisher", "--theta", "0"])
+               if depth == 0 and name.split(".")[0] in ("numpy", "weakmeas")]
+        assert top == ["weakmeas", "weakmeas.__main__", "weakmeas.cli", "weakmeas.estimation"]
 
     def test_main_leaves_the_collector_alone(self, capsys):
         before = gc.get_freeze_count()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weakmeas import (
+    GateParams,
     Outcome,
     PostselectionSingular,
     WeakValueReferenceZero,
@@ -11,8 +12,6 @@ from weakmeas import (
     ZeroProbability,
     ZeroProbeCoupling,
     apparent_fisher,
-    COMPENSATED_PPBS,
-    UNCOMPENSATED_PPBS,
     cramer_rao_bound,
     estimate_epsilon,
     extract_weak_value,
@@ -317,8 +316,8 @@ class TestApparentFisher:
     def test_uncompensated_gate_produces_asymmetric_deviation(self):
         eps = 0.08
         deg = 30.0
-        p_e = exact(deg, eps, params=UNCOMPENSATED_PPBS)
-        p_0 = exact(deg, 0.0, params=UNCOMPENSATED_PPBS)
+        p_e = exact(deg, eps, params=GateParams(a_h=1.0))
+        p_0 = exact(deg, 0.0, params=GateParams(a_h=1.0))
         got = apparent_fisher(p_e, p_0, eps)
         dev_d, dev_a = got / fisher_information(linear_states(deg))
         assert abs(dev_a - dev_d) > 0.05
@@ -339,8 +338,8 @@ class TestApparentFisher:
 
     def test_ideal_gate_total_stays_close(self):
         eps = 0.08
-        p_e = exact(30.0, eps, params=COMPENSATED_PPBS)
-        p_0 = exact(30.0, 0.0, params=COMPENSATED_PPBS)
+        p_e = exact(30.0, eps, params=GateParams())
+        p_0 = exact(30.0, 0.0, params=GateParams())
         got = apparent_fisher(p_e, p_0, eps)
         assert abs(got.sum() - 4.0) < 0.1
 

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from weakmeas import (
     CELLS,
-    COMPENSATED_PPBS,
     LinearizationInvalid,
-    UNCOMPENSATED_PPBS,
     GateParams,
     Outcome,
     ZeroCoincidenceNorm,
@@ -59,9 +57,7 @@ class TestGateParams:
         assert (swap, diag[3]) == pytest.approx((0.0, -1.0 / 3.0), abs=1e-15)
 
     def test_defaults_are_the_compensated_gate(self):
-        assert GateParams() == COMPENSATED_PPBS
-        assert COMPENSATED_PPBS == GateParams(t_h=1.0, t_v=1.0 / SQRT3, a_h=1.0 / SQRT3)
-        assert UNCOMPENSATED_PPBS == GateParams(a_h=1.0)
+        assert GateParams() == GateParams(t_h=1.0, t_v=1.0 / SQRT3, a_h=1.0 / SQRT3)
 
 
 def ideal_csign(system, probe):
@@ -119,7 +115,7 @@ AMPLITUDES = st.floats(0.0, 1.0, exclude_min=True)
 
 class TestPpbsCoincidenceOperator:
     def test_compensated_is_scaled_csign(self):
-        diag, swap = ppbs_coincidence_operator(COMPENSATED_PPBS)
+        diag, swap = ppbs_coincidence_operator(GateParams())
         assert np.allclose(diag, np.array([1.0, 1.0, 1.0, -1.0]) / 3.0, atol=1e-15)
         assert swap == 0.0
 
@@ -129,7 +125,7 @@ class TestPpbsCoincidenceOperator:
         assert swap == 0.0
 
     def test_uncompensated_values(self):
-        diag, swap = ppbs_coincidence_operator(UNCOMPENSATED_PPBS)
+        diag, swap = ppbs_coincidence_operator(GateParams(a_h=1.0))
         assert np.allclose(
             diag, [1.0, 1.0 / SQRT3, 1.0 / SQRT3, -1.0 / 3.0], atol=1e-15
         )
@@ -151,7 +147,7 @@ class TestPpbsCoincidenceOperator:
             return bool(swap == 0.0 and scale != 0.0 and np.allclose(
                 diag, scale * np.array([1.0, 1.0, 1.0, -1.0]), rtol=1e-9, atol=0.0))
 
-        assert is_csign(COMPENSATED_PPBS)
+        assert is_csign(GateParams())
         grid = [1e-3, 0.3, 1 / SQRT3, 1 / math.sqrt(2), 0.9, 1.0 - 1e-12, 1.0]
         for t_h in grid[:-1]:
             for t_v in grid:
@@ -212,7 +208,7 @@ class TestExactJointProbabilities:
     @pytest.mark.parametrize("deg", [0.0, 25.0, 90.0, 180.0, 300.0])
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
     def test_valid_distribution(self, deg, eps):
-        for params in (None, COMPENSATED_PPBS, UNCOMPENSATED_PPBS):
+        for params in (None, GateParams(), GateParams(a_h=1.0)):
             d = exact(deg, eps, params=params)
             assert (d >= 0.0).all()
             assert d.sum() == pytest.approx(1.0, abs=1e-12)
@@ -220,7 +216,7 @@ class TestExactJointProbabilities:
     @pytest.mark.parametrize("deg", [0.0, 20.0, 55.0, 130.0, 275.0])
     @pytest.mark.parametrize("eps", [0.0, 0.08, 0.2])
     def test_compensated_ppbs_equals_ideal_csign(self, deg, eps):
-        via_gate = exact(deg, eps, params=COMPENSATED_PPBS)
+        via_gate = exact(deg, eps, params=GateParams())
         via_csign = exact(deg, eps, params=None)
         np.testing.assert_allclose(via_gate, via_csign, rtol=0.0, atol=1e-12)
 
@@ -244,8 +240,8 @@ class TestExactJointProbabilities:
 
     def test_uncompensated_gate_shifts_postselection_asymmetrically(self):
         # relative change of p(f) under the imperfection differs between rows
-        ideal = exact(45.0, 0.0, params=COMPENSATED_PPBS)
-        uncomp = exact(45.0, 0.0, params=UNCOMPENSATED_PPBS)
+        ideal = exact(45.0, 0.0, params=GateParams())
+        uncomp = exact(45.0, 0.0, params=GateParams(a_h=1.0))
         ratio_a = marginal(uncomp, F_A) / marginal(ideal, F_A)
         ratio_d = marginal(uncomp, F_D) / marginal(ideal, F_D)
         assert abs(ratio_a - ratio_d) > 0.5

@@ -20,7 +20,6 @@ from weakmeas import (
     NonOrthonormalBasis,
     Outcome,
     PostselectionSingular,
-    UNCOMPENSATED_PPBS,
     WeakMeasError,
     ZeroCoincidenceNorm,
     apparent_fisher,
@@ -218,14 +217,28 @@ def test_raise_status():
         errors.raise_status(np.int64(5), eps=0.3, f="A")
 
 
+@pytest.mark.parametrize("model", list(ModelTag))
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda eps, model: joint_table([30.0], eps, model),
+    lambda eps, model: sweep_columns([30.0], eps, model),
+    lambda eps, model: model_distribution(30.0, eps, model),
+], ids=["joint_table", "sweep_columns", "model_distribution"])
+def test_non_finite_coupling_is_a_value_error(call, eps, model):
+    # every model names eps; the linear one does not report it as a
+    # coupling past its guard (CouplingTooStrong)
+    with pytest.raises(ValueError, match=f"^coupling eps={eps!r}"):
+        call(eps, model)
+
+
 @pytest.mark.parametrize("model", ["linear", "exact-ideal"])
 def test_gate_params_refused_for_other_models(model):
     # a gate another model would not apply: the table would come back as
     # if no gate had been given
     with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
-        model_distribution(30.0, 0.08, model, UNCOMPENSATED_PPBS)
+        model_distribution(30.0, 0.08, model, GateParams(a_h=1.0))
     with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
-        sweep_columns([30.0], 0.08, model, UNCOMPENSATED_PPBS)
+        sweep_columns([30.0], 0.08, model, GateParams(a_h=1.0))
 
 
 def test_coupling_guard_raises_for_the_whole_call():

@@ -15,7 +15,6 @@ from weakmeas import (
     ModelTag,
     Outcome,
     TooManyDiscardedReplicas,
-    UNCOMPENSATED_PPBS,
     WeakValueReferenceZero,
     ZeroProbability,
     fisher_information,
@@ -97,13 +96,15 @@ class TestModelDistribution:
         assert ideal[0] == pytest.approx(0.289746, abs=5e-7)
         assert ppbs[0] == pytest.approx(ideal[0], abs=1e-12)
 
-    def test_parse_accepts_dashes(self):
-        assert ModelTag.parse("exact-ideal") is ModelTag.EXACT_IDEAL
-        assert ModelTag.parse("LINEAR") is ModelTag.LINEAR
+    @pytest.mark.parametrize("tag", list(ModelTag))
+    def test_tag_takes_a_member_or_its_name(self, tag):
+        assert ModelTag(tag.value) is ModelTag(tag) is tag
 
-    @pytest.mark.parametrize("model", [None, 3, "bogus"])
+    @pytest.mark.parametrize("model", [None, 3, "bogus", "LINEAR", " linear", "exact_ideal"])
     def test_unknown_model_is_named(self, model):
-        with pytest.raises(ValueError, match=f"{model!r} is not a valid ModelTag"):
+        with pytest.raises(ValueError, match=f"^{model!r} is not a valid ModelTag$"):
+            ModelTag(model)
+        with pytest.raises(ValueError, match=f"^{model!r} is not a valid ModelTag$"):
             model_distribution(0.0, 0.08, model)
 
 
@@ -532,7 +533,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("model", [ModelTag.LINEAR, ModelTag.EXACT_IDEAL])
     def test_gate_params_refused_for_other_models(self, model):
         with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
-            run_ensemble(30.0, 0.08, model, 1000, 10, 1, gate_params=UNCOMPENSATED_PPBS)
+            run_ensemble(30.0, 0.08, model, 1000, 10, 1, gate_params=GateParams(a_h=1.0))
 
     def test_peak_memory_per_replica(self):
         # the ensemble keeps one float64 estimate a replica and one block

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weakmeas import COMPENSATED_PPBS, GateParams
+from weakmeas import GateParams
 from weakmeas.kernel import WV_REFERENCE_FLOOR, joint_table, moment_estimates, sweep_columns
 
 angles = st.floats(0.0, 360.0, exclude_max=True)
@@ -46,7 +46,7 @@ def test_rows_are_distributions_where_defined(theta, eps, postselect, gate):
 @PROPERTY
 @given(theta=thetas, eps=couplings, postselect=angles)
 def test_compensated_ppbs_equals_ideal_gate(theta, eps, postselect):
-    ppbs, ppbs_status = joint_table(theta, eps, "exact-ppbs", COMPENSATED_PPBS, postselect)
+    ppbs, ppbs_status = joint_table(theta, eps, "exact-ppbs", GateParams(), postselect)
     ideal, ideal_status = joint_table(theta, eps, "exact-ideal", None, postselect)
     np.testing.assert_array_equal(ppbs_status, ideal_status)
     np.testing.assert_allclose(ppbs, ideal, rtol=0.0, atol=1e-12)
