@@ -67,15 +67,18 @@ outcomes (D, A), and a joint table is p[4] in CELLS order. The array
 functions take input states as the rows of an (N, 2) array; a rule that
 fails for one row leaves that row NaN, and its ``status`` is the exit
 code of the error the scalar function raises for it (0 where the row is
-defined). A call makes one amplitude pass, :func:`_transitions`, and
-reads the weak values, p(f), the Fisher split and the first-order table
-from its pair. The arithmetic is elementwise, so a row's value does not
-depend on N and uses no BLAS kernel. States built here (the probe, the
-rows of :func:`linear_states` and of a basis) are unit vectors by
-construction. A caller's own state is checked once, at the scalar
-functions: it must be finite and nonzero and is normalized. The scalar
-functions are N = 1 calls of the array functions, so each model has one
-implementation.
+defined). :func:`sweep_columns` is the one array entry from angles to
+tables: it returns the columns of a sweep and the table's ``status``. A
+call makes one amplitude pass, :func:`_transitions`, and reads the weak
+values, p(f), the Fisher split and the first-order table from its pair.
+The arithmetic is elementwise, so a row's value does not depend on N and
+uses no BLAS kernel. States built here (the probe, the rows of
+:func:`linear_states` and of a basis) are unit vectors by construction.
+A caller's own state is checked once, at the scalar functions: it must
+be finite and nonzero and is normalized. The scalar functions are N = 1
+calls: ``model_distribution`` of :func:`sweep_columns`, ``weak_value``
+and ``fisher_information`` of the :func:`weak_values` and
+:func:`fisher_split` it reads, so each model has one implementation.
 """
 
 from __future__ import annotations
@@ -385,14 +388,6 @@ def _table(states, transitions, eps: float, model: ModelTag, gate_params, basis)
     return exact_table(states, eps, IDEAL_GATE, basis)
 
 
-def joint_table(theta_deg, eps: float, model: ModelTag | str, gate_params=None, postselect_deg=270.0):
-    """(p[N, 4], status[N]) of the selected model over an array of input
-    angles in degrees. ``gate_params`` applies to the exact PPBS model and
-    defaults to the compensated gate; another model refuses it (ValueError)."""
-    basis, states = analyzer_basis(postselect_deg), linear_states(theta_deg)
-    return _table(states, _transitions(states, basis), eps, ModelTag(model), gate_params, basis)
-
-
 def moment_estimates(w_d, w_a, wv_ref):
     """(eps_hat, status) of (p(D|f) - p(A|f)) / (2 wv_ref) per row, with
     p(D|f), p(A|f) the (D, f) and (A, f) weights (counts, cells or
@@ -412,14 +407,18 @@ def moment_estimates(w_d, w_a, wv_ref):
 
 
 def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None, postselect_deg=270.0):
-    """The columns of a theta sweep as float arrays keyed by name, NaN
-    where a cell is undefined: the joint table, the weak values of both
-    outcomes, the moment estimate from the f = A conditionals, the
-    relative error scale 1 / sqrt(F_A) and the Fisher split."""
+    """The columns of a theta sweep as arrays keyed by name, the kernel's
+    one array entry: float columns NaN where a cell is undefined (the
+    joint table, the weak values of both outcomes, the moment estimate
+    from the f = A conditionals, the relative error scale 1 / sqrt(F_A)
+    and the Fisher split), and ``status``, each row's table status: 0, or
+    the exit code of the error of that row. ``gate_params`` applies to
+    the exact PPBS model and defaults to the compensated gate; another
+    model refuses it (ValueError)."""
     theta = np.asarray(theta_deg, dtype=float)
     states, basis = linear_states(theta), analyzer_basis(postselect_deg)
     transitions = _transitions(states, basis)
-    p, _ = _table(states, transitions, eps, ModelTag(model), gate_params, basis)
+    p, status = _table(states, transitions, eps, ModelTag(model), gate_params, basis)
     wv_d, wv_a = weak_values(*transitions).real.T
     f_d, f_a = fisher_split(*transitions).T
     i_d, i_a = COLUMN[Outcome.A]
@@ -429,7 +428,7 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     return {
         "theta_deg": theta, "p_DA": p[:, 0], "p_AA": p[:, 1], "p_DD": p[:, 2], "p_AD": p[:, 3],
         "wv_A": wv_a, "wv_D": wv_d, "eps_hat_A": eps_hat, "sigma_rel_A": sigma,
-        "F_A": f_a, "F_D": f_d, "F_total": f_d + f_a,
+        "F_A": f_a, "F_D": f_d, "F_total": f_d + f_a, "status": status,
     }
 
 
@@ -456,9 +455,9 @@ def model_distribution(theta: float, eps: float, model: ModelTag | str, gate_par
     """Joint table p[4] in CELLS order of the selected model at
     (theta, eps), post-selected in ``analyzer_basis(postselect_deg)``. A
     row the model leaves undefined raises the error of its status."""
-    p, status = joint_table([theta], eps, model, gate_params, postselect_deg)
-    raise_status(status[0], eps=eps)
-    return p[0]
+    cols = sweep_columns([theta], eps, model, gate_params, postselect_deg)
+    raise_status(cols["status"][0], eps=eps)
+    return np.array([cols[f"p_{m.value}{f.value}"][0] for m, f in CELLS])
 
 
 def fisher_information(psi, postselect_deg=270.0) -> np.ndarray:

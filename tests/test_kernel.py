@@ -33,8 +33,8 @@ from weakmeas import (
 )
 from weakmeas import errors, kernel
 from weakmeas.kernel import (
-    DIAG_BASIS, _state, _transitions, analyzer_basis, check_table, joint_table, moment_estimates,
-    sweep_columns, weak_values,
+    DIAG_BASIS, _state, _transitions, analyzer_basis, check_table, moment_estimates, sweep_columns,
+    weak_values,
 )
 
 D_OUT, A_OUT = Outcome.D, Outcome.A
@@ -75,6 +75,12 @@ def wv_closed_form(theta_deg):
 
 def linear(deg, eps):
     return model_distribution(deg, eps, "linear")
+
+
+def table(theta, eps, model, gate=None):
+    """(p[N, 4] in CELLS order, status[N]) of one sweep_columns call."""
+    cols = sweep_columns(theta, eps, model, gate)
+    return np.stack([cols[f"p_{m.value}{f.value}"] for m, f in CELLS], axis=1), cols["status"]
 
 
 def cell(p, m, f):
@@ -146,19 +152,19 @@ def test_one_amplitude_pass_per_call(monkeypatch, model, gate):
         return _transitions(states, rows)
 
     monkeypatch.setattr(kernel, "_transitions", counted)
-    for function in (sweep_columns, joint_table):
-        calls.clear()
-        function(GRID[:8], 0.08, model, gate, 300.0)
-        assert calls == [(8, 2)], function.__name__
+    sweep_columns(GRID[:8], 0.08, model, gate, 300.0)
+    assert calls == [(8, 2)]
+    calls.clear()
+    model_distribution(GRID[1], 0.08, model, gate, 300.0)
+    assert calls == [(1, 2)]
 
 
 @pytest.mark.parametrize("model, gate", MODELS)
 def test_rows_do_not_depend_on_batch(model, gate):
-    p, status = joint_table(GRID, 0.08, model, gate)
+    cols = sweep_columns(GRID, 0.08, model, gate)
     for i, theta in enumerate(GRID):
-        p1, status1 = joint_table([theta], 0.08, model, gate)
-        np.testing.assert_array_equal(p1[0], p[i])
-        assert status1[0] == status[i]
+        for key, column in sweep_columns([theta], 0.08, model, gate).items():
+            np.testing.assert_array_equal(column[0], cols[key][i], err_msg=f"{theta} {key}")
 
 
 def test_scalar_weak_value_is_a_row_for_complex_states():
@@ -175,7 +181,7 @@ def test_scalar_weak_value_is_a_row_for_complex_states():
 
 
 def test_linearization_status():
-    p, status = joint_table([0.0, 80.0, 90.0], 0.3, ModelTag.LINEAR)
+    p, status = table([0.0, 80.0, 90.0], 0.3, ModelTag.LINEAR)
     assert status.tolist() == [0, LinearizationInvalid.exit_code, 0]
     assert np.isnan(p[1]).all() and not np.isnan(p[[0, 2]]).any()
 
@@ -184,23 +190,23 @@ def test_zero_coincidence_status():
     # a 50:50 splitter nulls the HH and VV coincidences but keeps HV and VH
     # with probability 1/2: only the row whose input is HH alone has none
     gate = GateParams(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0)
-    p, status = joint_table([0.0, 30.0], 0.0, ModelTag.EXACT_PPBS, gate)
+    p, status = table([0.0, 30.0], 0.0, ModelTag.EXACT_PPBS, gate)
     assert status.tolist() == [ZeroCoincidenceNorm.exit_code, 0]
     assert np.isnan(p[0]).all() and not np.isnan(p[1]).any()
-    p, status = joint_table([0.0, 30.0], 0.05, ModelTag.EXACT_PPBS, gate)
+    p, status = table([0.0, 30.0], 0.05, ModelTag.EXACT_PPBS, gate)
     assert status.tolist() == [0, 0]
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_every_row_status_has_an_error_with_a_reason():
     # the codes kernel.py writes into a status array, each reached once:
-    # 5 and 7 by joint_table, 9, 8 and 4 by moment_estimates
+    # 5 and 7 by the table of sweep_columns, 9, 8 and 4 by moment_estimates
     written = {getattr(errors, name).exit_code
                for name in re.findall(r"(\w+)\.exit_code", inspect.getsource(kernel))}
     gate = GateParams(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0)
     reached = {
-        *joint_table([0.0, 80.0], 0.3, ModelTag.LINEAR)[1].tolist(),
-        *joint_table([0.0], 0.0, ModelTag.EXACT_PPBS, gate)[1].tolist(),
+        *sweep_columns([0.0, 80.0], 0.3, ModelTag.LINEAR)["status"].tolist(),
+        *sweep_columns([0.0], 0.0, ModelTag.EXACT_PPBS, gate)["status"].tolist(),
         *moment_estimates([0.0, 0.6, 0.6], [0.0, 0.4, 0.4], np.array([1.0, 1e-9, math.nan]))[1].tolist(),
     }
     assert reached - {0} == written == {4, 5, 7, 8, 9}
@@ -220,10 +226,9 @@ def test_raise_status():
 @pytest.mark.parametrize("model", list(ModelTag))
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call", [
-    lambda eps, model: joint_table([30.0], eps, model),
     lambda eps, model: sweep_columns([30.0], eps, model),
     lambda eps, model: model_distribution(30.0, eps, model),
-], ids=["joint_table", "sweep_columns", "model_distribution"])
+], ids=["sweep_columns", "model_distribution"])
 def test_non_finite_coupling_is_a_value_error(call, eps, model):
     # every model names eps; the linear one does not report it as a
     # coupling past its guard (CouplingTooStrong)
@@ -243,21 +248,21 @@ def test_gate_params_refused_for_other_models(model):
 
 def test_coupling_guard_raises_for_the_whole_call():
     with pytest.raises(CouplingTooStrong):
-        joint_table(GRID, 0.6, ModelTag.LINEAR)
+        sweep_columns(GRID, 0.6, ModelTag.LINEAR)
 
 
 @pytest.mark.parametrize("model", [ModelTag.EXACT_IDEAL, ModelTag.EXACT_PPBS])
 def test_unnormalizable_probe_is_refused(model):
     with pytest.raises(ValueError, match="eps"):
-        joint_table(GRID, 1e200, model)
+        sweep_columns(GRID, 1e200, model)
     # the largest couplings whose probe still normalizes give a valid table
-    p, status = joint_table(GRID, 1e150, model)
+    p, status = table(GRID, 1e150, model)
     assert not status.any() and np.isfinite(p).all()
 
 
 def test_non_finite_angle_refused():
     with pytest.raises(ValueError):
-        joint_table([0.0, math.nan], 0.08, ModelTag.LINEAR)
+        sweep_columns([0.0, math.nan], 0.08, ModelTag.LINEAR)
 
 
 class TestBases:

@@ -10,6 +10,9 @@ couplings and PPBS gate amplitudes.
   away from singular post-selection: with L the first-order cell and
   Q = |<f|S|psi>|^2 / 2, the exact cell is (L + eps^2 Q) / (1 + eps^2),
   so |gap| / eps^2 = |Q - L| / (1 + eps^2) <= 1;
+* ``model_distribution`` is the N = 1 call of ``sweep_columns``: bit
+  for bit a row of a multi-row call where its status is 0, and the error
+  of that status where it is not;
 * the moment estimator on arrays is, bit for bit, a plain-Python loop
   over its rows, status included.
 """
@@ -17,11 +20,12 @@ couplings and PPBS gate amplitudes.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weakmeas import GateParams
-from weakmeas.kernel import WV_REFERENCE_FLOOR, joint_table, moment_estimates, sweep_columns
+from weakmeas import CELLS, GateParams, errors
+from weakmeas.kernel import WV_REFERENCE_FLOOR, model_distribution, moment_estimates, sweep_columns
 
 angles = st.floats(0.0, 360.0, exclude_max=True)
 thetas = st.lists(angles, min_size=1, max_size=8).map(np.array)
@@ -32,11 +36,17 @@ ppbs_gates = st.builds(GateParams, t_h=st.floats(0.0, 1.0, exclude_min=True),
 PROPERTY = settings(max_examples=100, deadline=None)
 
 
+def table(theta, eps, model, gate_params, postselect):
+    """(p[N, 4] in CELLS order, status[N]) of one sweep_columns call."""
+    cols = sweep_columns(theta, eps, model, gate_params, postselect)
+    return np.stack([cols[f"p_{m.value}{f.value}"] for m, f in CELLS], axis=1), cols["status"]
+
+
 @PROPERTY
 @given(theta=thetas, eps=couplings, postselect=angles, gate=ppbs_gates)
 def test_rows_are_distributions_where_defined(theta, eps, postselect, gate):
     for model, params in (("linear", None), ("exact-ideal", None), ("exact-ppbs", gate)):
-        p, status = joint_table(theta, eps, model, params, postselect)
+        p, status = table(theta, eps, model, params, postselect)
         defined = status == 0
         assert (p[defined] >= 0.0).all(), model
         np.testing.assert_allclose(p[defined].sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
@@ -46,8 +56,8 @@ def test_rows_are_distributions_where_defined(theta, eps, postselect, gate):
 @PROPERTY
 @given(theta=thetas, eps=couplings, postselect=angles)
 def test_compensated_ppbs_equals_ideal_gate(theta, eps, postselect):
-    ppbs, ppbs_status = joint_table(theta, eps, "exact-ppbs", GateParams(), postselect)
-    ideal, ideal_status = joint_table(theta, eps, "exact-ideal", None, postselect)
+    ppbs, ppbs_status = table(theta, eps, "exact-ppbs", GateParams(), postselect)
+    ideal, ideal_status = table(theta, eps, "exact-ideal", None, postselect)
     np.testing.assert_array_equal(ppbs_status, ideal_status)
     np.testing.assert_allclose(ppbs, ideal, rtol=0.0, atol=1e-12)
 
@@ -64,17 +74,32 @@ def test_fisher_total_is_four_in_every_linear_basis(theta, eps, postselect):
 @given(theta=thetas, eps=couplings, postselect=angles)
 def test_linear_exact_gap_is_second_order(theta, eps, postselect):
     assume(abs(eps) >= 1e-3)
-    p0, _ = joint_table(theta, 0.0, "linear", None, postselect)
+    p0, _ = table(theta, 0.0, "linear", None, postselect)
     # |<f|psi>|^2 of both outcomes at least 1e-8: away from singular post-selection
     regular = (p0[:, 0] + p0[:, 1] >= 1e-8) & (p0[:, 2] + p0[:, 3] >= 1e-8)
     assume(regular.any())
     for k in range(7):
         e = eps * 0.5**k
-        linear, status = joint_table(theta, e, "linear", None, postselect)
-        exact, _ = joint_table(theta, e, "exact-ideal", None, postselect)
+        linear, status = table(theta, e, "linear", None, postselect)
+        exact, _ = table(theta, e, "exact-ideal", None, postselect)
         rows = regular & (status == 0)
         ratio = np.abs(exact[rows] - linear[rows]) / (e * e)
         assert (ratio <= 1.0 + 1e-6).all(), (e, ratio.max())
+
+
+@PROPERTY
+@given(theta=thetas, eps=couplings, postselect=angles,
+       model=st.sampled_from(["linear", "exact-ideal", "exact-ppbs"]), gate=st.none() | ppbs_gates)
+def test_model_distribution_is_a_row_of_sweep_columns(theta, eps, postselect, model, gate):
+    gate = gate if model == "exact-ppbs" else None
+    p, status = table(theta, eps, model, gate, postselect)
+    for k, angle in enumerate(theta.tolist()):
+        if status[k] == 0:
+            got = model_distribution(angle, eps, model, gate, postselect)
+            assert got.tobytes() == p[k].tobytes(), (angle, got, p[k])
+        else:
+            with pytest.raises(errors.BY_CODE[int(status[k])]):
+                model_distribution(angle, eps, model, gate, postselect)
 
 
 def plain_moment_estimate(w_d: float, w_a: float, wv_ref: float) -> tuple[float, int]:
