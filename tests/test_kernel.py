@@ -226,9 +226,10 @@ def test_raise_status():
 @pytest.mark.parametrize("model", list(ModelTag))
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call", [
+    lambda eps, model: table([30.0], eps, model),
     lambda eps, model: sweep_columns([30.0], eps, model),
     lambda eps, model: model_distribution(30.0, eps, model),
-], ids=["sweep_columns", "model_distribution"])
+], ids=["joint_table", "sweep_columns", "model_distribution"])
 def test_non_finite_coupling_is_a_value_error(call, eps, model):
     # every model names eps; the linear one does not report it as a
     # coupling past its guard (CouplingTooStrong)
