@@ -47,7 +47,7 @@ import numpy as np
 from .args import IO_EXIT_CODE, build_parser
 from .errors import WeakMeasError
 from .kernel import (
-    COLUMN, GateParams, ModelTag, Outcome, analyzer_basis, fisher_information,
+    GateParams, ModelTag, Outcome, analyzer_basis, angle_row, fisher_information,
     linear_states, model_distribution, sweep_columns, weak_value,
 )
 
@@ -283,10 +283,8 @@ def cmd_fisher(args) -> int:
 def cmd_estimate(args) -> int:
     from .estimation import estimate_epsilon
 
-    psi = linear_states(args.theta)
-    p = model_distribution(args.theta, args.epsilon, *_model_and_gate(args), args.postselect)
-    wv_ref = weak_value(psi, analyzer_basis(args.postselect)[1]).real
-    w_d, w_a = (p[i].item() for i in COLUMN[Outcome.A])
+    _, row = angle_row(args.theta, args.epsilon, *_model_and_gate(args), args.postselect, Outcome.A)
+    w_d, w_a, wv_ref = row["p_DA"], row["p_AA"], row["wv_A"]
     # the expected number of post-selected events among the shots
     n_events = None if args.shots is None else args.shots * (w_d + w_a)
     eps_hat, sigma = estimate_epsilon(w_d, w_a, wv_ref, n_events, f=Outcome.A)

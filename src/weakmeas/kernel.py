@@ -68,17 +68,22 @@ functions take input states as the rows of an (N, 2) array; a rule that
 fails for one row leaves that row NaN, and its ``status`` is the exit
 code of the error the scalar function raises for it (0 where the row is
 defined). :func:`sweep_columns` is the one array entry from angles to
-tables: it returns the columns of a sweep and the table's ``status``. A
+tables: it returns the columns of a sweep, |<f|psi>| of each outcome,
+the table's ``status`` and the moment estimate's ``status_eps_hat_A``. A
 call makes one amplitude pass, :func:`_transitions`, and reads the weak
-values, p(f), the Fisher split and the first-order table from its pair.
-The arithmetic is elementwise, so a row's value does not depend on N and
-uses no BLAS kernel. States built here (the probe, the rows of
-:func:`linear_states` and of a basis) are unit vectors by construction.
-A caller's own state is checked once, at the scalar functions: it must
-be finite and nonzero and is normalized. The scalar functions are N = 1
-calls: ``model_distribution`` of :func:`sweep_columns`, ``weak_value``
-and ``fisher_information`` of the :func:`weak_values` and
-:func:`fisher_split` it reads, so each model has one implementation.
+values, p(f), the Fisher split and the first-order table from its
+triple (<f|A|psi>, <f|psi>, |<f|psi>|). The arithmetic is elementwise,
+so a row's value does not depend on N and uses no BLAS kernel. States
+built here (the probe, the rows of :func:`linear_states` and of a basis)
+are unit vectors by construction. A caller's own state is checked once,
+at the scalar functions: it must be finite and nonzero and is
+normalized. The scalar functions are N = 1 calls: ``model_distribution``
+is the table of :func:`angle_row`, the one-angle :func:`sweep_columns` row
+from which the ensemble and the estimate command also read their
+reference weak value, and the ensemble its Fisher share; ``weak_value``
+and ``fisher_information`` read the :func:`weak_values` and
+:func:`fisher_split` of a caller's state, so each model has one
+implementation.
 """
 
 from __future__ import annotations
@@ -220,30 +225,37 @@ def analyzer_basis(postselect_deg: float) -> np.ndarray:
 
 
 def _transitions(states: np.ndarray, rows: np.ndarray):
-    """(<f|A|psi>, <f|psi>) as two (N, K) arrays over the rows psi of
-    ``states`` and f of ``rows``; <f|A|psi> = <A^dag f|psi>."""
+    """(<f|A|psi>, <f|psi>, |<f|psi>|) as three (N, K) arrays over the
+    rows psi of ``states`` and f of ``rows``; <f|A|psi> = <A^dag f|psi>."""
     a_dag_f = (np.conj(_STOKES) * rows[:, :, None]).sum(axis=1)
     # the bras as (1, K) arrays: numpy multiplies a (1,) array by a (1, 1)
     # one in another loop, which rounds a complex product differently
     h, v = states[:, :1], states[:, 1:]
-    return (np.conj(a_dag_f[None, :, 0]) * h + np.conj(a_dag_f[None, :, 1]) * v,
-            np.conj(rows[None, :, 0]) * h + np.conj(rows[None, :, 1]) * v)
+    den = np.conj(rows[None, :, 0]) * h + np.conj(rows[None, :, 1]) * v
+    return np.conj(a_dag_f[None, :, 0]) * h + np.conj(a_dag_f[None, :, 1]) * v, den, np.abs(den)
 
 
-def weak_values(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Weak values num / den of a :func:`_transitions` pair, NaN where
+def _singular(overlap: float) -> PostselectionSingular:
+    """The error of a post-selection whose |<f|psi>| = ``overlap`` is
+    below SINGULARITY_THRESHOLD."""
+    return PostselectionSingular(
+        f"|<f|psi>| = {overlap:.3g} below threshold {SINGULARITY_THRESHOLD:g}"
+    )
+
+
+def weak_values(num: np.ndarray, den: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Weak values num / den of a :func:`_transitions` triple, NaN where
     |<f|psi>| is below SINGULARITY_THRESHOLD (PostselectionSingular)."""
-    singular = np.abs(den) < SINGULARITY_THRESHOLD
+    singular = mag < SINGULARITY_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(singular, np.nan, num / np.where(singular, 1.0, den))
 
 
-def fisher_split(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+def fisher_split(num: np.ndarray, den: np.ndarray, mag: np.ndarray) -> np.ndarray:
     """Fisher contributions 4 p(f) (Re wv_f)^2 of a :func:`_transitions`
-    pair, (N, 2) for f = (D, A) of a basis, as
+    triple, (N, 2) for f = (D, A) of a basis, as
     4 (Re(<f|A|psi> conj<f|psi>))^2 / |<f|psi>|^2, continuously extended
     to p(f) -> 0 where the product stays finite."""
-    mag = np.abs(den)
     with np.errstate(divide="ignore", invalid="ignore"):
         regular = 4.0 * (num * np.conj(den)).real ** 2 / (mag * mag)
         # near the singular point only the phase of <f|psi> enters; 1 at 0
@@ -280,7 +292,7 @@ def linear_table(transitions, eps: float):
     """First-order table p(m, f) = w_m |<f|psi>|^2 (1 + 2 eps kappa_m Re wv_f)
     in CELLS order, and the row status.
 
-    ``transitions`` is the :func:`_transitions` pair of the states and a
+    ``transitions`` is the :func:`_transitions` triple of the states and a
     basis (:func:`analyzer_basis`), whose rows map positionally to the
     outcomes (D, A). Where the post-selection is singular the row falls
     back to the interaction-free w_m |<f|psi>|^2, exact there to the order
@@ -292,7 +304,7 @@ def linear_table(transitions, eps: float):
         raise ValueError(f"coupling eps={eps!r} is not finite")
     if not abs(eps) < WEAKNESS_GUARD:
         raise CouplingTooStrong(f"weakness margin {abs(eps):.6g} exceeds guard {WEAKNESS_GUARD:.6g}")
-    pf = np.abs(transitions[1]) ** 2
+    pf = transitions[2] ** 2
     re_wv = np.nan_to_num(weak_values(*transitions).real, nan=0.0)
     p = _W * pf[:, _F_ROW] * (1.0 + 2.0 * eps * _KAPPA * re_wv[:, _F_ROW])
     return _checked(p, np.where((p < 0.0).any(axis=1), LinearizationInvalid.exit_code, 0))
@@ -411,25 +423,44 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     one array entry: float columns NaN where a cell is undefined (the
     joint table, the weak values of both outcomes, the moment estimate
     from the f = A conditionals, the relative error scale 1 / sqrt(F_A)
-    and the Fisher split), and ``status``, each row's table status: 0, or
-    the exit code of the error of that row. ``gate_params`` applies to
-    the exact PPBS model and defaults to the compensated gate; another
-    model refuses it (ValueError)."""
+    and the Fisher split), |<f|psi>| of both outcomes (``overlap_D``,
+    ``overlap_A``), ``status``, each row's table status: 0, or the exit
+    code of the error of that row, and ``status_eps_hat_A``, the status
+    of the moment estimate (:func:`moment_estimates`). ``gate_params``
+    applies to the exact PPBS model and defaults to the compensated gate;
+    another model refuses it (ValueError)."""
     theta = np.asarray(theta_deg, dtype=float)
     states, basis = linear_states(theta), analyzer_basis(postselect_deg)
     transitions = _transitions(states, basis)
     p, status = _table(states, transitions, eps, ModelTag(model), gate_params, basis)
     wv_d, wv_a = weak_values(*transitions).real.T
     f_d, f_a = fisher_split(*transitions).T
+    overlap_d, overlap_a = transitions[2].T
     i_d, i_a = COLUMN[Outcome.A]
-    eps_hat, _ = moment_estimates(p[:, i_d], p[:, i_a], wv_a)
+    eps_hat, eps_status = moment_estimates(p[:, i_d], p[:, i_a], wv_a)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(f_a > SINGULARITY_THRESHOLD, 1.0 / np.sqrt(f_a), np.nan)
     return {
         "theta_deg": theta, "p_DA": p[:, 0], "p_AA": p[:, 1], "p_DD": p[:, 2], "p_AD": p[:, 3],
         "wv_A": wv_a, "wv_D": wv_d, "eps_hat_A": eps_hat, "sigma_rel_A": sigma,
-        "F_A": f_a, "F_D": f_d, "F_total": f_d + f_a, "status": status,
+        "F_A": f_a, "F_D": f_d, "F_total": f_d + f_a,
+        "overlap_A": overlap_a, "overlap_D": overlap_d, "status": status, "status_eps_hat_A": eps_status,
     }
+
+
+def angle_row(theta: float, eps: float, model: ModelTag | str, gate_params=None,
+              postselect_deg=270.0, f: Outcome | None = None):
+    """(p, row): the :func:`sweep_columns` row at one angle, as its joint
+    table p[4] in CELLS order and as a dict of its columns as Python
+    scalars. Raises the error of the table status and then, given an
+    outcome f, PostselectionSingular where wv_f, the reference weak value
+    of f, is undefined."""
+    cols = sweep_columns([theta], eps, model, gate_params, postselect_deg)
+    row = {key: col[0].item() for key, col in cols.items()}
+    raise_status(row["status"], eps=eps)
+    if f is not None and math.isnan(row[f"wv_{f.value}"]):
+        raise _singular(row[f"overlap_{f.value}"])
+    return np.array([row[f"p_{m.value}{g.value}"] for m, g in CELLS]), row
 
 
 # -- the scalar API: N = 1 calls -------------------------------------------
@@ -441,12 +472,10 @@ def weak_value(psi, f) -> complex:
     Raises PostselectionSingular when |<f|psi>| is below the singularity
     threshold (the divergence there is physical, but a float result past
     measurement precision would be meaningless)."""
-    num, den = _transitions(_state(psi)[None], _state(f)[None])
-    wv = complex(weak_values(num, den)[0, 0])
+    transitions = _transitions(_state(psi)[None], _state(f)[None])
+    wv = complex(weak_values(*transitions)[0, 0])
     if math.isnan(wv.real):
-        raise PostselectionSingular(
-            f"|<f|psi>| = {abs(den[0, 0]):.3g} below threshold {SINGULARITY_THRESHOLD:g}"
-        )
+        raise _singular(transitions[2][0, 0])
     return wv
 
 
@@ -455,9 +484,7 @@ def model_distribution(theta: float, eps: float, model: ModelTag | str, gate_par
     """Joint table p[4] in CELLS order of the selected model at
     (theta, eps), post-selected in ``analyzer_basis(postselect_deg)``. A
     row the model leaves undefined raises the error of its status."""
-    cols = sweep_columns([theta], eps, model, gate_params, postselect_deg)
-    raise_status(cols["status"][0], eps=eps)
-    return np.array([cols[f"p_{m.value}{f.value}"][0] for m, f in CELLS])
+    return angle_row(theta, eps, model, gate_params, postselect_deg)[0]
 
 
 def fisher_information(psi, postselect_deg=270.0) -> np.ndarray:

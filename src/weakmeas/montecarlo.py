@@ -52,10 +52,7 @@ import numpy as np
 
 from .errors import TooManyDiscardedReplicas
 from .estimation import cramer_rao_bound, estimate_epsilon
-from .kernel import (
-    COLUMN, GateParams, ModelTag, Outcome, analyzer_basis, check_table, fisher_information,
-    linear_states, model_distribution, moment_estimates, weak_value,
-)
+from .kernel import COLUMN, GateParams, ModelTag, Outcome, angle_row, check_table, moment_estimates
 
 #: Replicas with unusable counts may be discarded up to this fraction.
 DISCARD_TOLERANCE = 0.01
@@ -184,9 +181,11 @@ def sample_counts(
 class EnsembleStats:
     """Mean and variance of the estimator over replicas, with ``crb`` for
     comparison: the first-order Cramer-Rao bound of the post-selected
-    strategy at eps = 0, 1 / (n F_f) with F_f = 4 p(f) wv^2, the same for
-    every model and gate. At finite eps the sample variance can read below
-    it: var/crb is 0.649 on the linear model at theta 60 and eps 0.08."""
+    strategy at eps = 0, 1 / (n F_f) with F_f = 4 p(f) wv^2 the ``F_f``
+    column of the kernel row the ensemble draws from (see
+    :func:`run_ensemble`), the same for every model and gate. At finite
+    eps the sample variance can read below it: var/crb is 0.649 on the
+    linear model at theta 60 and eps 0.08."""
 
     mean_eps_hat: float
     var_eps_hat: float
@@ -210,9 +209,13 @@ def run_ensemble(
     column, and report the empirical variance beside ``crb``, the
     first-order bound at eps = 0 (see :class:`EnsembleStats`).
 
-    The table, reference weak value and bound are those of
-    ``analyzer_basis(270)``; an outcome with p(f) = 0 and a reference below
-    the floor are refused before any draw. The bound is 1 / (n F_f) with
+    The table p, the reference weak value ``wv_f`` and ``F_f`` are read
+    from one row of the kernel, ``sweep_columns([theta], ...)`` with the
+    post-selection ``analyzer_basis(270)``. Before any draw the row's
+    table status is raised, then PostselectionSingular where ``wv_f`` is
+    undefined, then the refusals of ``estimate_epsilon`` on the row's
+    (D, f) and (A, f) cells: p(f) = 0 and a reference below the floor.
+    The bound is ``cramer_rao_bound(F_f, n, f)``, 1 / (n F_f) with
     n = n_per_replica total trials and F_f = 4 p(f) wv^2, the per-f Fisher
     contribution at eps = 0 (equivalently, 4 wv^2 with the expected number
     of post-selected events); it does not depend on eps_true, the model or
@@ -229,15 +232,11 @@ def run_ensemble(
     if n_replicas > MAX_REPLICAS:
         raise ValueError(f"replicas must not exceed {MAX_REPLICAS}, got {n_replicas}")
     n_per_replica = _checked_shots(n_per_replica, mode)
-    p = model_distribution(theta, eps_true, model, gate_params)
+    p, row = angle_row(theta, eps_true, model, gate_params, f=f)
     pvec = p / p.sum()  # the model has checked its table
-
-    psi, basis = linear_states(theta), analyzer_basis(270.0)
-    row = list(Outcome).index(f)
-    wv_ref = weak_value(psi, basis[row]).real
+    wv_ref = row[f"wv_{f.value}"]
     estimate_epsilon(*p[list(COLUMN[f])].tolist(), wv_ref, f=f)
-    per_f = fisher_information(psi)[row].item()
-    crb = cramer_rao_bound(per_f, n_per_replica, f)
+    crb = cramer_rao_bound(row[f"F_{f.value}"], n_per_replica, f)
 
     # the kept estimates in replica order; their mean and variance sum
     # them as one array would

@@ -789,6 +789,18 @@ ERROR_LINES = [(code, argv, EXIT_CODE_LINES[code]) for code, argv in EXIT_CODE_I
     # wv_A at 270 deg is round-off, -2.2e-16
     (8, ("montecarlo", "--theta", "270", "--epsilon", "0.08", *_FEW_REPLICAS),
      "error: |wv_reference| = 2.22e-16 below 1e-08"),
+    # the reference weak value's singular post-selection, with the |<f|psi>|
+    # of the kernel row: D at 90 deg is orthogonal to A, and A at 270 to D
+    (4, ("montecarlo", "--theta", "90", "--epsilon", "0.08", *_FEW_REPLICAS),
+     "error: |<f|psi>| = 0 below threshold 1e-08"),
+    (4, ("montecarlo", "--theta", "270", "--f", "D", "--epsilon", "0.08", *_FEW_REPLICAS),
+     "error: |<f|psi>| = 0 below threshold 1e-08"),
+    (4, ("estimate", "--theta", "90", "--epsilon", "0.08"),
+     "error: |<f|psi>| = 0 below threshold 1e-08"),
+    (4, ("montecarlo", "--theta", "90.0000001", "--epsilon", "0.08", *_FEW_REPLICAS),
+     "error: |<f|psi>| = 8.73e-10 below threshold 1e-08"),
+    (4, ("estimate", "--theta", "90.0000001", "--epsilon", "0.08"),
+     "error: |<f|psi>| = 8.73e-10 below threshold 1e-08"),
 ]
 
 

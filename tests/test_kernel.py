@@ -28,10 +28,12 @@ from weakmeas import (
     fisher_information,
     linear_states,
     model_distribution,
+    run_ensemble,
     sample_counts,
     weak_value,
 )
-from weakmeas import errors, kernel
+from weakmeas import cli, errors, kernel
+from weakmeas.args import build_parser
 from weakmeas.kernel import (
     DIAG_BASIS, _state, _transitions, analyzer_basis, check_table, moment_estimates, sweep_columns,
     weak_values,
@@ -142,9 +144,10 @@ def test_sweep_columns_match_scalar_api(model, gate, postselect):
 
 
 @pytest.mark.parametrize("model, gate", MODELS)
-def test_one_amplitude_pass_per_call(monkeypatch, model, gate):
+def test_one_amplitude_pass_per_call(monkeypatch, capsys, model, gate):
     # weak values, p(f), the Fisher split and the first-order table all
-    # read the pair of one _transitions call over both basis rows
+    # read the triple of one _transitions call over both basis rows; the
+    # ensemble and the estimate command read theirs from one such row
     calls = []
 
     def counted(states, rows):
@@ -156,6 +159,17 @@ def test_one_amplitude_pass_per_call(monkeypatch, model, gate):
     assert calls == [(8, 2)]
     calls.clear()
     model_distribution(GRID[1], 0.08, model, gate, 300.0)
+    assert calls == [(1, 2)]
+    for f in Outcome:
+        calls.clear()
+        run_ensemble(30.0, 0.08, model, 1000, 2, 0, f=f, gate_params=gate)
+        assert calls == [(1, 2)], f
+    calls.clear()
+    gate_argv = [] if gate is None else ["--th", repr(gate.t_h), "--tv", repr(gate.t_v),
+                                         "--ah", repr(gate.a_h)]
+    args = build_parser().parse_args(["estimate", "--theta", "30", "--epsilon", "0.08",
+                                      "--model", model.value, *gate_argv, "--postselect", "300"])
+    assert cli.cmd_estimate(args) == 0
     assert calls == [(1, 2)]
 
 

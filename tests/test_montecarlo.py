@@ -506,7 +506,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("shots", [0, 2**63])
     def test_rejects_shots_out_of_range(self, monkeypatch, shots):
         # refused before the model is evaluated
-        monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
+        monkeypatch.setattr("weakmeas.montecarlo.angle_row", None)
         with pytest.raises(ValueError, match="shots"):
             run_ensemble(0.0, 0.0, ModelTag.LINEAR, shots, 2, base_seed=0)
 
@@ -517,7 +517,7 @@ class TestRunEnsemble:
         assert (run_ensemble(*args, np.int64(100), 4, base_seed=0, mode=mode)
                 == run_ensemble(*args, 100, 4, base_seed=0, mode=mode))
         # refused before the model is evaluated
-        monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
+        monkeypatch.setattr("weakmeas.montecarlo.angle_row", None)
         with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
             run_ensemble(*args, n, 4, base_seed=0, mode=mode)
 
@@ -554,7 +554,7 @@ class TestRunEnsemble:
         monkeypatch.setattr("weakmeas.montecarlo.MAX_REPLICAS", 4)
         assert run_ensemble(0.0, 0.0, ModelTag.LINEAR, 100, 4, base_seed=0).n_replicas == 4
         # refused before the model is evaluated
-        monkeypatch.setattr("weakmeas.montecarlo.model_distribution", None)
+        monkeypatch.setattr("weakmeas.montecarlo.angle_row", None)
         with pytest.raises(ValueError, match="replicas must not exceed 4, got 5"):
             run_ensemble(0.0, 0.0, ModelTag.LINEAR, 100, 5, base_seed=0)
 

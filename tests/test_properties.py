@@ -13,6 +13,10 @@ couplings and PPBS gate amplitudes.
 * ``model_distribution`` is the N = 1 call of ``sweep_columns``: bit
   for bit a row of a multi-row call where its status is 0, and the error
   of that status where it is not;
+* a ``sweep_columns`` row holds the scalar API's weak values, Fisher
+  split and |<f|psi>| bit for bit, also at and beside the singular
+  post-selections: ``wv_f`` is NaN exactly where ``weak_value`` raises,
+  and ``overlap_f`` is the |<f|psi>| its error prints;
 * the moment estimator on arrays is, bit for bit, a plain-Python loop
   over its rows, status included.
 """
@@ -24,8 +28,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weakmeas import CELLS, GateParams, errors
-from weakmeas.kernel import WV_REFERENCE_FLOOR, model_distribution, moment_estimates, sweep_columns
+from weakmeas import CELLS, GateParams, Outcome, PostselectionSingular, errors
+from weakmeas.kernel import (
+    SINGULARITY_THRESHOLD, WV_REFERENCE_FLOOR, analyzer_basis, fisher_information, linear_states,
+    model_distribution, moment_estimates, sweep_columns, weak_value,
+)
 
 angles = st.floats(0.0, 360.0, exclude_max=True)
 thetas = st.lists(angles, min_size=1, max_size=8).map(np.array)
@@ -100,6 +107,41 @@ def test_model_distribution_is_a_row_of_sweep_columns(theta, eps, postselect, mo
         else:
             with pytest.raises(errors.BY_CODE[int(status[k])]):
                 model_distribution(angle, eps, model, gate, postselect)
+
+
+#: Analyzer angles, and the input angles where one of their outcomes is
+#: singular: the analyzer itself (f = D) and its partner (f = A).
+ANALYZERS = (270.0, 300.0, 33.3)
+SINGULAR = {a: [a, (a + 180.0) % 360.0] for a in ANALYZERS}
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@PROPERTY
+@given(theta=thetas, postselect=st.sampled_from(ANALYZERS),
+       model=st.sampled_from(["linear", "exact-ideal", "exact-ppbs"]))
+def test_row_holds_the_scalar_weak_values_and_fisher_split(theta, postselect, model):
+    near = [s + d for s in SINGULAR[postselect] for d in (0.0, 1e-7, -1e-7)]
+    theta = np.concatenate([theta, near])
+    cols = sweep_columns(theta, 0.08, model, None, postselect)
+    basis = analyzer_basis(postselect)
+    for k, angle in enumerate(theta.tolist()):
+        psi = linear_states(angle)
+        assert fisher_information(psi, postselect).tobytes() == np.array(
+            [cols["F_D"][k], cols["F_A"][k]]).tobytes(), angle
+        for f, ket in zip(Outcome, basis):
+            wv, overlap = cols[f"wv_{f.value}"][k], cols[f"overlap_{f.value}"][k]
+            try:
+                want = weak_value(psi, ket).real
+            except PostselectionSingular as exc:
+                assert math.isnan(wv), (angle, f)
+                assert overlap < SINGULARITY_THRESHOLD
+                assert str(exc) == f"|<f|psi>| = {overlap:.3g} below threshold 1e-08"
+            else:
+                assert bits(wv) == bits(want), (angle, f, wv, want)
+                assert overlap >= SINGULARITY_THRESHOLD
 
 
 def plain_moment_estimate(w_d: float, w_a: float, wv_ref: float) -> tuple[float, int]:
