@@ -3,8 +3,9 @@
 Every error carries a distinct process exit code used by the command-line
 front end (see ``weakmeas.args``). An error whose code a kernel row can
 carry in a status array (4, 5, 7, 8 and 9) also carries its ``reason``, a
-``str.format`` template of the facts a caller has; :func:`raise_status`
-turns a row's status into its error.
+``str.format`` template of the facts a caller has, and the one text of
+that code: :func:`raise_status` turns a row's status into its error, and
+the program raises these errors only through it.
 """
 
 
@@ -24,7 +25,7 @@ class PostselectionSingular(WeakMeasError):
     """Post-selected state is (numerically) orthogonal to the input state."""
 
     exit_code = 4
-    reason = "wv_reference is NaN: the post-selection is singular"
+    reason = "|<f|psi>| = {overlap:.3g} below threshold {threshold:g}"
 
 
 class LinearizationInvalid(WeakMeasError):

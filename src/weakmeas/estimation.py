@@ -61,7 +61,8 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     conditionals, normalized by their sum, and its binomial error over
     ``n_events`` post-selected events, None without them. Raises the error
     of the status of :func:`weakmeas.kernel.moment_estimates`; weights
-    that sum to zero are named as p(f) = 0.
+    that sum to zero are named as p(f) = 0, and a reference that is not
+    finite, NaN included, is a ValueError.
 
     The estimate is (p(D|f) - p(A|f)) / (2 wv_reference). On linear-model
     conditionals this is the set eps exactly. On exact ideal-gate
@@ -73,7 +74,7 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     w_d, w_a, wv_reference = float(w_d), float(w_a), float(wv_reference)
     if not (0.0 <= w_d < math.inf and 0.0 <= w_a < math.inf):
         raise ValueError(f"weights must be finite and nonnegative, got ({w_d!r}, {w_a!r})")
-    if math.isinf(wv_reference):
+    if not math.isfinite(wv_reference):
         raise ValueError(f"wv_reference must be finite, got {wv_reference!r}")
     eps_hat, status = moment_estimates([w_d], [w_a], wv_reference)
     raise_status(status[0], f=f.value, wv_abs=abs(wv_reference), wv_floor=WV_REFERENCE_FLOOR)

@@ -80,9 +80,9 @@ at the scalar functions: it must be finite and nonzero and is
 normalized. The scalar functions are N = 1 calls: ``model_distribution``
 is the table of :func:`angle_row`, the one-angle :func:`sweep_columns` row
 from which the ensemble and the estimate command also read their
-reference weak value, and the ensemble its Fisher share; ``weak_value``
-and ``fisher_information`` read the :func:`weak_values` and
-:func:`fisher_split` of a caller's state, so each model has one
+reference weak value and refusals, and the ensemble its Fisher share;
+``weak_value`` and ``fisher_information`` read the :func:`weak_values`
+and :func:`fisher_split` of a caller's state, so each model has one
 implementation.
 """
 
@@ -233,14 +233,6 @@ def _transitions(states: np.ndarray, rows: np.ndarray):
     h, v = states[:, :1], states[:, 1:]
     den = np.conj(rows[None, :, 0]) * h + np.conj(rows[None, :, 1]) * v
     return np.conj(a_dag_f[None, :, 0]) * h + np.conj(a_dag_f[None, :, 1]) * v, den, np.abs(den)
-
-
-def _singular(overlap: float) -> PostselectionSingular:
-    """The error of a post-selection whose |<f|psi>| = ``overlap`` is
-    below SINGULARITY_THRESHOLD."""
-    return PostselectionSingular(
-        f"|<f|psi>| = {overlap:.3g} below threshold {SINGULARITY_THRESHOLD:g}"
-    )
 
 
 def weak_values(num: np.ndarray, den: np.ndarray, mag: np.ndarray) -> np.ndarray:
@@ -404,16 +396,16 @@ def moment_estimates(w_d, w_a, wv_ref):
     """(eps_hat, status) of (p(D|f) - p(A|f)) / (2 wv_ref) per row, with
     p(D|f), p(A|f) the (D, f) and (A, f) weights (counts, cells or
     conditionals) over their sum, taken in float: two Poisson counts can
-    sum past 2^63. A row is NaN with the exit code of its cause: 9 where
-    the weights sum to 0, else 8 where |wv_ref| < WV_REFERENCE_FLOOR and
-    4 where wv_ref is NaN (singular post-selection)."""
+    sum past 2^63. A row is NaN with the exit code of its first cause: 4
+    where wv_ref is NaN (singular post-selection), else 9 where the
+    weights sum to 0, else 8 where |wv_ref| < WV_REFERENCE_FLOOR."""
     w_d, w_a = np.asarray(w_d, dtype=float), np.asarray(w_a, dtype=float)
     total = w_d + w_a
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         eps_hat = (w_d / total - w_a / total) / (2.0 * wv_ref)
-    status = np.where(np.isnan(wv_ref), PostselectionSingular.exit_code, 0)
-    status = np.where(np.abs(wv_ref) < WV_REFERENCE_FLOOR, WeakValueReferenceZero.exit_code, status)
+    status = np.where(np.abs(wv_ref) < WV_REFERENCE_FLOOR, WeakValueReferenceZero.exit_code, 0)
     status = np.where(total > 0.0, status, ZeroProbability.exit_code)
+    status = np.where(np.isnan(wv_ref), PostselectionSingular.exit_code, status)
     eps_hat[status != 0] = np.nan
     return eps_hat, status
 
@@ -426,9 +418,11 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     and the Fisher split), |<f|psi>| of both outcomes (``overlap_D``,
     ``overlap_A``), ``status``, each row's table status: 0, or the exit
     code of the error of that row, and ``status_eps_hat_A``, the status
-    of the moment estimate (:func:`moment_estimates`). ``gate_params``
-    applies to the exact PPBS model and defaults to the compensated gate;
-    another model refuses it (ValueError)."""
+    of the moment estimate (:func:`moment_estimates`); a weak value needs
+    no status, as ``wv_f`` is NaN exactly where ``overlap_f`` is below
+    SINGULARITY_THRESHOLD (code 4). ``gate_params`` applies to the exact
+    PPBS model and defaults to the compensated gate; another model
+    refuses it (ValueError)."""
     theta = np.asarray(theta_deg, dtype=float)
     states, basis = linear_states(theta), analyzer_basis(postselect_deg)
     transitions = _transitions(states, basis)
@@ -452,15 +446,20 @@ def angle_row(theta: float, eps: float, model: ModelTag | str, gate_params=None,
               postselect_deg=270.0, f: Outcome | None = None):
     """(p, row): the :func:`sweep_columns` row at one angle, as its joint
     table p[4] in CELLS order and as a dict of its columns as Python
-    scalars. Raises the error of the table status and then, given an
-    outcome f, PostselectionSingular where wv_f, the reference weak value
-    of f, is undefined."""
+    scalars. Raises the error of the table status, then, given an outcome
+    f, that of the :func:`moment_estimates` status (4, 9, 8) of f's
+    (D, f) and (A, f) cells with wv_f, f's reference weak value."""
     cols = sweep_columns([theta], eps, model, gate_params, postselect_deg)
     row = {key: col[0].item() for key, col in cols.items()}
     raise_status(row["status"], eps=eps)
-    if f is not None and math.isnan(row[f"wv_{f.value}"]):
-        raise _singular(row[f"overlap_{f.value}"])
-    return np.array([row[f"p_{m.value}{g.value}"] for m, g in CELLS]), row
+    p = np.array([row[f"p_{m.value}{g.value}"] for m, g in CELLS])
+    if f is not None:
+        i_d, i_a = COLUMN[f]
+        wv = row[f"wv_{f.value}"]
+        raise_status(moment_estimates(p[[i_d]], p[[i_a]], wv)[1][0], f=f.value,
+                     overlap=row[f"overlap_{f.value}"], threshold=SINGULARITY_THRESHOLD,
+                     wv_abs=abs(wv), wv_floor=WV_REFERENCE_FLOOR)
+    return p, row
 
 
 # -- the scalar API: N = 1 calls -------------------------------------------
@@ -472,10 +471,10 @@ def weak_value(psi, f) -> complex:
     Raises PostselectionSingular when |<f|psi>| is below the singularity
     threshold (the divergence there is physical, but a float result past
     measurement precision would be meaningless)."""
-    transitions = _transitions(_state(psi)[None], _state(f)[None])
-    wv = complex(weak_values(*transitions)[0, 0])
+    num, den, mag = _transitions(_state(psi)[None], _state(f)[None])
+    wv = complex(weak_values(num, den, mag)[0, 0])
     if math.isnan(wv.real):
-        raise _singular(transitions[2][0, 0])
+        raise_status(PostselectionSingular.exit_code, overlap=mag[0, 0], threshold=SINGULARITY_THRESHOLD)
     return wv
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooManyDiscardedReplicas
-from .estimation import cramer_rao_bound, estimate_epsilon
+from .estimation import cramer_rao_bound
 from .kernel import COLUMN, GateParams, ModelTag, Outcome, angle_row, check_table, moment_estimates
 
 #: Replicas with unusable counts may be discarded up to this fraction.
@@ -211,19 +211,18 @@ def run_ensemble(
 
     The table p, the reference weak value ``wv_f`` and ``F_f`` are read
     from one row of the kernel, ``sweep_columns([theta], ...)`` with the
-    post-selection ``analyzer_basis(270)``. Before any draw the row's
-    table status is raised, then PostselectionSingular where ``wv_f`` is
-    undefined, then the refusals of ``estimate_epsilon`` on the row's
-    (D, f) and (A, f) cells: p(f) = 0 and a reference below the floor.
-    The bound is ``cramer_rao_bound(F_f, n, f)``, 1 / (n F_f) with
-    n = n_per_replica total trials and F_f = 4 p(f) wv^2, the per-f Fisher
-    contribution at eps = 0 (equivalently, 4 wv^2 with the expected number
-    of post-selected events); it does not depend on eps_true, the model or
-    the gate. Replicas with a zero count
-    in either (D, f) or (A, f) cell are discarded, not imputed; if more than
-    DISCARD_TOLERANCE of the replicas are lost, TooManyDiscardedReplicas is
-    raised. The estimates are :func:`weakmeas.kernel.moment_estimates` of
-    the kept counts, each bit for bit its replica's
+    post-selection ``analyzer_basis(270)``. Before any draw
+    ``angle_row(..., f=f)`` raises the row's refusals in the order table
+    status, 4 (``wv_f`` undefined), 9 (p(f) = 0) and 8 (a reference below
+    the floor). The bound is ``cramer_rao_bound(F_f, n, f)``, 1 / (n F_f)
+    with n = n_per_replica total trials and F_f = 4 p(f) wv^2, the per-f
+    Fisher contribution at eps = 0 (equivalently, 4 wv^2 with the expected
+    number of post-selected events); it does not depend on eps_true, the
+    model or the gate. Replicas with a zero count in either (D, f) or
+    (A, f) cell are discarded, not imputed; if more than DISCARD_TOLERANCE
+    of the replicas are lost, TooManyDiscardedReplicas is raised. The
+    estimates are :func:`weakmeas.kernel.moment_estimates` of the kept
+    counts, each bit for bit its replica's
     ``estimate_epsilon(n_d, n_a, wv_ref, f=f)[0]``.
     """
     f = Outcome(f)
@@ -235,7 +234,6 @@ def run_ensemble(
     p, row = angle_row(theta, eps_true, model, gate_params, f=f)
     pvec = p / p.sum()  # the model has checked its table
     wv_ref = row[f"wv_{f.value}"]
-    estimate_epsilon(*p[list(COLUMN[f])].tolist(), wv_ref, f=f)
     crb = cramer_rao_bound(row[f"F_{f.value}"], n_per_replica, f)
 
     # the kept estimates in replica order; their mean and variance sum

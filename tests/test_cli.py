@@ -23,7 +23,7 @@ from weakmeas import cli
 from weakmeas.cli import (
     MAX_SWEEP_ROWS, SWEEP_COLUMNS, SWEEP_FORMAT_VERSION, _theta_grid, main,
 )
-from weakmeas.kernel import ModelTag, sweep_columns
+from weakmeas.kernel import ModelTag, moment_estimates, sweep_columns
 from weakmeas.montecarlo import MAX_REPLICAS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -802,6 +802,54 @@ ERROR_LINES = [(code, argv, EXIT_CODE_LINES[code]) for code, argv in EXIT_CODE_I
     (4, ("estimate", "--theta", "90.0000001", "--epsilon", "0.08"),
      "error: |<f|psi>| = 8.73e-10 below threshold 1e-08"),
 ]
+
+
+#: Fixed random input angles, beside those where the refusals of a row meet.
+_RANDOM_ANGLES = np.random.default_rng(27).uniform(-720.0, 720.0, 8).tolist()
+
+
+def _row_angles(psi: float) -> list[float]:
+    """Input angles for the analyzer psi: the singular post-selections of
+    the default analyzer (90, 270) and of psi (psi, psi - 180), two
+    angles 1e-7 beside them, and the fixed random ones."""
+    return [90.0, 270.0, psi, psi - 180.0, psi + 1e-7, 90.0000001, *_RANDOM_ANGLES]
+
+
+def _first_nonzero(*codes) -> int:
+    return next((int(c) for c in codes if c), 0)
+
+
+class TestExitCodeIsTheRowStatus:
+    """A one-angle command that estimates eps exits with the first nonzero
+    status of its kernel row: the table status, then the moment estimate's
+    status of the post-selected outcome."""
+
+    @pytest.mark.parametrize("psi", [270.0, 300.0, 33.3])
+    @pytest.mark.parametrize("eps", [0.0, 0.08])
+    @pytest.mark.parametrize("model", [m.value for m in ModelTag])
+    def test_estimate(self, capsys, model, eps, psi):
+        angles = _row_angles(psi)
+        cols = sweep_columns(angles, eps, model, None, psi)
+        for k, theta in enumerate(angles):
+            code = weakmeas_main.main(["estimate", f"--theta={theta!r}", "--epsilon", repr(eps),
+                                       "--model", model, f"--postselect={psi!r}"])
+            capsys.readouterr()
+            assert code == _first_nonzero(cols["status"][k], cols["status_eps_hat_A"][k]), theta
+
+    @pytest.mark.parametrize("eps", [0.0, 0.08])
+    @pytest.mark.parametrize("model", [m.value for m in ModelTag])
+    def test_montecarlo_f_d(self, capsys, model, eps):
+        angles = _row_angles(270.0)
+        cols = sweep_columns(angles, eps, model)
+        status_d = moment_estimates(cols["p_DD"], cols["p_AD"], cols["wv_D"])[1]
+        for k, theta in enumerate(angles):
+            code = weakmeas_main.main(["montecarlo", f"--theta={theta!r}", "--epsilon", repr(eps),
+                                       "--model", model, "--f", "D", "--shots", "1000",
+                                       "--replicas", "2", "--seed", "0"])
+            capsys.readouterr()
+            want = _first_nonzero(cols["status"][k], status_d[k])
+            # past the row's refusals: a zero F_D, or a replica discarded
+            assert code == want if want else code in (0, 11, 12), theta
 
 
 class TestErrorExitCodes:

@@ -6,7 +6,6 @@ import pytest
 from weakmeas import (
     GateParams,
     Outcome,
-    PostselectionSingular,
     WeakValueReferenceZero,
     ZeroInformation,
     ZeroProbability,
@@ -95,15 +94,17 @@ class TestEstimateEpsilon:
     @pytest.mark.parametrize("w_d, w_a, wv, error", [
         (0.0, 0.0, 1.0, ZeroProbability),
         (0.0, 0.0, 0.0, ZeroProbability),
-        (0.0, 0.0, math.nan, ZeroProbability),
+        # a NaN reference (a singular post-selection) lacks the |<f|psi>|
+        # that PostselectionSingular prints; the kernel row refuses that case
+        (0.0, 0.0, math.nan, ValueError),
         (0.6, 0.4, 1e-9, WeakValueReferenceZero),
-        (0.6, 0.4, math.nan, PostselectionSingular),
+        (0.6, 0.4, math.nan, ValueError),
         # an infinite reference would give a zero estimate
         (1.0, 0.0, math.inf, ValueError),
         (1.0, 0.0, -math.inf, ValueError),
     ])
     def test_raises_the_error_of_the_status(self, w_d, w_a, wv, error):
-        with pytest.raises(error):
+        with pytest.raises(error, match="^wv_reference must be finite" if error is ValueError else None):
             estimate_epsilon(w_d, w_a, wv, f=F_A)
 
     @pytest.mark.parametrize("w_d, w_a, n_events", [

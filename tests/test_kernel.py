@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+from test_cli import ERROR_LINES
 
 from weakmeas import (
     CELLS,
@@ -227,6 +228,17 @@ def test_every_row_status_has_an_error_with_a_reason():
     for code in written:
         err = errors.BY_CODE[code]
         assert err.exit_code == code and isinstance(err.reason, str)
+    # code 4 has one text: the |<f|psi>| of the kernel row and the
+    # threshold give the line each command prints for it
+    singular = [argv for code, argv, _ in ERROR_LINES if code == 4]
+    assert len(singular) == 6
+    for argv in singular:
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        cols = sweep_columns([float(opts["--theta"])], 0.0, ModelTag.LINEAR)
+        overlap = cols[f"overlap_{opts.get('--f', 'A')}"]
+        line = "error: " + errors.BY_CODE[4].reason.format(
+            overlap=overlap[0], threshold=kernel.SINGULARITY_THRESHOLD)
+        assert (4, argv, line) in ERROR_LINES
 
 
 def test_raise_status():

@@ -15,8 +15,9 @@ couplings and PPBS gate amplitudes.
   of that status where it is not;
 * a ``sweep_columns`` row holds the scalar API's weak values, Fisher
   split and |<f|psi>| bit for bit, also at and beside the singular
-  post-selections: ``wv_f`` is NaN exactly where ``weak_value`` raises,
-  and ``overlap_f`` is the |<f|psi>| its error prints;
+  post-selections: ``wv_f`` is NaN exactly where ``overlap_f`` is below
+  SINGULARITY_THRESHOLD, which is where ``weak_value`` raises, and
+  ``overlap_f`` is the |<f|psi>| its error prints;
 * the moment estimator on arrays is, bit for bit, a plain-Python loop
   over its rows, status included.
 """
@@ -133,6 +134,8 @@ def test_row_holds_the_scalar_weak_values_and_fisher_split(theta, postselect, mo
             [cols["F_D"][k], cols["F_A"][k]]).tobytes(), angle
         for f, ket in zip(Outcome, basis):
             wv, overlap = cols[f"wv_{f.value}"][k], cols[f"overlap_{f.value}"][k]
+            # a NaN weak value has one cause, code 4: no weak-value status column
+            assert math.isnan(wv) == (overlap < SINGULARITY_THRESHOLD), (angle, f)
             try:
                 want = weak_value(psi, ket).real
             except PostselectionSingular as exc:
@@ -147,12 +150,12 @@ def test_row_holds_the_scalar_weak_values_and_fisher_split(theta, postselect, mo
 def plain_moment_estimate(w_d: float, w_a: float, wv_ref: float) -> tuple[float, int]:
     """One row of the moment estimator, in Python floats."""
     total = w_d + w_a
+    if math.isnan(wv_ref):
+        return math.nan, 4
     if not total > 0.0:
         return math.nan, 9
     if abs(wv_ref) < WV_REFERENCE_FLOOR:
         return math.nan, 8
-    if math.isnan(wv_ref):
-        return math.nan, 4
     return (w_d / total - w_a / total) / (2.0 * wv_ref), 0
 
 
