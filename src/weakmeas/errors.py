@@ -3,9 +3,12 @@
 Every error carries a distinct process exit code used by the command-line
 front end (see ``weakmeas.args``). An error whose code a kernel row can
 carry in a status array (4, 5, 7, 8 and 9) also carries its ``reason``, a
-``str.format`` template of the facts a caller has, and the one text of
-that code: :func:`raise_status` turns a row's status into its error, and
-the program raises these errors only through it.
+``str.format`` template of the facts a caller has: :func:`raise_status`
+turns a row's status into its error with that text. Code 9 has a second
+text, for a zero conditional of the finite difference of
+``estimation.extract_weak_value``, which no kernel row carries: it raises
+ZeroProbability itself, as "p(A|f;eps) is zero; cannot take its
+logarithm" (or the conditional that is zero).
 """
 
 

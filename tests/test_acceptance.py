@@ -37,6 +37,7 @@ import time
 from statistics import NormalDist
 
 from conftest import record_criterion
+from support import wv_a
 from weakmeas import (
     GateParams,
     LinearizationInvalid,
@@ -60,11 +61,6 @@ F_A = Outcome.A
 #: The cells (D, A) and (A, A) of a joint table, the weights of f = A.
 I_D, I_A = COLUMN[F_A]
 EPS_OP = 0.08  # operating coupling
-
-
-def wv_a(theta_deg):
-    half = math.radians(theta_deg) / 2.0
-    return (math.cos(half) + math.sin(half)) / (math.cos(half) - math.sin(half))
 
 
 def _record_and_assert(number, name, passed, detail=""):

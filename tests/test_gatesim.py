@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from support import cell, exact
 
 from weakmeas import (
-    CELLS,
     LinearizationInvalid,
     GateParams,
     Outcome,
@@ -19,17 +19,6 @@ from weakmeas.kernel import IDEAL_GATE, ppbs_coincidence_operator, probe_state, 
 D_OUT, A_OUT = Outcome.D, Outcome.A
 F_D, F_A = Outcome.D, Outcome.A
 SQRT3 = math.sqrt(3.0)
-
-
-def exact(deg, eps, params=None, postselect_deg=270.0):
-    """The exact table of the ideal gate, or of the PPBS with ``params``."""
-    if params is None:
-        return model_distribution(deg, eps, "exact-ideal", postselect_deg=postselect_deg)
-    return model_distribution(deg, eps, "exact-ppbs", params, postselect_deg)
-
-
-def cell(p, m, f):
-    return p[CELLS.index((m, f))]
 
 
 def marginal(p, f):

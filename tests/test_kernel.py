@@ -10,10 +10,9 @@ import re
 
 import numpy as np
 import pytest
-from test_cli import ERROR_LINES
+from support import ERROR_LINES, cell, linear, table, wv_a
 
 from weakmeas import (
-    CELLS,
     CouplingTooStrong,
     GateParams,
     LinearizationInvalid,
@@ -68,26 +67,6 @@ def inner(bra, ket):
 def random_states(seed, count):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
-
-
-def wv_closed_form(theta_deg):
-    """(cos(t/2)+sin(t/2))/(cos(t/2)-sin(t/2)), the f=A weak value."""
-    half = math.radians(theta_deg) / 2.0
-    return (math.cos(half) + math.sin(half)) / (math.cos(half) - math.sin(half))
-
-
-def linear(deg, eps):
-    return model_distribution(deg, eps, "linear")
-
-
-def table(theta, eps, model, gate=None):
-    """(p[N, 4] in CELLS order, status[N]) of one sweep_columns call."""
-    cols = sweep_columns(theta, eps, model, gate)
-    return np.stack([cols[f"p_{m.value}{f.value}"] for m, f in CELLS], axis=1), cols["status"]
-
-
-def cell(p, m, f):
-    return p[CELLS.index((m, f))]
 
 
 def meter_marginal(p, m):
@@ -497,7 +476,7 @@ class TestWeakValue:
     def test_anomalous_value_at_60(self):
         got = weak_value(linear_states(60.0), A_STATE)
         assert got == pytest.approx(2.0 + math.sqrt(3.0), abs=1e-12)
-        assert got == pytest.approx(wv_closed_form(60.0), abs=1e-12)
+        assert got == pytest.approx(wv_a(60.0), abs=1e-12)
 
     def test_singular_postselection_raises(self):
         with pytest.raises(PostselectionSingular):
@@ -569,7 +548,7 @@ class TestJointProbabilitiesLinear:
         d = linear(60.0, 0.01)
         pf = (1.0 - math.sin(math.radians(60.0))) / 2.0
         assert pf == pytest.approx(0.06699, abs=5e-6)
-        want = pf * 0.5 * (1.0 + 0.02 * wv_closed_form(60.0))
+        want = pf * 0.5 * (1.0 + 0.02 * wv_a(60.0))
         assert cell(d, D_OUT, F_A) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.03600, abs=1e-5)
 
@@ -610,7 +589,7 @@ class TestLogDerivative:
     @pytest.mark.parametrize("deg", [0.0, 20.0, 45.0, 60.0, 120.0, 250.0])
     def test_matches_finite_difference_of_linear_model(self, deg):
         # d ln p(m, f) / d eps at eps = 0 is 2 kappa_m Re wv_f
-        if abs(wv_closed_form(deg)) > 100.0:
+        if abs(wv_a(deg)) > 100.0:
             return
         delta = 1e-6
         p_d = linear(deg, delta)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from support import linear, wv_a
 
 from weakmeas import (
     CELLS,
@@ -81,10 +82,6 @@ def replica_counts(*args):
 
 def no_draw(*args, **kwargs):
     raise AssertionError("a draw was prepared")
-
-
-def linear(deg, eps):
-    return model_distribution(deg, eps, ModelTag.LINEAR)
 
 
 class TestModelDistribution:
@@ -359,9 +356,7 @@ class TestRunEnsemble:
         deg, eps = 60.0, 0.08
         stats = run_ensemble(deg, eps, ModelTag.EXACT_IDEAL, 10**6, 200, base_seed=3)
         dist = model_distribution(deg, eps, ModelTag.EXACT_IDEAL)
-        half = math.radians(deg) / 2.0
-        wv = (math.cos(half) + math.sin(half)) / (math.cos(half) - math.sin(half))
-        expected, _ = estimate_epsilon(dist[0], dist[1], wv, f=Outcome.A)
+        expected, _ = estimate_epsilon(dist[0], dist[1], wv_a(deg), f=Outcome.A)
         se = math.sqrt(stats.var_eps_hat / stats.n_replicas)
         assert abs(stats.mean_eps_hat - expected) < 3.0 * se
 

@@ -28,8 +28,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from support import table
 
-from weakmeas import CELLS, GateParams, Outcome, PostselectionSingular, errors
+from weakmeas import GateParams, Outcome, PostselectionSingular, errors
 from weakmeas.kernel import (
     SINGULARITY_THRESHOLD, WV_REFERENCE_FLOOR, analyzer_basis, fisher_information, linear_states,
     model_distribution, moment_estimates, sweep_columns, weak_value,
@@ -42,12 +43,6 @@ ppbs_gates = st.builds(GateParams, t_h=st.floats(0.0, 1.0, exclude_min=True),
                        t_v=st.floats(1e-3, 1.0), a_h=st.floats(1e-3, 1.0))
 
 PROPERTY = settings(max_examples=100, deadline=None)
-
-
-def table(theta, eps, model, gate_params, postselect):
-    """(p[N, 4] in CELLS order, status[N]) of one sweep_columns call."""
-    cols = sweep_columns(theta, eps, model, gate_params, postselect)
-    return np.stack([cols[f"p_{m.value}{f.value}"] for m, f in CELLS], axis=1), cols["status"]
 
 
 @PROPERTY
