@@ -47,8 +47,8 @@ import numpy as np
 from .args import IO_EXIT_CODE, build_parser
 from .errors import WeakMeasError
 from .kernel import (
-    GateParams, ModelTag, Outcome, analyzer_basis, angle_row, fisher_information,
-    linear_states, model_distribution, sweep_columns, weak_value,
+    GateParams, ModelTag, Outcome, angle_row, fisher_information, linear_states,
+    model_distribution, sweep_columns,
 )
 
 SWEEP_FORMAT_VERSION = "sweep-1"
@@ -244,18 +244,15 @@ def cmd_sweep(args) -> int:
 def cmd_weakvalue(args) -> int:
     from .estimation import extract_weak_value
 
-    psi = linear_states(args.theta)
-    basis = analyzer_basis(args.postselect)
-    analytic = weak_value(psi, basis[1]).real
-    p_eps, p_zero = (model_distribution(args.theta, eps, ModelTag.LINEAR, None, args.postselect)
-                     for eps in (args.eps_probe, 0.0))
+    p_zero, row = angle_row(args.theta, 0.0, ModelTag.LINEAR, None, args.postselect, Outcome.A)
+    p_eps = model_distribution(args.theta, args.eps_probe, ModelTag.LINEAR, None, args.postselect)
     finite_diff = extract_weak_value(p_eps, p_zero, Outcome.A, args.eps_probe)
     _print_json(
         {
             "theta_deg": args.theta,
             "postselect_deg": args.postselect,
             "eps_probe": args.eps_probe,
-            "wv_analytic": analytic,
+            "wv_analytic": row["wv_A"],
             "wv_finite_difference": finite_diff,
         }
     )

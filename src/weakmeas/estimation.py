@@ -62,7 +62,9 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     ``n_events`` post-selected events, None without them. Raises the error
     of the status of :func:`weakmeas.kernel.moment_estimates`; weights
     that sum to zero are named as p(f) = 0, and a reference that is not
-    finite, NaN included, is a ValueError.
+    finite, NaN included, is a ValueError. It is the one refusal of the
+    estimate: the estimate command and the ensemble call it on their
+    kernel row's cells, after ``angle_row`` has refused the row.
 
     The estimate is (p(D|f) - p(A|f)) / (2 wv_reference). On linear-model
     conditionals this is the set eps exactly. On exact ideal-gate

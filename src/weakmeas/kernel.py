@@ -79,10 +79,13 @@ are unit vectors by construction. A caller's own state is checked once,
 at the scalar functions: it must be finite and nonzero and is
 normalized. The scalar functions are N = 1 calls: ``model_distribution``
 is the table of :func:`angle_row`, the one-angle :func:`sweep_columns` row
-from which the ensemble and the estimate command also read their
-reference weak value and refusals, and the ensemble its Fisher share;
-``weak_value`` and ``fisher_information`` read the :func:`weak_values`
-and :func:`fisher_split` of a caller's state, so each model has one
+from which the ensemble and the estimate and weakvalue commands also read
+their reference weak value, and the ensemble its Fisher share. It
+refuses the row only (its table status, then code 4 where the weak value
+is undefined); the estimate's refusals are
+``estimation.estimate_epsilon``'s. ``weak_value`` and
+``fisher_information`` read the :func:`weak_values` and
+:func:`fisher_split` of a caller's state, so each model has one
 implementation.
 """
 
@@ -447,19 +450,16 @@ def angle_row(theta: float, eps: float, model: ModelTag | str, gate_params=None,
     """(p, row): the :func:`sweep_columns` row at one angle, as its joint
     table p[4] in CELLS order and as a dict of its columns as Python
     scalars. Raises the error of the table status, then, given an outcome
-    f, that of the :func:`moment_estimates` status (4, 9, 8) of f's
-    (D, f) and (A, f) cells with wv_f, f's reference weak value."""
+    f, PostselectionSingular (code 4) with the row's |<f|psi>| where wv_f
+    is NaN. It refuses the row only: the estimate's refusals (4, 9, 8)
+    are :func:`weakmeas.estimation.estimate_epsilon`'s."""
     cols = sweep_columns([theta], eps, model, gate_params, postselect_deg)
     row = {key: col[0].item() for key, col in cols.items()}
     raise_status(row["status"], eps=eps)
-    p = np.array([row[f"p_{m.value}{g.value}"] for m, g in CELLS])
-    if f is not None:
-        i_d, i_a = COLUMN[f]
-        wv = row[f"wv_{f.value}"]
-        raise_status(moment_estimates(p[[i_d]], p[[i_a]], wv)[1][0], f=f.value,
-                     overlap=row[f"overlap_{f.value}"], threshold=SINGULARITY_THRESHOLD,
-                     wv_abs=abs(wv), wv_floor=WV_REFERENCE_FLOOR)
-    return p, row
+    if f is not None and math.isnan(row[f"wv_{f.value}"]):
+        raise_status(PostselectionSingular.exit_code, overlap=row[f"overlap_{f.value}"],
+                     threshold=SINGULARITY_THRESHOLD)
+    return np.array([row[f"p_{m.value}{g.value}"] for m, g in CELLS]), row
 
 
 # -- the scalar API: N = 1 calls -------------------------------------------

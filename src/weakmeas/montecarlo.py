@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooManyDiscardedReplicas
-from .estimation import cramer_rao_bound
+from .estimation import cramer_rao_bound, estimate_epsilon
 from .kernel import COLUMN, GateParams, ModelTag, Outcome, angle_row, check_table, moment_estimates
 
 #: Replicas with unusable counts may be discarded up to this fraction.
@@ -212,9 +212,10 @@ def run_ensemble(
     The table p, the reference weak value ``wv_f`` and ``F_f`` are read
     from one row of the kernel, ``sweep_columns([theta], ...)`` with the
     post-selection ``analyzer_basis(270)``. Before any draw
-    ``angle_row(..., f=f)`` raises the row's refusals in the order table
-    status, 4 (``wv_f`` undefined), 9 (p(f) = 0) and 8 (a reference below
-    the floor). The bound is ``cramer_rao_bound(F_f, n, f)``, 1 / (n F_f)
+    ``angle_row(..., f=f)`` refuses the row (table status, then 4,
+    ``wv_f`` undefined) and ``estimate_epsilon`` of its (D, f) and (A, f)
+    cells the estimate (9, p(f) = 0, then 8, a reference below the
+    floor). The bound is ``cramer_rao_bound(F_f, n, f)``, 1 / (n F_f)
     with n = n_per_replica total trials and F_f = 4 p(f) wv^2, the per-f
     Fisher contribution at eps = 0 (equivalently, 4 wv^2 with the expected
     number of post-selected events); it does not depend on eps_true, the
@@ -234,6 +235,7 @@ def run_ensemble(
     p, row = angle_row(theta, eps_true, model, gate_params, f=f)
     pvec = p / p.sum()  # the model has checked its table
     wv_ref = row[f"wv_{f.value}"]
+    estimate_epsilon(*p[list(COLUMN[f])], wv_ref, f=f)
     crb = cramer_rao_bound(row[f"F_{f.value}"], n_per_replica, f)
 
     # the kept estimates in replica order; their mean and variance sum

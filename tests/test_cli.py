@@ -744,8 +744,8 @@ class TestExitCodeIsTheRowStatus:
         angles = _row_angles(psi)
         cols = sweep_columns(angles, eps, model, None, psi)
         for k, theta in enumerate(angles):
-            code = weakmeas_main.main(["estimate", f"--theta={theta!r}", "--epsilon", repr(eps),
-                                       "--model", model, f"--postselect={psi!r}"])
+            code = main(["estimate", f"--theta={theta!r}", "--epsilon", repr(eps),
+                         "--model", model, f"--postselect={psi!r}"])
             capsys.readouterr()
             assert code == _first_nonzero(cols["status"][k], cols["status_eps_hat_A"][k]), theta
 
@@ -756,9 +756,9 @@ class TestExitCodeIsTheRowStatus:
         cols = sweep_columns(angles, eps, model)
         status_d = moment_estimates(cols["p_DD"], cols["p_AD"], cols["wv_D"])[1]
         for k, theta in enumerate(angles):
-            code = weakmeas_main.main(["montecarlo", f"--theta={theta!r}", "--epsilon", repr(eps),
-                                       "--model", model, "--f", "D", "--shots", "1000",
-                                       "--replicas", "2", "--seed", "0"])
+            code = main(["montecarlo", f"--theta={theta!r}", "--epsilon", repr(eps),
+                         "--model", model, "--f", "D", "--shots", "1000",
+                         "--replicas", "2", "--seed", "0"])
             capsys.readouterr()
             want = _first_nonzero(cols["status"][k], status_d[k])
             # past the row's refusals: a zero F_D, or a replica discarded
@@ -1009,9 +1009,9 @@ class TestEntryPoint:
 
     def test_main_leaves_the_collector_alone(self, capsys):
         before = gc.get_freeze_count()
-        assert weakmeas_main.main(["fisher", "--theta", "0"]) == 0
+        assert main(["fisher", "--theta", "0"]) == 0
         with pytest.raises(SystemExit):
-            weakmeas_main.main(["--help"])
+            main(["--help"])
         capsys.readouterr()
         assert gc.get_freeze_count() == before
 
@@ -1057,10 +1057,10 @@ class TestImportGraph:
 
     def test_cli_module_keeps_numpy_and_the_kernel_names(self):
         # the benchmark times `import weakmeas.cli` against its numpy import
-        # and wraps these three names where weakmeas.cli looks them up
+        # and wraps these names where weakmeas.cli looks them up
         code = ("import sys, weakmeas.cli as c; print('numpy' in sys.modules, "
                 "all(callable(getattr(c, n)) for n in "
-                "('model_distribution', 'weak_value', 'fisher_information')))")
+                "('model_distribution', 'fisher_information')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         assert proc.stdout.split() == ["True", "True"]

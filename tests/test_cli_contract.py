@@ -13,7 +13,7 @@ The argv are drawn from the parser's own commands and choices, with
 numbers over the whole float range (NaN and infinity included, which the
 parser refuses), gate options also on the models that refuse them, shot
 counts, replica counts and seeds beyond their ranges, and sweep grids.
-Each runs in process through ``weakmeas.__main__.main``. A montecarlo
+Each runs in process through ``weakmeas.cli.main``. A montecarlo
 command draws at most 200 replicas of at most 10^6 shots, and a sweep the
 parser accepts has at most 2,000 rows, which keeps the run near a few
 seconds. The examples are fixed (``derandomize=True``), so a run is
@@ -32,8 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weakmeas import args as cli_args
-from weakmeas.__main__ import main
-from weakmeas.cli import _theta_grid
+from weakmeas.cli import _theta_grid, main
 from weakmeas.kernel import GateParams, model_distribution
 
 PARSER = cli_args.build_parser()

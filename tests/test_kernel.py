@@ -151,6 +151,27 @@ def test_one_amplitude_pass_per_call(monkeypatch, capsys, model, gate):
                                       "--model", model.value, *gate_argv, "--postselect", "300"])
     assert cli.cmd_estimate(args) == 0
     assert calls == [(1, 2)]
+    # weakvalue reads wv_A and the eps = 0 table from one row, and the
+    # probe's table from a second
+    calls.clear()
+    assert cli.cmd_weakvalue(build_parser().parse_args(["weakvalue", "--theta", "30",
+                                                        "--postselect", "300"])) == 0
+    assert calls == [(1, 2), (1, 2)]
+
+
+def test_angle_row_refuses_the_row_not_the_estimate():
+    # the estimate's codes 9 and 8 are estimate_epsilon's: the row at a
+    # round-off wv_A and the row without f = A events are returned
+    _, row = kernel.angle_row(270.0, 0.0, "linear", f=A_OUT)
+    assert abs(row["wv_A"]) < kernel.WV_REFERENCE_FLOOR
+    p, _ = kernel.angle_row(120.0, 0.0, "exact-ppbs", GateParams(t_v=1 / math.sqrt(3), a_h=1.0),
+                            f=A_OUT)
+    assert p[0] + p[1] == 0.0
+    # a singular wv_A is refused with the row's |<f|psi>|
+    for theta, overlap in ((90.0, "0"), (90.0000001, "8.73e-10")):
+        with pytest.raises(PostselectionSingular,
+                           match=re.escape(f"|<f|psi>| = {overlap} below threshold 1e-08")):
+            kernel.angle_row(theta, 0.0, "linear", f=A_OUT)
 
 
 @pytest.mark.parametrize("model, gate", MODELS)
