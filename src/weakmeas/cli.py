@@ -19,6 +19,11 @@ as ``json.dumps(indent=2)`` of the whole file, an undefined cell empty
 or null. The kernel is elementwise, so they do not depend on the block
 size.
 
+The kernel is reached through two entries: each point command reads
+its one-angle row from ``kernel.angle_row`` (``montecarlo`` through
+``run_ensemble``, which reads the same row), and the sweep reads its
+blocks from ``kernel.sweep_columns``.
+
 Every command loads numpy, ``args``, ``errors`` and ``kernel``;
 ``estimation``, ``montecarlo`` and ``json`` are imported inside the
 commands that use them. ``__main__`` parses the command line with
@@ -46,10 +51,7 @@ import numpy as np
 
 from .args import IO_EXIT_CODE, build_parser
 from .errors import WeakMeasError
-from .kernel import (
-    GateParams, ModelTag, Outcome, angle_row, fisher_information, linear_states,
-    model_distribution, sweep_columns,
-)
+from .kernel import GateParams, ModelTag, Outcome, angle_row, sweep_columns
 
 SWEEP_FORMAT_VERSION = "sweep-1"
 
@@ -90,9 +92,9 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_probs(args) -> int:
-    p_da, p_aa, p_dd, p_ad = model_distribution(
+    p_da, p_aa, p_dd, p_ad = angle_row(
         args.theta, args.epsilon, *_model_and_gate(args), args.postselect
-    ).tolist()
+    )[0].tolist()
     payload = {
         "theta_deg": args.theta,
         "epsilon": args.epsilon,
@@ -185,7 +187,8 @@ def _sweep_file(path: str):
     """A text handle for the sweep file at ``path``. A regular file, or a
     path where there is none, is written as a temporary file in the same
     directory, which replaces ``path`` after the last write with the mode
-    of the file it replaces, or 0o666 less the umask. On an error the
+    of the file it replaces, or 0o666 less the umask; it is written and
+    chmodded through the descriptor ``mkstemp`` opened. On an error the
     temporary file is removed and ``path`` keeps what it held. Anything
     else, such as a symlink, /dev/stdout or a FIFO, is written in place."""
     try:
@@ -205,10 +208,10 @@ def _sweep_file(path: str):
         fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
     except OSError as exc:  # name the caller's path, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
-    os.close(fd)
     try:
-        os.chmod(temp, stat.S_IMODE(mode))
-        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+        # a link put at the temporary path is neither chmodded nor truncated
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            os.fchmod(fd, stat.S_IMODE(mode))
             yield handle
         os.replace(temp, path)
     except BaseException:
@@ -245,7 +248,7 @@ def cmd_weakvalue(args) -> int:
     from .estimation import extract_weak_value
 
     p_zero, row = angle_row(args.theta, 0.0, ModelTag.LINEAR, None, args.postselect, Outcome.A)
-    p_eps = model_distribution(args.theta, args.eps_probe, ModelTag.LINEAR, None, args.postselect)
+    p_eps = angle_row(args.theta, args.eps_probe, ModelTag.LINEAR, None, args.postselect)[0]
     finite_diff = extract_weak_value(p_eps, p_zero, Outcome.A, args.eps_probe)
     _print_json(
         {
@@ -262,17 +265,18 @@ def cmd_weakvalue(args) -> int:
 def cmd_fisher(args) -> int:
     from .estimation import cramer_rao_bound
 
-    f_d, f_a = fisher_information(linear_states(args.theta), args.postselect).tolist()
+    # F reads only the amplitudes, and a linear row at eps = 0 is defined
+    _, row = angle_row(args.theta, 0.0, ModelTag.LINEAR, None, args.postselect)
     payload = {
         "theta_deg": args.theta,
         "postselect_deg": args.postselect,
-        "F_A": f_a,
-        "F_D": f_d,
-        "F_total": f_d + f_a,
+        "F_A": row["F_A"],
+        "F_D": row["F_D"],
+        "F_total": row["F_total"],
     }
     if args.shots is not None:
-        payload["crb_total"] = cramer_rao_bound(f_d + f_a, args.shots)
-        payload["crb_A"] = cramer_rao_bound(f_a, args.shots, Outcome.A)
+        payload["crb_total"] = cramer_rao_bound(row["F_total"], args.shots)
+        payload["crb_A"] = cramer_rao_bound(row["F_A"], args.shots, Outcome.A)
     _print_json(payload)
     return 0
 

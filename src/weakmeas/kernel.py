@@ -72,16 +72,17 @@ tables: it returns the columns of a sweep, |<f|psi>| of each outcome,
 the table's ``status`` and the moment estimate's ``status_eps_hat_A``. A
 call makes one amplitude pass, :func:`_transitions`, and reads the weak
 values, p(f), the Fisher split and the first-order table from its
-triple (<f|A|psi>, <f|psi>, |<f|psi>|). The arithmetic is elementwise,
+triple (<f|A|psi>, <f|psi>, |<f|psi>|); it computes the weak values
+once, for the table and for the columns. The arithmetic is elementwise,
 so a row's value does not depend on N and uses no BLAS kernel. States
 built here (the probe, the rows of :func:`linear_states` and of a basis)
 are unit vectors by construction. A caller's own state is checked once,
 at the scalar functions: it must be finite and nonzero and is
 normalized. The scalar functions are N = 1 calls: ``model_distribution``
 is the table of :func:`angle_row`, the one-angle :func:`sweep_columns` row
-from which the ensemble and the estimate and weakvalue commands also read
-their reference weak value, and the ensemble its Fisher share. It
-refuses the row only (its table status, then code 4 where the weak value
+that every point command of ``weakmeas.cli`` and the ensemble read: the
+table, the reference weak value and the Fisher split. It refuses the
+row only (its table status, then code 4 where the weak value
 is undefined); the estimate's refusals are
 ``estimation.estimate_epsilon``'s. ``weak_value`` and
 ``fisher_information`` read the :func:`weak_values` and
@@ -283,24 +284,26 @@ def check_table(p) -> np.ndarray:
     return _checked(np.maximum(values, 0.0)[None], np.zeros(1))[0][0]
 
 
-def linear_table(transitions, eps: float):
+def linear_table(mag, re_wv, eps: float):
     """First-order table p(m, f) = w_m |<f|psi>|^2 (1 + 2 eps kappa_m Re wv_f)
     in CELLS order, and the row status.
 
-    ``transitions`` is the :func:`_transitions` triple of the states and a
-    basis (:func:`analyzer_basis`), whose rows map positionally to the
-    outcomes (D, A). Where the post-selection is singular the row falls
-    back to the interaction-free w_m |<f|psi>|^2, exact there to the order
-    retained. A negative cell marks the breakdown of the weak-coupling
-    premise: the row is LinearizationInvalid. A non-finite ``eps`` is a
-    ValueError, not a coupling past the guard.
+    ``mag`` and ``re_wv`` are |<f|psi>| and Re wv_f of the states and a
+    basis (:func:`analyzer_basis`), columns (D, A): :func:`sweep_columns`
+    computes them once for the table and its own columns, the row that
+    :func:`angle_row` gives every point command and ``run_ensemble``.
+    Where wv_f is NaN (singular) the row falls back to the interaction-free
+    w_m |<f|psi>|^2, exact there to the order retained. A negative cell
+    marks the breakdown of the weak-coupling premise: the row is
+    LinearizationInvalid. A non-finite ``eps`` is a ValueError, not a
+    coupling past the guard.
     """
     if not math.isfinite(eps):
         raise ValueError(f"coupling eps={eps!r} is not finite")
     if not abs(eps) < WEAKNESS_GUARD:
         raise CouplingTooStrong(f"weakness margin {abs(eps):.6g} exceeds guard {WEAKNESS_GUARD:.6g}")
-    pf = transitions[2] ** 2
-    re_wv = np.nan_to_num(weak_values(*transitions).real, nan=0.0)
+    pf = mag ** 2
+    re_wv = np.nan_to_num(re_wv, nan=0.0)
     p = _W * pf[:, _F_ROW] * (1.0 + 2.0 * eps * _KAPPA * re_wv[:, _F_ROW])
     return _checked(p, np.where((p < 0.0).any(axis=1), LinearizationInvalid.exit_code, 0))
 
@@ -385,13 +388,13 @@ def exact_table(states, eps: float, gate: tuple, basis: np.ndarray):
     return _checked(p, np.where(norm < COINCIDENCE_FLOOR, ZeroCoincidenceNorm.exit_code, 0))
 
 
-def _table(states, transitions, eps: float, model: ModelTag, gate_params, basis):
+def _table(states, mag, re_wv, eps: float, model: ModelTag, gate_params, basis):
     if model is ModelTag.EXACT_PPBS:
         return exact_table(states, eps, ppbs_coincidence_operator(gate_params or GateParams()), basis)
     if gate_params is not None:
         raise ValueError("gate_params apply only to model exact-ppbs")
     if model is ModelTag.LINEAR:
-        return linear_table(transitions, eps)
+        return linear_table(mag, re_wv, eps)
     return exact_table(states, eps, IDEAL_GATE, basis)
 
 
@@ -425,12 +428,15 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     no status, as ``wv_f`` is NaN exactly where ``overlap_f`` is below
     SINGULARITY_THRESHOLD (code 4). ``gate_params`` applies to the exact
     PPBS model and defaults to the compensated gate; another model
-    refuses it (ValueError)."""
+    refuses it (ValueError). ``theta_deg`` is a 1-D array of angles."""
     theta = np.asarray(theta_deg, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(f"theta_deg must be a 1-D array of angles, got shape {theta.shape}")
     states, basis = linear_states(theta), analyzer_basis(postselect_deg)
     transitions = _transitions(states, basis)
-    p, status = _table(states, transitions, eps, ModelTag(model), gate_params, basis)
-    wv_d, wv_a = weak_values(*transitions).real.T
+    re_wv = weak_values(*transitions).real
+    p, status = _table(states, transitions[2], re_wv, eps, ModelTag(model), gate_params, basis)
+    wv_d, wv_a = re_wv.T
     f_d, f_a = fisher_split(*transitions).T
     overlap_d, overlap_a = transitions[2].T
     i_d, i_a = COLUMN[Outcome.A]

@@ -227,6 +227,7 @@ def run_ensemble(
     ``estimate_epsilon(n_d, n_a, wv_ref, f=f)[0]``.
     """
     f = Outcome(f)
+    n_replicas = operator.index(n_replicas)
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
     if n_replicas > MAX_REPLICAS:

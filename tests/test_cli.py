@@ -11,6 +11,7 @@ import resource
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -367,6 +368,28 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--epsilon", "0.08", "--out", str(link))
         assert code == 20
         assert link.is_symlink() and target.exists()
+
+    def test_link_at_the_temporary_path_is_not_followed(self, monkeypatch, tmp_path, capsys):
+        # a symlink swapped in at the temporary path after mkstemp: the
+        # file is written and chmodded through mkstemp's descriptor, so the
+        # link's target keeps its bytes and its mode
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"keep\n")
+        victim.chmod(0o600)
+        mkstemp = tempfile.mkstemp
+
+        def swapped(*args, **kwargs):
+            fd, temp = mkstemp(*args, **kwargs)
+            os.remove(temp)
+            os.symlink(victim, temp)
+            return fd, temp
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", swapped)
+        code, _, _ = run_cli(capsys, "sweep", "--theta-step", "90", "--epsilon", "0.08",
+                             "--out", str(tmp_path / "sweep.csv"))
+        assert code == 0
+        assert victim.read_bytes() == b"keep\n"
+        assert stat.S_IMODE(victim.stat().st_mode) == 0o600
 
     @staticmethod
     def _existing(tmp_path):
@@ -1055,15 +1078,12 @@ class TestImportGraph:
         argv = ["sweep", "--theta-step", "90", "--epsilon", "0.08", "--out", ""]
         assert modules_loaded(argv, returncode=2) == PARSER_ONLY
 
-    def test_cli_module_keeps_numpy_and_the_kernel_names(self):
+    def test_cli_module_loads_numpy(self):
         # the benchmark times `import weakmeas.cli` against its numpy import
-        # and wraps these names where weakmeas.cli looks them up
-        code = ("import sys, weakmeas.cli as c; print('numpy' in sys.modules, "
-                "all(callable(getattr(c, n)) for n in "
-                "('model_distribution', 'fisher_information')))")
+        code = "import sys, weakmeas.cli; print('numpy' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        assert proc.stdout.split() == ["True", "True"]
+        assert proc.stdout.split() == ["True"]
 
     def test_montecarlo_loads_estimation_and_montecarlo(self):
         argv = ["montecarlo", "--theta", "30", "--epsilon", "0.08", "--shots", "1000",

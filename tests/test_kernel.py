@@ -126,37 +126,51 @@ def test_sweep_columns_match_scalar_api(model, gate, postselect):
 @pytest.mark.parametrize("model, gate", MODELS)
 def test_one_amplitude_pass_per_call(monkeypatch, capsys, model, gate):
     # weak values, p(f), the Fisher split and the first-order table all
-    # read the triple of one _transitions call over both basis rows; the
-    # ensemble and the estimate command read theirs from one such row
+    # read the triple of one _transitions call over both basis rows, and
+    # the table and the weak-value columns one weak_values call; the
+    # ensemble and the probs, fisher and estimate commands read theirs
+    # from one such row
     calls = []
 
     def counted(states, rows):
-        calls.append((len(states), len(rows)))
+        calls.append(("_transitions", len(states), len(rows)))
         return _transitions(states, rows)
 
-    monkeypatch.setattr(kernel, "_transitions", counted)
-    sweep_columns(GRID[:8], 0.08, model, gate, 300.0)
-    assert calls == [(8, 2)]
-    calls.clear()
-    model_distribution(GRID[1], 0.08, model, gate, 300.0)
-    assert calls == [(1, 2)]
-    for f in Outcome:
+    def counted_wv(num, den, mag):
+        calls.append(("weak_values", *num.shape))
+        return weak_values(num, den, mag)
+
+    def passes():
+        made = calls[:]
         calls.clear()
+        return made
+
+    one_row = [("_transitions", 1, 2), ("weak_values", 1, 2)]
+    monkeypatch.setattr(kernel, "_transitions", counted)
+    monkeypatch.setattr(kernel, "weak_values", counted_wv)
+    sweep_columns(GRID[:8], 0.08, model, gate, 300.0)
+    assert passes() == [("_transitions", 8, 2), ("weak_values", 8, 2)]
+    model_distribution(GRID[1], 0.08, model, gate, 300.0)
+    assert passes() == one_row
+    for f in Outcome:
         run_ensemble(30.0, 0.08, model, 1000, 2, 0, f=f, gate_params=gate)
-        assert calls == [(1, 2)], f
-    calls.clear()
+        assert passes() == one_row, f
     gate_argv = [] if gate is None else ["--th", repr(gate.t_h), "--tv", repr(gate.t_v),
                                          "--ah", repr(gate.a_h)]
-    args = build_parser().parse_args(["estimate", "--theta", "30", "--epsilon", "0.08",
-                                      "--model", model.value, *gate_argv, "--postselect", "300"])
-    assert cli.cmd_estimate(args) == 0
-    assert calls == [(1, 2)]
+    point = ["--theta", "30", "--epsilon", "0.08", "--model", model.value, *gate_argv,
+             "--postselect", "300"]
+    parse = build_parser().parse_args
+    assert cli.cmd_estimate(parse(["estimate", *point])) == 0
+    assert passes() == one_row
+    assert cli.cmd_probs(parse(["probs", *point])) == 0
+    assert passes() == one_row
+    assert cli.cmd_fisher(parse(["fisher", "--theta", "30", "--postselect", "300",
+                                 "--shots", "1000"])) == 0
+    assert passes() == one_row
     # weakvalue reads wv_A and the eps = 0 table from one row, and the
     # probe's table from a second
-    calls.clear()
-    assert cli.cmd_weakvalue(build_parser().parse_args(["weakvalue", "--theta", "30",
-                                                        "--postselect", "300"])) == 0
-    assert calls == [(1, 2), (1, 2)]
+    assert cli.cmd_weakvalue(parse(["weakvalue", "--theta", "30", "--postselect", "300"])) == 0
+    assert passes() == one_row * 2
 
 
 def test_angle_row_refuses_the_row_not_the_estimate():
@@ -290,6 +304,18 @@ def test_unnormalizable_probe_is_refused(model):
 def test_non_finite_angle_refused():
     with pytest.raises(ValueError):
         sweep_columns([0.0, math.nan], 0.08, ModelTag.LINEAR)
+
+
+@pytest.mark.parametrize("theta, shape", [(30.0, r"\(\)"), ([[0.0, 30.0]], r"\(1, 2\)")])
+def test_theta_must_be_one_dimensional(theta, shape):
+    with pytest.raises(ValueError, match=f"got shape {shape}$"):
+        sweep_columns(theta, 0.08, ModelTag.LINEAR)
+
+
+@pytest.mark.parametrize("model, gate", MODELS)
+def test_empty_theta_gives_empty_columns(model, gate):
+    cols = sweep_columns(np.array([]), 0.08, model, gate)
+    assert {col.shape for col in cols.values()} == {(0,)}
 
 
 class TestBases:

@@ -553,6 +553,15 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="replicas must not exceed 4, got 5"):
             run_ensemble(0.0, 0.0, ModelTag.LINEAR, 100, 5, base_seed=0)
 
+    @pytest.mark.parametrize("n_replicas, name", [(2.0, "float"), (np.float64(10.0), r"numpy\.float64")])
+    def test_replicas_must_be_an_integer(self, monkeypatch, n_replicas, name):
+        args = (0.0, 0.08, ModelTag.LINEAR, 100)
+        assert run_ensemble(*args, np.int64(4), base_seed=0) == run_ensemble(*args, 4, base_seed=0)
+        # refused before the model is evaluated
+        monkeypatch.setattr("weakmeas.montecarlo.angle_row", None)
+        with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
+            run_ensemble(*args, n_replicas, base_seed=0)
+
     def test_rejects_single_replica(self):
         with pytest.raises(ValueError):
             run_ensemble(0.0, 0.0, ModelTag.LINEAR, 100, 1, base_seed=0)
