@@ -5,7 +5,10 @@ Angles are accepted in degrees only. CSV output is UTF-8 with a header
 row, comma separators, LF line endings and floats printed with 12
 significant digits; undefined cells are emitted as empty fields. JSON
 output is a single object or array with stable key order. Identical
-invocations produce identical bytes.
+invocations produce identical bytes. Each ``cmd_*`` returns the text it
+prints (``sweep`` none), and :func:`run` writes it to stdout once the
+command has returned: a failed command prints nothing there, and a
+closed stdout is an I/O error.
 
 A sweep is computed and written one block of grid rows at a time: the
 kernel's columns of one block, the text of one % chunk of it, and the
@@ -13,7 +16,8 @@ theta grid, 8 bytes a row, are all it holds. The first block is computed
 before any file is created, so a refusal leaves no file. The rows go to
 a temporary file beside ``--out`` that replaces it once it is whole, so
 a sweep that fails later leaves the file at ``--out`` as it was; a
-symlink, /dev/stdout or a FIFO is written in place. The bytes are those
+symlink, /dev/stdout or a FIFO is written in place; if the temporary
+path stops naming the file written, the sweep fails. The bytes are those
 of the output contract above: each CSV cell as ``f"{x:.12g}"``, the JSON
 as ``json.dumps(indent=2)`` of the whole file, an undefined cell empty
 or null. The kernel is elementwise, so they do not depend on the block
@@ -85,13 +89,13 @@ def _model_and_gate(args) -> tuple[ModelTag, GateParams | None]:
     return model, None
 
 
-def _print_json(payload: dict) -> None:
+def _json(payload: dict) -> str:
     import json
 
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_probs(args) -> int:
+def cmd_probs(args) -> str:
     p_da, p_aa, p_dd, p_ad = angle_row(
         args.theta, args.epsilon, *_model_and_gate(args), args.postselect
     )[0].tolist()
@@ -105,12 +109,9 @@ def cmd_probs(args) -> int:
         "p_AD": p_ad,
     }
     if args.format == "json":
-        _print_json(payload)
-    else:
-        keys = ("p_DA", "p_AA", "p_DD", "p_AD")
-        sys.stdout.write(",".join(keys) + "\n")
-        sys.stdout.write(",".join("%.12g" % payload[k] for k in keys) + "\n")
-    return 0
+        return _json(payload)
+    keys = ("p_DA", "p_AA", "p_DD", "p_AD")
+    return ",".join(keys) + "\n" + ",".join("%.12g" % payload[k] for k in keys) + "\n"
 
 
 #: Most rows a sweep may have, about 28 times the 36,000 rows of a sweep
@@ -122,7 +123,9 @@ MAX_SWEEP_ROWS = 10**6
 def _theta_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start + k * step for k = 0, 1, ... while the angle does not exceed
     stop by more than 1e-9. A grid of more than MAX_SWEEP_ROWS rows is
-    refused before it is allocated."""
+    refused before it is allocated. So is a grid of two or more rows whose
+    angles would not strictly increase as '%.12g' prints them, which also
+    keeps them distinct as floats."""
     if step <= 0:
         raise ValueError("--theta-step must be positive")
     if start > stop:
@@ -133,11 +136,28 @@ def _theta_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise ValueError(
             f"--theta-start/--theta-stop/--theta-step give more than {MAX_SWEEP_ROWS} rows"
         )
-    # in place, in one array: the bits of start + k * step
+    # in place, in one array: the bits of start + k * step; an angle past
+    # the largest float, which searchsorted cuts, is inf without a warning
     theta = np.arange(int(rows) + 1, dtype=float)
-    theta *= step
-    theta += start
-    return theta[:np.searchsorted(theta, limit, "right")]
+    with np.errstate(over="ignore"):
+        theta *= step
+        theta += start
+    theta = theta[:np.searchsorted(theta, limit, "right")]
+    if len(theta) < 2:
+        return theta
+    # '%.12g' moves an angle no larger than `largest` by at most u / 2, with
+    # u = 10^(e - 11) and e the exponent it prints for `largest`, so angles
+    # more than u apart print in their order. start + k * step, rounded
+    # twice, is within 3 * 2^-53 |largest| of its exact value, so
+    # consecutive angles are at least step - 1e-15 |largest| apart.
+    largest = max(theta[0], theta[-1], key=abs).item()
+    u = 10.0 ** (int(f"{largest:.11e}".partition("e")[2]) - 11)
+    if step - 1e-15 * abs(largest) <= u:
+        raise ValueError(
+            f"--theta-step {step!r} is too fine for the angle {largest!r}: the sweep "
+            "file prints angles to 12 significant digits, where they would not increase"
+        )
+    return theta
 
 
 #: Grid rows the kernel computes per sweep_columns call of a sweep. A
@@ -188,8 +208,10 @@ def _sweep_file(path: str):
     path where there is none, is written as a temporary file in the same
     directory, which replaces ``path`` after the last write with the mode
     of the file it replaces, or 0o666 less the umask; it is written and
-    chmodded through the descriptor ``mkstemp`` opened. On an error the
-    temporary file is removed and ``path`` keeps what it held. Anything
+    chmodded through the descriptor ``mkstemp`` opened. If the temporary
+    path no longer names that file (same device and inode) when the last
+    write is done, the sweep's output is lost: OSError. On an error the
+    temporary path is removed and ``path`` keeps what it held. Anything
     else, such as a symlink, /dev/stdout or a FIFO, is written in place."""
     try:
         mode = os.lstat(path).st_mode
@@ -213,6 +235,10 @@ def _sweep_file(path: str):
         with open(fd, "w", encoding="utf-8", newline="\n") as handle:
             os.fchmod(fd, stat.S_IMODE(mode))
             yield handle
+            written = os.fstat(fd)
+        now = os.lstat(temp)
+        if (now.st_dev, now.st_ino) != (written.st_dev, written.st_ino):
+            raise OSError(f"{temp!r} no longer names the file written; {path!r} is left as it was")
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -220,7 +246,7 @@ def _sweep_file(path: str):
         raise
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     theta = _theta_grid(args.theta_start, args.theta_stop, args.theta_step)
     model, gate_params = _model_and_gate(args)
     blocks = (
@@ -241,16 +267,15 @@ def cmd_sweep(args) -> int:
             handle.write(f'{{\n  "format": "{SWEEP_FORMAT_VERSION}",\n  "rows": [\n')
             _write_rows(handle, blocks, _JSON_ROW, ",\n", (("nan", "null"), ("inf", "Infinity")))
             handle.write("\n  ]\n}\n")
-    return 0
 
 
-def cmd_weakvalue(args) -> int:
+def cmd_weakvalue(args) -> str:
     from .estimation import extract_weak_value
 
     p_zero, row = angle_row(args.theta, 0.0, ModelTag.LINEAR, None, args.postselect, Outcome.A)
     p_eps = angle_row(args.theta, args.eps_probe, ModelTag.LINEAR, None, args.postselect)[0]
     finite_diff = extract_weak_value(p_eps, p_zero, Outcome.A, args.eps_probe)
-    _print_json(
+    return _json(
         {
             "theta_deg": args.theta,
             "postselect_deg": args.postselect,
@@ -259,10 +284,9 @@ def cmd_weakvalue(args) -> int:
             "wv_finite_difference": finite_diff,
         }
     )
-    return 0
 
 
-def cmd_fisher(args) -> int:
+def cmd_fisher(args) -> str:
     from .estimation import cramer_rao_bound
 
     # F reads only the amplitudes, and a linear row at eps = 0 is defined
@@ -277,11 +301,10 @@ def cmd_fisher(args) -> int:
     if args.shots is not None:
         payload["crb_total"] = cramer_rao_bound(row["F_total"], args.shots)
         payload["crb_A"] = cramer_rao_bound(row["F_A"], args.shots, Outcome.A)
-    _print_json(payload)
-    return 0
+    return _json(payload)
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> str:
     from .estimation import estimate_epsilon
 
     _, row = angle_row(args.theta, args.epsilon, *_model_and_gate(args), args.postselect, Outcome.A)
@@ -299,11 +322,10 @@ def cmd_estimate(args) -> int:
     }
     if sigma is not None:
         payload["sigma_eps"] = sigma
-    _print_json(payload)
-    return 0
+    return _json(payload)
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args) -> str:
     from .montecarlo import run_ensemble
 
     model, gate_params = _model_and_gate(args)
@@ -318,7 +340,7 @@ def cmd_montecarlo(args) -> int:
         gate_params=gate_params,
         mode=args.mode,
     )
-    _print_json(
+    return _json(
         {
             "theta_deg": args.theta,
             "epsilon": args.epsilon,
@@ -334,7 +356,6 @@ def cmd_montecarlo(args) -> int:
             "crb": stats.crb,
         }
     )
-    return 0
 
 
 #: The function that runs each subcommand of ``weakmeas.args.build_parser``.
@@ -343,9 +364,14 @@ _COMMANDS = {"probs": cmd_probs, "sweep": cmd_sweep, "weakvalue": cmd_weakvalue,
 
 
 def run(args) -> int:
-    """Run the subcommand parsed into ``args``; return its exit code."""
+    """Run the subcommand parsed into ``args``, write its text; return its exit code."""
     try:
-        return _COMMANDS[args.command](args)
+        text = _COMMANDS[args.command](args)
+        if text:
+            if sys.stdout is None:  # Python started with fd 1 closed
+                raise OSError("stdout is closed")
+            sys.stdout.write(text)
+        return 0
     except WeakMeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return type(exc).exit_code

@@ -106,6 +106,14 @@ def _finite_difference(at_eps: np.ndarray, at_zero: np.ndarray, f: Outcome,
     )
 
 
+def _finite_result(value, eps_probe: float):
+    """``value``, refused with a ValueError that names the probe where it
+    is not finite: a subnormal probe overflows the quotient."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"eps_probe={eps_probe!r} gives a non-finite result {value}")
+    return value
+
+
 def extract_weak_value(
     p_at_eps: np.ndarray,
     p_at_zero: np.ndarray,
@@ -122,9 +130,11 @@ def extract_weak_value(
 
     On the linear model, where p(D|f) = (1 + 2 eps wv) / 2 and
     p(A|f) = (1 - 2 eps wv) / 2, this is exactly atanh(2 eps wv) / (2 eps),
-    with relative error (4/3) (eps wv)^2 + O((eps wv)^4) against wv.
+    with relative error (4/3) (eps wv)^2 + O((eps wv)^4) against wv. A
+    result that is not finite is a ValueError naming the probe.
     """
-    return _finite_difference(check_table(p_at_eps), check_table(p_at_zero), Outcome(f), eps_probe)
+    wv = _finite_difference(check_table(p_at_eps), check_table(p_at_zero), Outcome(f), eps_probe)
+    return _finite_result(wv, eps_probe)
 
 
 def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | str | None = None) -> float:
@@ -162,13 +172,15 @@ def apparent_fisher(
     on distributions that deviate from the first-order model it produces
     the characteristic artifacts (asymmetric per-f curves, apparent totals
     away from the true bound). Outcomes with zero post-selection
-    probability contribute zero.
+    probability contribute zero. A split that is not finite is a
+    ValueError naming the probe.
     """
     at_zero, at_eps = check_table(p_at_zero), check_table(p_at_eps)
     split = np.zeros(2)
     for col, (f, (i_d, i_a)) in enumerate(COLUMN.items()):
-        pf0 = at_zero[i_d] + at_zero[i_a]
+        # a Python float, whose product overflows to inf without a warning
+        pf0 = float(at_zero[i_d] + at_zero[i_a])
         if pf0 > 0.0:
             wv = _finite_difference(at_eps, at_zero, f, eps_probe)
             split[col] = 4.0 * pf0 * wv * wv
-    return split
+    return _finite_result(split, eps_probe)

@@ -428,7 +428,14 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     no status, as ``wv_f`` is NaN exactly where ``overlap_f`` is below
     SINGULARITY_THRESHOLD (code 4). ``gate_params`` applies to the exact
     PPBS model and defaults to the compensated gate; another model
-    refuses it (ValueError). ``theta_deg`` is a 1-D array of angles."""
+    refuses it (ValueError). ``theta_deg`` is a 1-D array of angles.
+
+    Only the table and the moment estimate belong to ``model``, gate and
+    ``eps``. The weak values, the Fisher split and ``sigma_rel_A`` are the
+    first-order values at eps = 0 of the input state and the analyzer,
+    alike for every model, gate and eps: at theta = 30 the uncompensated
+    PPBS gate, ``GateParams(a_h=1.0)``, has F_A = 3 and F_D = 1 here,
+    where its own table carries 0.868 and 0.465."""
     theta = np.asarray(theta_deg, dtype=float)
     if theta.ndim != 1:
         raise ValueError(f"theta_deg must be a 1-D array of angles, got shape {theta.shape}")

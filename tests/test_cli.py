@@ -372,7 +372,8 @@ class TestSweep:
     def test_link_at_the_temporary_path_is_not_followed(self, monkeypatch, tmp_path, capsys):
         # a symlink swapped in at the temporary path after mkstemp: the
         # file is written and chmodded through mkstemp's descriptor, so the
-        # link's target keeps its bytes and its mode
+        # link's target keeps its bytes and its mode; the rows went to the
+        # unlinked file, so the sweep fails and moves no link to --out
         victim = tmp_path / "victim.txt"
         victim.write_bytes(b"keep\n")
         victim.chmod(0o600)
@@ -385,11 +386,16 @@ class TestSweep:
             return fd, temp
 
         monkeypatch.setattr(cli.tempfile, "mkstemp", swapped)
-        code, _, _ = run_cli(capsys, "sweep", "--theta-step", "90", "--epsilon", "0.08",
-                             "--out", str(tmp_path / "sweep.csv"))
-        assert code == 0
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--theta-step", "90", "--epsilon", "0.08",
+                                 "--out", str(out_file))
+        assert code == 20
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("io error: ") and "no longer" in err
         assert victim.read_bytes() == b"keep\n"
         assert stat.S_IMODE(victim.stat().st_mode) == 0o600
+        assert not os.path.lexists(out_file)
+        assert list(tmp_path.iterdir()) == [victim]
 
     @staticmethod
     def _existing(tmp_path):
@@ -494,6 +500,25 @@ class TestSweep:
         assert proc.returncode == 2
         assert f"more than {MAX_SWEEP_ROWS} rows" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("start, stop, step, largest", [
+        # 10,001 rows of 801 distinct angles, all printed 1e+15
+        ("1e15", "1000000000000100", "0.01", "1000000000000100.0"),
+        # 1,001 distinct angles printed as 101 values
+        ("1e10", "10000000010", "0.01", "10000000010.0"),
+        # 994 rows of 63 distinct angles
+        ("1e17", "1.00000000000001e17", "1", "1.00000000000001e+17"),
+    ])
+    def test_grid_finer_than_its_printed_angles_refused(self, tmp_path, capsys, start, stop, step,
+                                                        largest):
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--theta-start", start, "--theta-stop", stop,
+                                 "--theta-step", step, "--epsilon", "0.08", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --theta-step {float(step)!r} is too fine for the angle {largest}: "
+                       "the sweep file prints angles to 12 significant digits, where they would "
+                       "not increase\n")
         assert not out_file.exists()
 
     @pytest.mark.parametrize("option, value", [
@@ -996,6 +1021,25 @@ class TestEntryPoint:
             assert (proc.stdout, proc.stderr) == ("", EXIT_CODE_LINES[5] + "\n")
         else:
             assert json.loads(proc.stdout)["F_total"] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("command", ["fisher", "sweep"])
+    def test_closed_stdout(self, tmp_path, command):
+        # the child starts with fd 1 closed, so sys.stdout is None: a
+        # command with text to print fails with an I/O error, and a sweep,
+        # which prints nothing, writes its file
+        out_file = tmp_path / "sweep.csv"
+        argv = {"fisher": ["fisher", "--theta", "0"],
+                "sweep": ["sweep", "--theta-step", "90", "--epsilon", "0.08",
+                          "--out", str(out_file)]}[command]
+        proc = subprocess.run([sys.executable, "-m", "weakmeas", *argv], stderr=subprocess.PIPE,
+                              text=True, check=False, timeout=60,
+                              preexec_fn=lambda: os.close(1))
+        if command == "fisher":
+            assert proc.returncode == cli_args.IO_EXIT_CODE
+            assert proc.stderr == "io error: stdout is closed\n"
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert out_file.read_text(encoding="utf-8").count(SWEEP_FORMAT_VERSION) == 4
 
     def test_cli_module_ends_through_the_script(self):
         # python -m weakmeas.cli runs weakmeas.__main__.script, which

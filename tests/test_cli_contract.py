@@ -7,12 +7,15 @@
 * a command that exits with another code prints nothing to stdout and
   one ``error:`` or ``io error:`` line to stderr, or argparse's usage
   text for code 2;
-* a refused sweep leaves the file at ``--out`` as it was, or absent.
+* a refused sweep leaves the file at ``--out`` as it was, or absent, and
+  an accepted one writes angles that strictly increase as the file
+  prints them, CSV or JSON.
 
 The argv are drawn from the parser's own commands and choices, with
 numbers over the whole float range (NaN and infinity included, which the
 parser refuses), gate options also on the models that refuse them, shot
-counts, replica counts and seeds beyond their ranges, and sweep grids.
+counts, replica counts and seeds beyond their ranges, and sweep grids
+with starts up to 1e17.
 Each runs in process through ``weakmeas.cli.main``. A montecarlo
 command draws at most 200 replicas of at most 10^6 shots, and a sweep the
 parser accepts has at most 2,000 rows, which keeps the run near a few
@@ -93,6 +96,18 @@ edge_grids = st.tuples(edge_numbers, edge_numbers, edge_numbers).filter(
     lambda g: grid_rows(*g) <= SWEEP_ROWS
 )
 
+
+def _large_grid(start: float, digits: int, n: int) -> tuple[str, str, str]:
+    step = max(abs(start), 1.0) * 10.0**-digits
+    return repr(start), repr(start + step * n), repr(step)
+
+
+#: (start, stop, step) texts of about n rows, with starts up to 1e17 and
+#: steps 10^-6 to 10^-16 of the start, on both sides of what the angles'
+#: 12 printed digits resolve.
+large_grids = st.builds(_large_grid, st.floats(-1e17, 1e17), st.integers(6, 16),
+                        st.integers(1, 50))
+
 #: Where a sweep writes: a file that exists and a path with no file, or
 #: at the edges a directory and a path in a directory that does not exist.
 OUT_PATHS = ("old.csv", "new.csv", ".", "missing/sweep.csv")
@@ -129,7 +144,8 @@ def invocations(draw):
         options.append([flag, str(value)])
     if command == "sweep":
         options += [list(pair) for pair in zip(("--theta-start", "--theta-stop", "--theta-step"),
-                                              pick(draw, small_grids, edge_grids))]
+                                              pick(draw, st.one_of(small_grids, large_grids),
+                                                   edge_grids))]
     options = draw(st.permutations(options))
     return [command, *(word for option in options for word in option)]
 
@@ -149,6 +165,16 @@ def finite_numbers(text: str) -> None:
 
 def option(argv, flag, default=None):
     return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+def check_sweep(argv) -> None:
+    """The sweep file's angles strictly increase as it prints them."""
+    with open(option(argv, "--out"), encoding="utf-8") as handle:
+        if option(argv, "--format", "csv") == "json":
+            angles = [row["theta_deg"] for row in json.load(handle)["rows"]]
+        else:
+            angles = [float(line.split(",", 1)[0]) for line in handle.readlines()[1:]]
+    assert all(a < b for a, b in zip(angles, angles[1:])), angles
 
 
 def check_probs(argv, out: str) -> None:
@@ -188,6 +214,7 @@ def test_cli_contract(argv):
             assert err == ""
             if argv[0] == "sweep":
                 assert out == ""
+                check_sweep(argv)
             else:
                 finite_numbers(out)
             if argv[0] == "probs":

@@ -176,6 +176,12 @@ class TestExtractWeakValue:
         with pytest.raises(ValueError, match=r"^eps_probe must be nonzero and finite, got "):
             extract_weak_value(p_e, p_0, F_A, eps_probe)
 
+    def test_subnormal_probe_coupling_raises(self):
+        # the quotient by a subnormal probe overflows: it returned inf
+        p_e, p_0 = linear(30.0, 0.08), linear(30.0, 0.0)
+        with pytest.raises(ValueError, match=r"^eps_probe=1e-320 gives a non-finite result inf$"):
+            extract_weak_value(p_e, p_0, F_A, 1e-320)
+
     def test_outcome_is_parsed(self):
         p_e, p_0 = linear(30.0, 0.08), linear(30.0, 0.0)
         for text, f in (("A", F_A), ("D", F_D)):
@@ -283,6 +289,14 @@ class TestApparentFisher:
         # these would give the split [nan, nan] and [0.0, 0.0]
         p_e, p_0 = linear(30.0, 0.08), linear(30.0, 0.0)
         with pytest.raises(ValueError, match=r"^eps_probe must be nonzero and finite, got "):
+            apparent_fisher(p_e, p_0, eps_probe)
+
+    @pytest.mark.parametrize("eps_probe", [1e-320, 1e-300])
+    def test_tiny_probe_coupling_raises(self, eps_probe):
+        # it returned [inf, inf]: at 1e-320 each weak value overflows, at
+        # 1e-300 only its square
+        p_e, p_0 = linear(30.0, 0.08), linear(30.0, 0.0)
+        with pytest.raises(ValueError, match=rf"^eps_probe={eps_probe!r} gives a non-finite result"):
             apparent_fisher(p_e, p_0, eps_probe)
 
     def test_checks_each_table_once(self, monkeypatch):

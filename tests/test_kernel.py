@@ -5,6 +5,7 @@ logarithmic derivative 2 kappa_m Re wv_f), bases, and the batched table
 and sweep columns against the scalar API."""
 
 import inspect
+import json
 import math
 import re
 
@@ -124,7 +125,7 @@ def test_sweep_columns_match_scalar_api(model, gate, postselect):
 
 
 @pytest.mark.parametrize("model, gate", MODELS)
-def test_one_amplitude_pass_per_call(monkeypatch, capsys, model, gate):
+def test_one_amplitude_pass_per_call(monkeypatch, model, gate):
     # weak values, p(f), the Fisher split and the first-order table all
     # read the triple of one _transitions call over both basis rows, and
     # the table and the weak-value columns one weak_values call; the
@@ -160,16 +161,18 @@ def test_one_amplitude_pass_per_call(monkeypatch, capsys, model, gate):
     point = ["--theta", "30", "--epsilon", "0.08", "--model", model.value, *gate_argv,
              "--postselect", "300"]
     parse = build_parser().parse_args
-    assert cli.cmd_estimate(parse(["estimate", *point])) == 0
+    # each command returns the JSON text that cli.run prints
+    assert json.loads(cli.cmd_estimate(parse(["estimate", *point])))["theta_deg"] == 30.0
     assert passes() == one_row
-    assert cli.cmd_probs(parse(["probs", *point])) == 0
+    assert json.loads(cli.cmd_probs(parse(["probs", *point])))["theta_deg"] == 30.0
     assert passes() == one_row
-    assert cli.cmd_fisher(parse(["fisher", "--theta", "30", "--postselect", "300",
-                                 "--shots", "1000"])) == 0
+    assert json.loads(cli.cmd_fisher(parse(["fisher", "--theta", "30", "--postselect", "300",
+                                            "--shots", "1000"])))["theta_deg"] == 30.0
     assert passes() == one_row
     # weakvalue reads wv_A and the eps = 0 table from one row, and the
     # probe's table from a second
-    assert cli.cmd_weakvalue(parse(["weakvalue", "--theta", "30", "--postselect", "300"])) == 0
+    text = cli.cmd_weakvalue(parse(["weakvalue", "--theta", "30", "--postselect", "300"]))
+    assert json.loads(text)["theta_deg"] == 30.0
     assert passes() == one_row * 2
 
 
