@@ -370,7 +370,10 @@ def run(args) -> int:
         if text:
             if sys.stdout is None:  # Python started with fd 1 closed
                 raise OSError("stdout is closed")
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+            except ValueError as exc:  # a closed stream, not a refused command
+                raise OSError(exc) from exc
         return 0
     except WeakMeasError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -459,13 +459,16 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
 
 
 def angle_row(theta: float, eps: float, model: ModelTag | str, gate_params=None,
-              postselect_deg=270.0, f: Outcome | None = None):
+              postselect_deg=270.0, f: Outcome | str | None = None):
     """(p, row): the :func:`sweep_columns` row at one angle, as its joint
     table p[4] in CELLS order and as a dict of its columns as Python
     scalars. Raises the error of the table status, then, given an outcome
-    f, PostselectionSingular (code 4) with the row's |<f|psi>| where wv_f
-    is NaN. It refuses the row only: the estimate's refusals (4, 9, 8)
-    are :func:`weakmeas.estimation.estimate_epsilon`'s."""
+    f (an :class:`Outcome` or its name; any other name raises
+    ValueError), PostselectionSingular (code 4) with the row's |<f|psi>|
+    where wv_f is NaN. It refuses the row only: the estimate's refusals
+    (4, 9, 8) are :func:`weakmeas.estimation.estimate_epsilon`'s."""
+    if f is not None:
+        f = Outcome(f)
     cols = sweep_columns([theta], eps, model, gate_params, postselect_deg)
     row = {key: col[0].item() for key, col in cols.items()}
     raise_status(row["status"], eps=eps)

@@ -24,11 +24,14 @@ the functions of numpy's C distribution API
 ``Generator.poisson`` call, so they are the bits those methods return,
 without their per-call argument checks. numpy's checks run once per
 ensemble, by one Generator draw on the full table before the first.
-Replicas are drawn in blocks of consecutive streams, each row of counts
-written by the C function straight into a zeroed block. Each block is
-estimated as soon as it is drawn, so an ensemble holds one block of
-counts and one float64 estimate per kept replica, 8 bytes a replica: the
-variance is taken in place over the estimates.
+Replicas are drawn in blocks of consecutive streams into one block of
+counts per ensemble, reused from block to block: each row of counts is
+written by the C function straight into it, zeroed before each
+multinomial block, and every argument of the C call is built once. Each
+block is estimated as soon as it is drawn, from copies of its two read
+columns, so an ensemble holds one block of counts and one float64
+estimate per kept replica, 8 bytes a replica: the variance is taken in
+place over the estimates.
 
 An ensemble draws the cells in CELLS order up to the last one its
 estimator reads. For f = A those are cells 0 and 1, (D, A) and (A, A):
@@ -62,9 +65,10 @@ DISCARD_TOLERANCE = 0.01
 #: ensemble to 80 MB.
 MAX_REPLICAS = 10**7
 
-#: Replicas drawn per block of counts: 4,096 rows of four int64 counts
-#: take 128 KB.
-_BLOCK_ROWS = 4096
+#: Replicas drawn per block of counts: 1,024 rows of at most four int64
+#: counts take 32 KB, and the ctypes reference to each row made once for
+#: the multinomial draw about 72 KB more.
+_BLOCK_ROWS = 1024
 
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -82,9 +86,11 @@ def _distributions():
     """(random_multinomial, random_poisson) from the module that holds
     numpy's Generator, which exports its C distribution functions.
 
-    argtypes stay unset: callers pass every argument as a ctypes object
-    of its C type, built once, because converting arguments through
-    argtypes on each call costs about as much as the draw itself.
+    argtypes stay unset: callers build every argument once as an object
+    that ctypes passes as it is, a ``byref`` or the ``from_param`` result
+    of its C type, because converting arguments through argtypes, or
+    wrapping a ctypes object or int, on each call costs about as much as
+    the draw itself.
 
     The library is loaded as ``PyDLL``, so a call keeps the GIL: a draw
     takes about 0.2 us, and releasing and re-acquiring the GIL around it,
@@ -276,7 +282,9 @@ def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[
     """The counts in cells ``cols`` = (i, j) of CELLS of replicas
     0 .. n_replicas - 1, yielded block by block as each block of up to
     ``_BLOCK_ROWS`` consecutive replicas is drawn: int64 arrays
-    (n_i, n_j), whose row k of the block from replica ``first`` holds
+    (n_i, n_j), copies that the next block leaves as they are, although
+    every block is drawn into the same memory. Row k of the block from
+    replica ``first`` holds
     what ``philox_generator(seed, 1 + first + k).multinomial(n, pvec)``
     (or ``.poisson(n * pvec)``) would return in those cells. n and
     ``mode`` are checked by the caller (:func:`_checked_shots`).
@@ -300,14 +308,13 @@ def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[
         gen.multinomial(n, pvec)
     bits = gen.bit_generator
     state, counter, key = _philox_words(bits, seed)
-    # a pointer argument built once: ctypes passes a byref as it is,
-    # where it would build one from a c_void_p on every call. The bit
-    # generator lives in bits, which state holds.
+    # every argument of the C calls is built once (see _distributions).
+    # The bit generator lives in bits, which state holds.
     bitgen = ctypes.byref(ctypes.c_char.from_address(bits.ctypes.bit_generator.value))
     multinomial, poisson = _distributions()
     read = max(cols) + 1
     if mode == "poisson":
-        lams = [ctypes.c_double(x) for x in lam.tolist()[:read]]
+        lams = [ctypes.c_double.from_param(x) for x in lam.tolist()[:read]]
         cells = len(lams)
     else:
         values = pvec.tolist()
@@ -316,20 +323,22 @@ def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[
         cells = len(values)
         # a ctypes array with its own copy of the values, kept by the byref
         pix = ctypes.byref((ctypes.c_double * cells)(*values))
-        row = ctypes.c_void_p()
+        n_arg, cells_arg = ctypes.c_int64.from_param(n), ctypes.c_ssize_t.from_param(cells)
         # random_binomial's cache of its last (n, p), numpy's private
         # binomial_t (136 bytes in numpy 1.24 to 2.4), which weakmeas never
         # reads: zeroed memory of at least its size, with room to grow
-        args = (bitgen, ctypes.c_int64(n), row, pix, ctypes.c_ssize_t(cells),
-                ctypes.byref(ctypes.create_string_buffer(1024)))
-        stride = 8 * cells
+        cache = ctypes.byref(ctypes.create_string_buffer(1024))
+    # one block of counts, drawn into again for every block of replicas
+    out = np.empty((min(_BLOCK_ROWS, n_replicas), cells), dtype=np.int64)
+    flat = (ctypes.c_int64 * out.size).from_buffer(out)
+    if mode != "poisson":
+        # where the C function writes each row's counts
+        rows_at = [ctypes.byref(flat, 8 * cells * k) for k in range(len(out))]
 
     for first in range(0, n_replicas, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n_replicas - first)
         streams = range(1 + first, 1 + first + rows)
         if mode == "poisson":
-            out = np.empty((rows, cells), dtype=np.int64)
-            flat = (ctypes.c_int64 * out.size).from_buffer(out)
             i = 0
             for stream in streams:
                 key[1] = stream
@@ -341,12 +350,11 @@ def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[
         else:
             # zeroed: the C loop stops once all n events are placed and
             # leaves the later cells as they were
-            out = np.zeros((rows, cells), dtype=np.int64)
-            base = out.ctypes.data
-            # row.value: where the C function writes this stream's counts
-            for stream, row.value in zip(streams, range(base, base + rows * stride, stride)):
+            out.fill(0)
+            for stream, at in zip(streams, rows_at):
                 key[1] = stream
                 counter[0] = 0
                 state.buffer_pos = 4
-                multinomial(*args)
-        yield out[:, cols[0]], out[:, cols[1]]
+                multinomial(bitgen, n_arg, at, pix, cells_arg, cache)
+        # copies: the next block is drawn into the same memory
+        yield out[:rows, cols[0]].copy(), out[:rows, cols[1]].copy()

@@ -1,7 +1,9 @@
 import argparse
 import ast
+import contextlib
 import errno
 import gc
+import io
 import itertools
 import json
 import math
@@ -1040,6 +1042,21 @@ class TestEntryPoint:
         else:
             assert (proc.returncode, proc.stderr) == (0, "")
             assert out_file.read_text(encoding="utf-8").count(SWEEP_FORMAT_VERSION) == 4
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["fisher", "--theta", "0"], cli_args.IO_EXIT_CODE, "io error: I/O operation on closed file"),
+        (["probs", "--theta", "0", "--epsilon", "0.08", "--model", "linear", "--tv", "0.5"], 2,
+         "error: --tv apply only to --model exact-ppbs"),
+    ], ids=["fisher", "refused-option"])
+    def test_closed_stdout_stream(self, capsys, argv, code, line):
+        # an in-process caller's sys.stdout is a closed stream, whose write
+        # raises ValueError: that is an I/O error, and a command's own
+        # ValueError keeps exit 2
+        stream = io.StringIO()
+        stream.close()
+        with contextlib.redirect_stdout(stream):
+            assert main(argv) == code
+        assert capsys.readouterr().err == line + "\n"
 
     def test_cli_module_ends_through_the_script(self):
         # python -m weakmeas.cli runs weakmeas.__main__.script, which

@@ -189,6 +189,14 @@ def test_angle_row_refuses_the_row_not_the_estimate():
         with pytest.raises(PostselectionSingular,
                            match=re.escape(f"|<f|psi>| = {overlap} below threshold 1e-08")):
             kernel.angle_row(theta, 0.0, "linear", f=A_OUT)
+    # f may be given by its name, as to run_ensemble; repr compares NaN cells
+    p, row = kernel.angle_row(0.0, 0.08, "linear", f="A")
+    want_p, want_row = kernel.angle_row(0.0, 0.08, "linear", f=A_OUT)
+    assert p.tolist() == want_p.tolist() and repr(row) == repr(want_row)
+    with pytest.raises(ValueError, match="^'B' is not a valid Outcome$"):
+        kernel.angle_row(0.0, 0.08, "linear", f="B")
+    with pytest.raises(PostselectionSingular):
+        kernel.angle_row(90.0, 0.0, "linear", f="A")
 
 
 @pytest.mark.parametrize("model, gate", MODELS)

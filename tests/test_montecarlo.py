@@ -67,6 +67,10 @@ NON_INTEGER_SHOTS = [(10.5, "float"), (np.float64(10.0), r"numpy\.float64")]
 NON_INTEGER_SEEDS = [(1.5, "float"), (np.float64(2.0), r"numpy\.float64")]
 
 
+#: Replica counts at the edges of one and two blocks of counts.
+BLOCK_EDGES = (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1)
+
+
 def plain_estimate(n_d: int, n_a: int, wv_ref: float) -> float:
     """The moment estimate of one replica's counts in plain Python: the
     exact integer total, each quotient rounded once."""
@@ -397,13 +401,21 @@ class TestRunEnsemble:
     # at 1 to 3 shots the multinomial draw runs out of events before the
     # last cells, which are then left as they were; most replicas are
     # discarded, so run_ensemble refuses the ensemble. f = A draws cells 0
-    # and 1 (and the rest lumped in multinomial mode), f = D all four.
+    # and 1 (and the rest lumped in multinomial mode), f = D all four. The
+    # replica counts around one and two blocks of counts check that each
+    # block is drawn into a zeroed block and yielded as its own arrays.
     @pytest.mark.parametrize("f", [Outcome.A, Outcome.D])
-    @pytest.mark.parametrize("params", [PINNED_ENSEMBLES[i][0] for i in (0, 3, 4)] + [
-        (30.0, 0.08, ModelTag.LINEAR, None, shots, "multinomial", 2024) for shots in (1, 2, 3)
+    @pytest.mark.parametrize("params", [(*PINNED_ENSEMBLES[i][0], 200) for i in (0, 3, 4)] + [
+        (30.0, 0.08, ModelTag.LINEAR, None, shots, "multinomial", 2024, 200) for shots in (1, 2, 3)
+    ] + [
+        (30.0, 0.08, ModelTag.LINEAR, None, 10**5, mode, 2024, n_replicas)
+        for mode in ("multinomial", "poisson") for n_replicas in BLOCK_EDGES
+    ] + [
+        (30.0, 0.08, ModelTag.LINEAR, None, 1, mode, 2024, 2 * _BLOCK_ROWS + 1)
+        for mode in ("multinomial", "poisson")
     ])
     def test_estimates_equal_reference_loop(self, params, f):
-        theta, eps, model, gate, shots, mode, seed = params
+        theta, eps, model, gate, shots, mode, seed, n_replicas = params
         pvec = model_distribution(theta, eps, model, gate)
         pvec = pvec / pvec.sum()
         # run_ensemble's reference: the row of the default analyzer basis
@@ -411,7 +423,7 @@ class TestRunEnsemble:
         wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[row]).real
         i_d, i_a = CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))
         want, kept, discarded = [], [], 0
-        for r in range(200):
+        for r in range(n_replicas):
             gen = philox_generator(seed, stream=1 + r)
             if mode == "multinomial":
                 drawn = gen.multinomial(shots, pvec)
@@ -423,42 +435,62 @@ class TestRunEnsemble:
                 continue
             want.append(plain_estimate(n_d, n_a, wv_ref))
             kept.append((n_d, n_a))
-        n_d, n_a = replica_counts(mode, shots, seed, pvec, (i_d, i_a), 200)
+        n_d, n_a = replica_counts(mode, shots, seed, pvec, (i_d, i_a), n_replicas)
         usable = (n_d != 0) & (n_a != 0)
-        assert 200 - usable.sum() == discarded
+        assert n_replicas - usable.sum() == discarded
         assert list(zip(n_d[usable].tolist(), n_a[usable].tolist())) == kept
         # the estimator the ensemble runs, on those counts, and its N = 1 call
         eps_hat, status = moment_estimates(n_d[usable], n_a[usable], wv_ref)
         assert eps_hat.tolist() == want and not status.any()
         assert [estimate_epsilon(n_d, n_a, wv_ref, f=f)[0] for n_d, n_a in kept] == want
-        if discarded > DISCARD_TOLERANCE * 200:
-            with pytest.raises(TooManyDiscardedReplicas, match=f"{discarded} of 200"):
-                run_ensemble(theta, eps, model, shots, 200, base_seed=seed, f=f,
+        if discarded > DISCARD_TOLERANCE * n_replicas:
+            with pytest.raises(TooManyDiscardedReplicas, match=f"{discarded} of {n_replicas}"):
+                run_ensemble(theta, eps, model, shots, n_replicas, base_seed=seed, f=f,
                              gate_params=gate, mode=mode)
             return
-        stats = run_ensemble(theta, eps, model, shots, 200, base_seed=seed, f=f,
+        stats = run_ensemble(theta, eps, model, shots, n_replicas, base_seed=seed, f=f,
                              gate_params=gate, mode=mode)
         assert stats.mean_eps_hat == np.mean(want)
         assert stats.var_eps_hat == np.var(want, ddof=1)
 
-    @pytest.mark.parametrize("mode", ["multinomial", "poisson"])
-    def test_estimates_cross_a_count_block(self, mode):
-        # three replicas past the first block of counts
-        theta, shots, seed, n_replicas = 30.0, 10**5, 2024, _BLOCK_ROWS + 3
+    # the first two: three replicas past the first block of counts; the
+    # rest around one and two blocks, at the fewest and the most shots.
+    # Every block is held before any is compared, so a block that aliased
+    # the memory the next one is drawn into would read that block's counts.
+    @pytest.mark.parametrize("mode, f, shots, n_replicas", [
+        pytest.param(mode, Outcome.A, 10**5, _BLOCK_ROWS + 3, id=mode)
+        for mode in ("multinomial", "poisson")
+    ] + [
+        pytest.param(mode, f, shots, n_replicas, id=f"{mode}-{f.value}-{shots}-{n_replicas}")
+        for mode in ("multinomial", "poisson") for f in (Outcome.A, Outcome.D)
+        for shots in (1, 2**63 - 1) for n_replicas in BLOCK_EDGES
+    ])
+    def test_estimates_cross_a_count_block(self, mode, f, shots, n_replicas):
+        theta, seed = 30.0, 2024
         pvec = linear(theta, 0.08)
         pvec = pvec / pvec.sum()
-        wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[1]).real
-        i_d, i_a = CELLS.index((Outcome.D, F_A)), CELLS.index((Outcome.A, F_A))
+        row = 0 if f is Outcome.D else 1
+        wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[row]).real
+        i_d, i_a = CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))
         want = []
         for r in range(n_replicas):
             gen = philox_generator(seed, stream=1 + r)
             drawn = gen.multinomial(shots, pvec) if mode == "multinomial" else gen.poisson(shots * pvec)
-            want.append(plain_estimate(int(drawn[i_d]), int(drawn[i_a]), wv_ref))
+            want.append((int(drawn[i_d]), int(drawn[i_a])))
         blocks = list(_replica_counts(mode, shots, seed, pvec, (i_d, i_a), n_replicas))
-        assert [(len(n_d), len(n_a)) for n_d, n_a in blocks] == [(_BLOCK_ROWS, _BLOCK_ROWS), (3, 3)]
+        sizes = [min(_BLOCK_ROWS, n_replicas - first) for first in range(0, n_replicas, _BLOCK_ROWS)]
+        assert [(len(n_d), len(n_a)) for n_d, n_a in blocks] == [(k, k) for k in sizes]
         n_d, n_a = (np.concatenate(col) for col in zip(*blocks))
-        assert n_d.all() and n_a.all()
-        assert moment_estimates(n_d, n_a, wv_ref)[0].tolist() == want
+        assert list(zip(n_d.tolist(), n_a.tolist())) == want
+        usable = (n_d != 0) & (n_a != 0)
+        if shots == 10**5:
+            assert usable.all()
+        # past 2^53 the counts are rounded to float, so the estimates may
+        # differ from the exact-integer quotients by a few ulp (see
+        # test_poisson_counts_summing_past_int64 below)
+        if shots < 2**53:
+            assert moment_estimates(n_d[usable], n_a[usable], wv_ref)[0].tolist() == [
+                plain_estimate(n_d, n_a, wv_ref) for n_d, n_a in want if n_d and n_a]
 
     def test_poisson_counts_summing_past_int64(self):
         # near the A state nearly every event lands in the f = A column, so
