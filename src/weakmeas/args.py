@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_finite, required=True)
     p.add_argument("--epsilon", type=_finite, required=True)
     _add_model_args(p)
-    p.add_argument("--shots", type=_shots, required=True, help="events per replica")
+    p.add_argument("--shots", type=_shots, required=True,
+                   help="events per replica; in --mode poisson, each replica's mean total")
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--f", choices=("D", "A"), default="A", help="post-selection column")

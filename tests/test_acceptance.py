@@ -282,7 +282,8 @@ def test_criterion_10_sensitivity_split_over_outcomes():
                 assert stats.n_discarded == 0
                 per_f[model, deg, f.value] = stats.var_eps_hat / want
 
-    # one stream the ensembles above do not use: run_ensemble draws 1 + r
+    # one stream the ensembles above do not use: their replicas draw
+    # streams 1 and up
     gen = philox_generator(SPLIT_SEED, 0)
     combined, shares = {}, {}
     for deg, split in ((30.0, (1.0, 3.0)), (330.0, (3.0, 1.0))):

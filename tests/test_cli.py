@@ -317,7 +317,8 @@ class TestSweep:
         assert code == 0
         assert peak / rows < 16
 
-    def test_failed_block_leaves_no_file(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("existing", [False, True], ids=["no-file", "file-at-out"])
+    def test_failed_block_leaves_out_as_it_was(self, monkeypatch, tmp_path, capsys, existing):
         calls = []
 
         def fails_second(theta, *args):
@@ -327,12 +328,12 @@ class TestSweep:
             return sweep_columns(theta, *args)
 
         monkeypatch.setattr(cli, "sweep_columns", fails_second)
-        out_file = tmp_path / "sweep.csv"
+        out_file = self._existing(tmp_path) if existing else tmp_path / "sweep.csv"
         code, _, err = run_cli(capsys, "sweep", "--theta-stop", str(2 * KERNEL_ROWS - 1),
                                "--epsilon", "0.08", "--out", str(out_file))
         assert (code, len(calls)) == (2, 2)
         assert "sum to 2.0" in err
-        assert list(tmp_path.iterdir()) == []
+        self._assert_as_it_was(tmp_path, out_file, existing)
 
     @staticmethod
     def _failing_writes(monkeypatch):
@@ -352,15 +353,16 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "open", opener, raising=False)
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["no-file", "file-at-out"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_failed_write_leaves_no_file(self, monkeypatch, tmp_path, capsys, fmt):
+    def test_failed_write_leaves_out_as_it_was(self, monkeypatch, tmp_path, capsys, fmt, existing):
+        out_file = self._existing(tmp_path) if existing else tmp_path / "sweep.csv"
         self._failing_writes(monkeypatch)
-        out_file = tmp_path / f"sweep.{fmt}"
         code, _, err = run_cli(capsys, "sweep", "--epsilon", "0.08", "--format", fmt,
                                "--out", str(out_file))
         assert code == 20
         assert "No space left on device" in err
-        assert list(tmp_path.iterdir()) == []
+        self._assert_as_it_was(tmp_path, out_file, existing)
 
     def test_failed_write_leaves_a_symlink_alone(self, monkeypatch, tmp_path, capsys):
         # only a regular file is removed: the link, like /dev/stdout, stays
@@ -370,6 +372,23 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--epsilon", "0.08", "--out", str(link))
         assert code == 20
         assert link.is_symlink() and target.exists()
+
+    def test_in_place_write_holds_the_sweep(self, tmp_path, capsys):
+        # a symlink and /dev/stdout are written in place, not replaced: the
+        # link stays a link, and its target, as stdout, holds the bytes the
+        # sweep writes to a regular file
+        argv = ("sweep", "--theta-stop", "30", "--theta-step", "0.5", "--epsilon", "0.08")
+        regular, target, link = tmp_path / "regular.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"longer than the sweep\n" * 1000)
+        link.symlink_to(target)
+        for path in (regular, link):
+            assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == regular.read_bytes()
+        assert sorted(tmp_path.iterdir()) == sorted([regular, target, link])
+        proc = run_module(*argv, "--out", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.encode("utf-8") == regular.read_bytes()
 
     def test_link_at_the_temporary_path_is_not_followed(self, monkeypatch, tmp_path, capsys):
         # a symlink swapped in at the temporary path after mkstemp: the
@@ -407,33 +426,16 @@ class TestSweep:
         out_file.chmod(0o640)
         return out_file
 
-    def _assert_untouched(self, tmp_path, out_file):
+    @staticmethod
+    def _assert_as_it_was(tmp_path, out_file, existing):
+        """tmp_path holds nothing, or with ``existing`` only the file of
+        :meth:`_existing` at out_file, with its bytes and mode."""
+        if not existing:
+            assert list(tmp_path.iterdir()) == []
+            return
         assert list(tmp_path.iterdir()) == [out_file]
         assert out_file.read_bytes() == b"theta_deg\n1\n"
         assert stat.S_IMODE(out_file.stat().st_mode) == 0o640
-
-    def test_failed_block_keeps_the_file_at_out(self, monkeypatch, tmp_path, capsys):
-        out_file = self._existing(tmp_path)
-
-        def fails_second(theta, *args):
-            if theta[0] > 0.0:
-                raise ValueError("probabilities sum to 2.0, expected 1")
-            return sweep_columns(theta, *args)
-
-        monkeypatch.setattr(cli, "sweep_columns", fails_second)
-        code, _, _ = run_cli(capsys, "sweep", "--theta-stop", str(2 * KERNEL_ROWS - 1),
-                             "--epsilon", "0.08", "--out", str(out_file))
-        assert code == 2
-        self._assert_untouched(tmp_path, out_file)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_failed_write_keeps_the_file_at_out(self, monkeypatch, tmp_path, capsys, fmt):
-        out_file = self._existing(tmp_path)
-        self._failing_writes(monkeypatch)
-        code, _, _ = run_cli(capsys, "sweep", "--epsilon", "0.08", "--format", fmt,
-                             "--out", str(out_file))
-        assert code == 20
-        self._assert_untouched(tmp_path, out_file)
 
     def test_missing_directory_is_named(self, tmp_path, capsys):
         out_file = tmp_path / "missing" / "sweep.csv"

@@ -70,12 +70,55 @@ NON_INTEGER_SEEDS = [(1.5, "float"), (np.float64(2.0), r"numpy\.float64")]
 #: Replica counts at the edges of one and two blocks of counts.
 BLOCK_EDGES = (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1)
 
+#: (theta, eps, model, gate params, shots, mode, base_seed, replicas, f) of
+#: the ensembles compared with fresh_draws: three pinned ensembles; 1 to
+#: 3 shots, where the multinomial draw runs out of events before the last
+#: cells, which are then left as they were, and most replicas are
+#: discarded, so run_ensemble refuses the ensemble; and replica counts
+#: around one and two blocks of counts, and three past the first, at the
+#: fewest, 10^5 and the most shots. f = A draws cells 0 and 1 (and the
+#: rest lumped in multinomial mode), f = D all four.
+REFERENCE_CASES = [
+    (*point, f) for point in [
+        *((*PINNED_ENSEMBLES[i][0], 200) for i in (0, 3, 4)),
+        *((30.0, 0.08, ModelTag.LINEAR, None, shots, "multinomial", 2024, 200) for shots in (1, 2, 3)),
+        *((30.0, 0.08, ModelTag.LINEAR, None, shots, mode, 2024, n_replicas)
+          for mode in ("multinomial", "poisson") for shots in (1, 10**5, 2**63 - 1)
+          for n_replicas in BLOCK_EDGES),
+    ] for f in (Outcome.A, Outcome.D)
+] + [
+    (30.0, 0.08, ModelTag.LINEAR, None, 10**5, mode, 2024, _BLOCK_ROWS + 3, Outcome.A)
+    for mode in ("multinomial", "poisson")
+]
+
 
 def plain_estimate(n_d: int, n_a: int, wv_ref: float) -> float:
     """The moment estimate of one replica's counts in plain Python: the
     exact integer total, each quotient rounded once."""
     total = n_d + n_a
     return (n_d / total - n_a / total) / (2.0 * wv_ref)
+
+
+def assert_plain_estimates(eps_hat, pairs, wv_ref, shots):
+    """eps_hat holds the plain estimates of the (n_d, n_a) ``pairs``: bit
+    for bit below 2^53 shots. Above it the counts are rounded to float,
+    so p(D|f) - p(A|f) may differ by a few ulp of 1/2 from the
+    exact-integer quotients."""
+    want = [plain_estimate(n_d, n_a, wv_ref) for n_d, n_a in pairs]
+    if shots < 2**53:
+        assert eps_hat.tolist() == want
+    else:
+        assert np.abs(eps_hat - want).max() * 2.0 * abs(wv_ref) <= 4 * 2.0**-53
+
+
+def fresh_draws(mode, n, seed, pvec, replicas):
+    """The counts of an ensemble's replicas 0 .. replicas - 1 as numpy
+    draws them: row r of the int64 (replicas, 4) array is
+    ``philox_generator(seed, 1 + r).multinomial(n, pvec)``, or
+    ``.poisson(n * pvec)``. numpy's ValueError is let through."""
+    args = (n, pvec) if mode == "multinomial" else (n * pvec,)
+    return np.array([getattr(philox_generator(seed, 1 + r), mode)(*args) for r in range(replicas)],
+                    dtype=np.int64)
 
 
 def replica_counts(*args):
@@ -219,35 +262,6 @@ class TestPhiloxStreams:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
            replicas=st.integers(1, 5),
-           n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
-           weights=st.one_of(
-               st.just([29, 21, 29, 21]),
-               st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
-           ))
-    def test_rekey_equals_fresh_generator(self, seed, replicas, n, weights):
-        # the loop's own path: one generator rekeyed through the streams of
-        # consecutive replicas, drawn through the C functions over all
-        # four cells, read two cells at a time
-        pvec = np.array(weights, dtype=float) / sum(weights)
-        for mode, args in (("multinomial", (n, pvec)), ("poisson", (n * pvec,))):
-            try:
-                want = [getattr(philox_generator(seed, 1 + r), mode)(*args).tolist()
-                        for r in range(replicas)]
-            except ValueError as exc:
-                # n * p past the largest Poisson mean numpy draws
-                assert mode == "poisson"
-                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                    replica_counts(mode, n, seed, pvec, (0, 3), replicas)
-                continue
-            for cols in ((0, 3), (2, 1)):
-                got = replica_counts(mode, n, seed, pvec, cols, replicas)
-                assert all(counts.dtype == np.int64 for counts in got)
-                assert [counts.tolist() for counts in got] == [
-                    [row[col] for row in want] for col in cols]
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1),
-           replicas=st.integers(1, 3),
            cols=st.tuples(st.integers(0, 3), st.integers(0, 3)),
            n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
            weights=st.one_of(
@@ -257,15 +271,18 @@ class TestPhiloxStreams:
     # [1, 1, 1, 4] / 7 lumps to a vector that sums to 1 - 2^-53, so a
     # rescaled vector would move cells 0 and 1 at this n
     @example(seed=0, replicas=1, cols=(0, 1), n=2**63 - 1, weights=[1, 1, 1, 4])
+    # all four cells drawn, read in and out of CELLS order
+    @example(seed=2**64 - 1, replicas=5, cols=(0, 3), n=5, weights=[29, 21, 29, 21])
+    @example(seed=7, replicas=5, cols=(2, 1), n=2**63 - 1, weights=[2, 1, 3, 0])
     def test_reduced_draw_keeps_the_read_cells(self, seed, replicas, cols, n, weights):
-        # a draw that stops at the last cell of cols, and in multinomial
-        # mode lumps the rest into one last cell, reads the counts of the
-        # four-cell Generator draw in cols
+        # one generator rekeyed through the streams of consecutive
+        # replicas, drawn through the C functions up to the last cell of
+        # cols (in multinomial mode with the rest lumped into one last
+        # cell), reads the counts of the four-cell Generator draws in cols
         pvec = np.array(weights, dtype=float) / sum(weights)
-        for mode, args in (("multinomial", (n, pvec)), ("poisson", (n * pvec,))):
+        for mode in ("multinomial", "poisson"):
             try:
-                full = [getattr(philox_generator(seed, 1 + r), mode)(*args).tolist()
-                        for r in range(replicas)]
+                want = fresh_draws(mode, n, seed, pvec, replicas)
             except ValueError as exc:
                 # n * p past the largest Poisson mean numpy draws: refused
                 # as for the full table, even where that cell is not drawn
@@ -274,8 +291,8 @@ class TestPhiloxStreams:
                     replica_counts(mode, n, seed, pvec, cols, replicas)
                 continue
             got = replica_counts(mode, n, seed, pvec, cols, replicas)
-            assert [counts.tolist() for counts in got] == [
-                [row[col] for row in full] for col in cols]
+            assert all(counts.dtype == np.int64 for counts in got)
+            assert [counts.tolist() for counts in got] == want[:, list(cols)].T.tolist()
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_layout_check_passes(self, seed):
@@ -288,10 +305,10 @@ class TestPhiloxStreams:
         assert got["state"]["counter"].tolist() == [0, 0, 0, 0]
         assert (got["buffer_pos"], got["has_uint32"]) == (4, 0)
         pvec = np.array([0.29, 0.21, 0.29, 0.21])
-        for mode, args in (("multinomial", (10, pvec)), ("poisson", (10 * pvec,))):
-            want = getattr(philox_generator(seed, 1), mode)(*args).tolist()
+        for mode in ("multinomial", "poisson"):
             got = replica_counts(mode, 10, seed, pvec, (0, 3), 1)
-            assert [counts.tolist() for counts in got] == [[want[0]], [want[3]]]
+            want = fresh_draws(mode, 10, seed, pvec, 1)
+            assert [counts.tolist() for counts in got] == want[:, [0, 3]].T.tolist()
 
     def test_layout_check_refuses_a_wrong_mapping(self, monkeypatch):
         # buffer_pos and has_uint32 swapped: the rekey's buffer_pos write
@@ -398,99 +415,45 @@ class TestRunEnsemble:
         for name in ("mean_eps_hat", "var_eps_hat", "crb"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
 
-    # at 1 to 3 shots the multinomial draw runs out of events before the
-    # last cells, which are then left as they were; most replicas are
-    # discarded, so run_ensemble refuses the ensemble. f = A draws cells 0
-    # and 1 (and the rest lumped in multinomial mode), f = D all four. The
-    # replica counts around one and two blocks of counts check that each
-    # block is drawn into a zeroed block and yielded as its own arrays.
-    @pytest.mark.parametrize("f", [Outcome.A, Outcome.D])
-    @pytest.mark.parametrize("params", [(*PINNED_ENSEMBLES[i][0], 200) for i in (0, 3, 4)] + [
-        (30.0, 0.08, ModelTag.LINEAR, None, shots, "multinomial", 2024, 200) for shots in (1, 2, 3)
-    ] + [
-        (30.0, 0.08, ModelTag.LINEAR, None, 10**5, mode, 2024, n_replicas)
-        for mode in ("multinomial", "poisson") for n_replicas in BLOCK_EDGES
-    ] + [
-        (30.0, 0.08, ModelTag.LINEAR, None, 1, mode, 2024, 2 * _BLOCK_ROWS + 1)
-        for mode in ("multinomial", "poisson")
-    ])
-    def test_estimates_equal_reference_loop(self, params, f):
-        theta, eps, model, gate, shots, mode, seed, n_replicas = params
+    @pytest.mark.parametrize(
+        "theta, eps, model, gate, shots, mode, seed, n_replicas, f", REFERENCE_CASES,
+        ids=lambda x: str(getattr(x, "value", x)))
+    def test_estimates_equal_reference_loop(self, theta, eps, model, gate, shots, mode, seed,
+                                            n_replicas, f):
         pvec = model_distribution(theta, eps, model, gate)
         pvec = pvec / pvec.sum()
         # run_ensemble's reference: the row of the default analyzer basis
         row = 0 if f is Outcome.D else 1
         wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[row]).real
-        i_d, i_a = CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))
-        want, kept, discarded = [], [], 0
-        for r in range(n_replicas):
-            gen = philox_generator(seed, stream=1 + r)
-            if mode == "multinomial":
-                drawn = gen.multinomial(shots, pvec)
-            else:
-                drawn = gen.poisson(shots * pvec)
-            n_d, n_a = int(drawn[i_d]), int(drawn[i_a])
-            if n_d == 0 or n_a == 0:
-                discarded += 1
-                continue
-            want.append(plain_estimate(n_d, n_a, wv_ref))
-            kept.append((n_d, n_a))
-        n_d, n_a = replica_counts(mode, shots, seed, pvec, (i_d, i_a), n_replicas)
-        usable = (n_d != 0) & (n_a != 0)
-        assert n_replicas - usable.sum() == discarded
-        assert list(zip(n_d[usable].tolist(), n_a[usable].tolist())) == kept
-        # the estimator the ensemble runs, on those counts, and its N = 1 call
-        eps_hat, status = moment_estimates(n_d[usable], n_a[usable], wv_ref)
-        assert eps_hat.tolist() == want and not status.any()
-        assert [estimate_epsilon(n_d, n_a, wv_ref, f=f)[0] for n_d, n_a in kept] == want
-        if discarded > DISCARD_TOLERANCE * n_replicas:
-            with pytest.raises(TooManyDiscardedReplicas, match=f"{discarded} of {n_replicas}"):
-                run_ensemble(theta, eps, model, shots, n_replicas, base_seed=seed, f=f,
-                             gate_params=gate, mode=mode)
-            return
-        stats = run_ensemble(theta, eps, model, shots, n_replicas, base_seed=seed, f=f,
-                             gate_params=gate, mode=mode)
-        assert stats.mean_eps_hat == np.mean(want)
-        assert stats.var_eps_hat == np.var(want, ddof=1)
-
-    # the first two: three replicas past the first block of counts; the
-    # rest around one and two blocks, at the fewest and the most shots.
-    # Every block is held before any is compared, so a block that aliased
-    # the memory the next one is drawn into would read that block's counts.
-    @pytest.mark.parametrize("mode, f, shots, n_replicas", [
-        pytest.param(mode, Outcome.A, 10**5, _BLOCK_ROWS + 3, id=mode)
-        for mode in ("multinomial", "poisson")
-    ] + [
-        pytest.param(mode, f, shots, n_replicas, id=f"{mode}-{f.value}-{shots}-{n_replicas}")
-        for mode in ("multinomial", "poisson") for f in (Outcome.A, Outcome.D)
-        for shots in (1, 2**63 - 1) for n_replicas in BLOCK_EDGES
-    ])
-    def test_estimates_cross_a_count_block(self, mode, f, shots, n_replicas):
-        theta, seed = 30.0, 2024
-        pvec = linear(theta, 0.08)
-        pvec = pvec / pvec.sum()
-        row = 0 if f is Outcome.D else 1
-        wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[row]).real
-        i_d, i_a = CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))
-        want = []
-        for r in range(n_replicas):
-            gen = philox_generator(seed, stream=1 + r)
-            drawn = gen.multinomial(shots, pvec) if mode == "multinomial" else gen.poisson(shots * pvec)
-            want.append((int(drawn[i_d]), int(drawn[i_a])))
-        blocks = list(_replica_counts(mode, shots, seed, pvec, (i_d, i_a), n_replicas))
+        cols = CELLS.index((Outcome.D, f)), CELLS.index((Outcome.A, f))
+        # every block is held before any is compared, so a block that
+        # aliased the memory the next one is drawn into would read that
+        # block's counts
+        blocks = list(_replica_counts(mode, shots, seed, pvec, cols, n_replicas))
+        want = fresh_draws(mode, shots, seed, pvec, n_replicas)[:, list(cols)].tolist()
         sizes = [min(_BLOCK_ROWS, n_replicas - first) for first in range(0, n_replicas, _BLOCK_ROWS)]
         assert [(len(n_d), len(n_a)) for n_d, n_a in blocks] == [(k, k) for k in sizes]
         n_d, n_a = (np.concatenate(col) for col in zip(*blocks))
-        assert list(zip(n_d.tolist(), n_a.tolist())) == want
+        assert [list(pair) for pair in zip(n_d.tolist(), n_a.tolist())] == want
+        kept = [(d, a) for d, a in want if d and a]
+        discarded = n_replicas - len(kept)
+        # the estimator the ensemble runs, on the counts it keeps, and its
+        # N = 1 call
         usable = (n_d != 0) & (n_a != 0)
-        if shots == 10**5:
-            assert usable.all()
-        # past 2^53 the counts are rounded to float, so the estimates may
-        # differ from the exact-integer quotients by a few ulp (see
-        # test_poisson_counts_summing_past_int64 below)
-        if shots < 2**53:
-            assert moment_estimates(n_d[usable], n_a[usable], wv_ref)[0].tolist() == [
-                plain_estimate(n_d, n_a, wv_ref) for n_d, n_a in want if n_d and n_a]
+        eps_hat, status = moment_estimates(n_d[usable], n_a[usable], wv_ref)
+        assert not status.any()
+        assert_plain_estimates(eps_hat, kept, wv_ref, shots)
+        assert [estimate_epsilon(d, a, wv_ref, f=f)[0] for d, a in kept] == eps_hat.tolist()
+        args = (theta, eps, model, shots, n_replicas)
+        kwargs = {"base_seed": seed, "f": f, "gate_params": gate, "mode": mode}
+        if discarded > DISCARD_TOLERANCE * n_replicas:
+            with pytest.raises(TooManyDiscardedReplicas, match=f"^{discarded} of {n_replicas} "):
+                run_ensemble(*args, **kwargs)
+            return
+        stats = run_ensemble(*args, **kwargs)
+        assert (stats.n_replicas, stats.n_discarded) == (len(kept), discarded)
+        assert stats.mean_eps_hat == np.mean(eps_hat)
+        assert stats.var_eps_hat == np.var(eps_hat, ddof=1)
 
     def test_poisson_counts_summing_past_int64(self):
         # near the A state nearly every event lands in the f = A column, so
@@ -499,18 +462,11 @@ class TestRunEnsemble:
         pvec = model_distribution(theta, 0.0, ModelTag.LINEAR)
         pvec = pvec / pvec.sum()
         wv_ref = weak_value(linear_states(theta), analyzer_basis(270.0)[1]).real
-        want, past = [], 0
-        for r in range(20):
-            drawn = philox_generator(5, stream=1 + r).poisson(shots * pvec)
-            n_d, n_a = int(drawn[0]), int(drawn[1])
-            past += n_d + n_a >= 2**63
-            want.append(plain_estimate(n_d, n_a, wv_ref))
+        want = fresh_draws("poisson", shots, 5, pvec, 20)[:, :2].tolist()
+        assert any(n_d + n_a >= 2**63 for n_d, n_a in want)
         n_d, n_a = replica_counts("poisson", shots, 5, pvec, (0, 1), 20)
-        assert past and n_d.all() and n_a.all()
-        got = moment_estimates(n_d, n_a, wv_ref)[0]
-        # counts above 2^53 are rounded to float: p(D|f) - p(A|f) may then
-        # differ by a few ulp of 1/2 from the exact-integer quotients
-        assert np.abs(got - want).max() * 2.0 * abs(wv_ref) <= 4 * 2.0**-53
+        assert n_d.all() and n_a.all()
+        assert_plain_estimates(moment_estimates(n_d, n_a, wv_ref)[0], want, wv_ref, shots)
 
     @pytest.mark.parametrize("shots", [10**4, 1])
     def test_zero_reference_refused_before_any_draw(self, monkeypatch, shots):
