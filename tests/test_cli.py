@@ -373,22 +373,27 @@ class TestSweep:
         assert code == 20
         assert link.is_symlink() and target.exists()
 
-    def test_in_place_write_holds_the_sweep(self, tmp_path, capsys):
+    @pytest.mark.parametrize("out", ["symlink", "dev-stdout"])
+    def test_in_place_write_holds_the_sweep(self, tmp_path, capsys, out):
         # a symlink and /dev/stdout are written in place, not replaced: the
         # link stays a link, and its target, as stdout, holds the bytes the
         # sweep writes to a regular file
         argv = ("sweep", "--theta-stop", "30", "--theta-step", "0.5", "--epsilon", "0.08")
-        regular, target, link = tmp_path / "regular.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+        regular = tmp_path / "regular.csv"
+        assert run_cli(capsys, *argv, "--out", str(regular))[0] == 0
+        if out == "dev-stdout":
+            # in a child, whose fd 1 is a pipe the test reads
+            proc = run_module(*argv, "--out", "/dev/stdout")
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.encode("utf-8") == regular.read_bytes()
+            return
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
         target.write_bytes(b"longer than the sweep\n" * 1000)
         link.symlink_to(target)
-        for path in (regular, link):
-            assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        assert run_cli(capsys, *argv, "--out", str(link))[0] == 0
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == regular.read_bytes()
         assert sorted(tmp_path.iterdir()) == sorted([regular, target, link])
-        proc = run_module(*argv, "--out", "/dev/stdout")
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout.encode("utf-8") == regular.read_bytes()
 
     def test_link_at_the_temporary_path_is_not_followed(self, monkeypatch, tmp_path, capsys):
         # a symlink swapped in at the temporary path after mkstemp: the
@@ -871,6 +876,15 @@ class TestErrorExitCodes:
             assert f"  {code:>3}  {name}" in lines, (code, name)
         # --eps-probe refuses a probe small enough to raise it
         assert "ZeroProbeCoupling" not in out
+
+    def test_montecarlo_help_says_what_shots_is_per_mode(self, monkeypatch, capsys):
+        # in --mode poisson a replica's total is drawn: --shots is its mean
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main(["montecarlo", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "events per replica; in --mode poisson, each replica's mean total" in out
 
     def test_every_listed_code_has_an_invocation(self):
         assert sorted(EXIT_CODE_INVOCATIONS) == [code for code, _ in cli_args._exit_code_table()]

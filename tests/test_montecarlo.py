@@ -262,6 +262,33 @@ class TestPhiloxStreams:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
            replicas=st.integers(1, 5),
+           n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
+           weights=st.one_of(
+               st.just([29, 21, 29, 21]),
+               st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
+           ))
+    def test_rekey_equals_fresh_generator(self, seed, replicas, n, weights):
+        # the loop's own path: one generator rekeyed through the streams of
+        # consecutive replicas, drawn through the C functions over all
+        # four cells, read two cells at a time in and out of CELLS order
+        pvec = np.array(weights, dtype=float) / sum(weights)
+        for mode in ("multinomial", "poisson"):
+            try:
+                want = fresh_draws(mode, n, seed, pvec, replicas)
+            except ValueError as exc:
+                # n * p past the largest Poisson mean numpy draws
+                assert mode == "poisson"
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    replica_counts(mode, n, seed, pvec, (0, 3), replicas)
+                continue
+            for cols in ((0, 3), (2, 1)):
+                got = replica_counts(mode, n, seed, pvec, cols, replicas)
+                assert all(counts.dtype == np.int64 for counts in got)
+                assert [counts.tolist() for counts in got] == want[:, list(cols)].T.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           replicas=st.integers(1, 5),
            cols=st.tuples(st.integers(0, 3), st.integers(0, 3)),
            n=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1)),
            weights=st.one_of(

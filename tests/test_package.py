@@ -3,6 +3,8 @@ public name is imported from the module that defines it on first access."""
 
 import ast
 import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,30 @@ def test_dir_lists_every_name_once(monkeypatch):
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match=r"'weakmeas' has no attribute 'no_such_name'"):
         weakmeas.no_such_name
+
+
+def test_readme_gives_other_names_with_their_module():
+    # README: `import weakmeas` exports the names of __all__, and any
+    # other name is given with its module at its first mention, as
+    # `weakmeas.<module>.<name>`; every such path resolves
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"exports the {len(weakmeas.__all__)} names of" in " ".join(text.split())
+    spans = "\n".join(re.findall(r"`([^`]*)`", text))
+    modules = {info.name: importlib.import_module(f"weakmeas.{info.name}")
+               for info in pkgutil.iter_modules(weakmeas.__path__)}
+    others = {name for module in modules.values() for name, value in vars(module).items()
+              if not name.startswith("_") and name not in weakmeas.__all__ and name not in modules
+              and (name.isupper() or getattr(value, "__module__", None) == module.__name__)}
+    found = []
+    for name in sorted(others):
+        first = re.search(rf"(?<![\w.])(?:weakmeas\.(\w+)\.)?{name}\b", spans)
+        if first and not hasattr(modules.get(first[1]), name):
+            found.append(first[0])
+    for path in re.findall(r"\bweakmeas(?:\.\w+)+", text):
+        head, _, name = path.rpartition(".")
+        if head == "weakmeas":
+            if name not in modules and name not in weakmeas.__all__ + ["__all__"]:
+                found.append(path)
+        elif not hasattr(modules.get(head.split(".", 1)[1]), name):
+            found.append(path)
+    assert found == []
