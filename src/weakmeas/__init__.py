@@ -17,7 +17,7 @@ _SOURCES = {
         ("CouplingTooStrong", "LinearizationInvalid", "NonOrthonormalBasis",
          "PostselectionSingular", "TooManyDiscardedReplicas", "WeakMeasError",
          "WeakValueReferenceZero", "ZeroCoincidenceNorm", "ZeroInformation",
-         "ZeroProbability", "ZeroProbeCoupling"),
+         "ZeroProbability"),
         "errors",
     ),
     **dict.fromkeys(

@@ -11,13 +11,9 @@ from . import errors
 #: Exit code of an error reading or writing a file.
 IO_EXIT_CODE = 20
 
-#: Errors only a library caller can meet: ``--eps-probe`` refuses a probe
-#: small enough to raise ZeroProbeCoupling.
-_LIBRARY_ONLY = (errors.ZeroProbeCoupling,)
-
 
 def _exit_code_table() -> list[tuple[int, str]]:
-    rows = [(code, err.__name__) for code, err in errors.BY_CODE.items() if err not in _LIBRARY_ONLY]
+    rows = [(code, err.__name__) for code, err in errors.BY_CODE.items()]
     rows.append((IO_EXIT_CODE, "I/O error"))
     rows.append((2, "invalid arguments"))
     return sorted(rows)

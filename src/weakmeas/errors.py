@@ -68,12 +68,6 @@ class ZeroProbability(WeakMeasError):
     reason = "post-selection probability p(f={f}) is zero"
 
 
-class ZeroProbeCoupling(WeakMeasError):
-    """Finite-difference extraction requested with zero probe coupling."""
-
-    exit_code = 10
-
-
 class ZeroInformation(WeakMeasError):
     """Fisher information is zero; the error bound diverges."""
 

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .errors import ZeroInformation, ZeroProbability, ZeroProbeCoupling, raise_status
+from .errors import ZeroInformation, ZeroProbability, raise_status
 from .kernel import COLUMN, WV_REFERENCE_FLOOR, Outcome, check_table, moment_estimates
 
 
@@ -62,9 +62,11 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     ``n_events`` post-selected events, None without them. Raises the error
     of the status of :func:`weakmeas.kernel.moment_estimates`; weights
     that sum to zero are named as p(f) = 0, and a reference that is not
-    finite, NaN included, is a ValueError. It is the one refusal of the
-    estimate: the estimate command and the ensemble call it on their
-    kernel row's cells, after ``angle_row`` has refused the row.
+    finite, NaN included, is a ValueError, as are weights whose sum is not
+    finite and an error that is not, as over a subnormal ``n_events``. It
+    is the one refusal of the estimate: the estimate command and the
+    ensemble call it on their kernel row's cells, after ``angle_row`` has
+    refused the row.
 
     The estimate is (p(D|f) - p(A|f)) / (2 wv_reference). On linear-model
     conditionals this is the set eps exactly. On exact ideal-gate
@@ -74,8 +76,9 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     """
     f = Outcome(f)
     w_d, w_a, wv_reference = float(w_d), float(w_a), float(wv_reference)
-    if not (0.0 <= w_d < math.inf and 0.0 <= w_a < math.inf):
-        raise ValueError(f"weights must be finite and nonnegative, got ({w_d!r}, {w_a!r})")
+    if not (0.0 <= w_d < math.inf and 0.0 <= w_a < math.inf and w_d + w_a < math.inf):
+        raise ValueError(f"weights must be finite and nonnegative, with a finite sum, "
+                         f"got ({w_d!r}, {w_a!r})")
     if not math.isfinite(wv_reference):
         raise ValueError(f"wv_reference must be finite, got {wv_reference!r}")
     eps_hat, status = moment_estimates([w_d], [w_a], wv_reference)
@@ -84,17 +87,19 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
         return eps_hat.item(), None
     if not 0 < n_events < math.inf:
         raise ValueError(f"n_events must be positive and finite when present, got {n_events!r}")
-    total = w_d + w_a
-    return eps_hat.item(), math.sqrt(w_d / total * (w_a / total) / n_events) / abs(wv_reference)
+    total, n_events = w_d + w_a, float(n_events)  # which overflows without a warning
+    sigma = math.sqrt(w_d / total * (w_a / total) / n_events) / abs(wv_reference)
+    if not math.isfinite(sigma):
+        raise ValueError(f"n_events={n_events!r} gives a non-finite error {sigma!r}")
+    return eps_hat.item(), sigma
 
 
 def _finite_difference(at_eps: np.ndarray, at_zero: np.ndarray, f: Outcome,
                        eps_probe: float) -> float:
     """:func:`extract_weak_value` on checked tables."""
-    if not math.isfinite(eps_probe):
+    if eps_probe == 0.0 or not math.isfinite(eps_probe):
         raise ValueError(f"eps_probe must be nonzero and finite, got {eps_probe!r}")
-    if eps_probe == 0.0:
-        raise ZeroProbeCoupling("eps_probe must be nonzero")
+    eps_probe = float(eps_probe)  # whose quotient overflows without a warning
     pd_e, pa_e = _conditional(at_eps, f)
     pd_0, pa_0 = _conditional(at_zero, f)
     for name, value in (("p(D|f;eps)", pd_e), ("p(A|f;eps)", pa_e),
@@ -142,7 +147,9 @@ def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | str | None = Non
     n_trials independent trials that carry the Fisher information
     ``fisher`` each: 1 / (n_trials * fisher). ``fisher`` is the total, or
     F_f of the strategy that keeps the post-selected outcome f; a zero
-    information is named as that outcome's when f is given."""
+    information is named as that outcome's when f is given. A bound that
+    is not a positive finite number, as from a subnormal ``fisher``, is a
+    ValueError."""
     f = None if f is None else Outcome(f)
     if not 0 < n_trials < math.inf:
         raise ValueError(f"n_trials must be positive and finite, got {n_trials!r}")
@@ -154,7 +161,13 @@ def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | str | None = Non
                 f"Fisher information F_{f.value} of the post-selected f={f.value} events is zero"
             )
         raise ZeroInformation("total Fisher information is zero")
-    return 1.0 / (n_trials * fisher)
+    # in Python floats, which overflow without a warning
+    product = float(n_trials) * float(fisher)
+    bound = 1.0 / product if product > 0.0 else math.inf
+    if not 0.0 < bound < math.inf:
+        raise ValueError(f"the bound 1 / (n_trials * fisher) = 1 / {product!r} is not a positive "
+                         "finite number")
+    return bound
 
 
 def apparent_fisher(

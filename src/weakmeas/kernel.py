@@ -184,8 +184,11 @@ def _unit(h, v) -> np.ndarray:
 def linear_states(theta_deg) -> np.ndarray:
     """States cos(theta/2)|H> + sin(theta/2)|V>, normalized, for angles in
     degrees on the linear-polarization circle (reduced mod 360: 0 is H,
-    180 V, 90 D and 270 A): shape (2,) for one angle, (N, 2) for N."""
+    180 V, 90 D and 270 A): shape (2,) for one angle, (N, 2) for a 1-D
+    array of N; an array of more dimensions is a ValueError."""
     theta = np.asarray(theta_deg, dtype=float)
+    if theta.ndim > 1:
+        raise ValueError(f"angles are one number or a 1-D array, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("angle must be finite")
     half = np.radians(np.mod(theta, 360.0)) / 2.0
@@ -374,7 +377,9 @@ def exact_table(states, eps: float, gate: tuple, basis: np.ndarray):
     Probabilities are renormalized over coincidence events; a row with no
     coincidence amplitude left is ZeroCoincidenceNorm.
     """
-    if not math.isfinite(eps * eps):
+    with np.errstate(over="ignore"):  # the square of a numpy scalar would warn
+        normalizable = math.isfinite(eps * eps)
+    if not normalizable:
         raise ValueError(f"coupling eps={eps!r}: the probe |H> + eps|V> cannot be normalized")
     amps = two_photon_amplitudes(states, probe_state(eps), gate)
     weights = np.abs(amps) ** 2
@@ -389,6 +394,8 @@ def exact_table(states, eps: float, gate: tuple, basis: np.ndarray):
 
 
 def _table(states, mag, re_wv, eps: float, model: ModelTag, gate_params, basis):
+    if gate_params is not None and not isinstance(gate_params, GateParams):
+        raise TypeError(f"gate_params must be GateParams or None, got {type(gate_params).__name__}")
     if model is ModelTag.EXACT_PPBS:
         return exact_table(states, eps, ppbs_coincidence_operator(gate_params or GateParams()), basis)
     if gate_params is not None:
@@ -428,7 +435,8 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     no status, as ``wv_f`` is NaN exactly where ``overlap_f`` is below
     SINGULARITY_THRESHOLD (code 4). ``gate_params`` applies to the exact
     PPBS model and defaults to the compensated gate; another model
-    refuses it (ValueError). ``theta_deg`` is a 1-D array of angles.
+    refuses it (ValueError), and one that is not a GateParams is a
+    TypeError. ``theta_deg`` is a 1-D array of angles.
 
     Only the table and the moment estimate belong to ``model``, gate and
     ``eps``. The weak values, the Fisher split and ``sigma_rel_A`` are the

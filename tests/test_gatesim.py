@@ -26,12 +26,6 @@ def marginal(p, f):
 
 
 class TestGateParams:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            GateParams(t_h=1.0, t_v=0.0, a_h=1.0)
-        with pytest.raises(ValueError):
-            GateParams(t_h=1.2, t_v=0.5, a_h=1.0)
-
     def test_reflectivities(self):
         # the operator takes r_x = sqrt(1 - t_x^2): s = -a_H r_H r_V and
         # d_VV = t_V^2 - r_V^2 = 2 t_V^2 - 1

@@ -18,19 +18,15 @@ from weakmeas import (
     GateParams,
     LinearizationInvalid,
     ModelTag,
-    NonOrthonormalBasis,
     Outcome,
     PostselectionSingular,
     WeakMeasError,
     ZeroCoincidenceNorm,
-    apparent_fisher,
     estimate_epsilon,
-    extract_weak_value,
     fisher_information,
     linear_states,
     model_distribution,
     run_ensemble,
-    sample_counts,
     weak_value,
 )
 from weakmeas import cli, errors, kernel
@@ -73,15 +69,6 @@ def random_states(seed, count):
 def meter_marginal(p, m):
     """p(m) = sum_f p(m, f)."""
     return cell(p, m, F_D) + cell(p, m, F_A)
-
-
-def table_users(table):
-    """Each function that takes a joint table, called on ``table``."""
-    good = linear(0.0, 0.0)
-    return [lambda: check_table(table),
-            lambda: extract_weak_value(table, good, F_A, 0.08),
-            lambda: apparent_fisher(good, table, 0.08),
-            lambda: sample_counts(table, 10, seed=0)]
 
 
 def reference_row(theta, eps, model, gate, postselect):
@@ -255,7 +242,7 @@ def test_every_row_status_has_an_error_with_a_reason():
         assert err.exit_code == code and isinstance(err.reason, str)
     # code 4 has one text: the |<f|psi>| of the kernel row and the
     # threshold give the line each command prints for it
-    singular = [argv for code, argv, _ in ERROR_LINES if code == 4]
+    singular = [argv for code, argv, _ in ERROR_LINES.values() if code == 4]
     assert len(singular) == 6
     for argv in singular:
         opts = dict(zip(argv[1::2], argv[2::2]))
@@ -263,7 +250,7 @@ def test_every_row_status_has_an_error_with_a_reason():
         overlap = cols[f"overlap_{opts.get('--f', 'A')}"]
         line = "error: " + errors.BY_CODE[4].reason.format(
             overlap=overlap[0], threshold=kernel.SINGULARITY_THRESHOLD)
-        assert (4, argv, line) in ERROR_LINES
+        assert (4, argv, line) in ERROR_LINES.values()
 
 
 def test_raise_status():
@@ -274,35 +261,6 @@ def test_raise_status():
         errors.raise_status(np.int64(5), eps=0.3, f="A")
 
 
-@pytest.mark.parametrize("model", list(ModelTag))
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("call", [
-    lambda eps, model: table([30.0], eps, model),
-    lambda eps, model: sweep_columns([30.0], eps, model),
-    lambda eps, model: model_distribution(30.0, eps, model),
-], ids=["joint_table", "sweep_columns", "model_distribution"])
-def test_non_finite_coupling_is_a_value_error(call, eps, model):
-    # every model names eps; the linear one does not report it as a
-    # coupling past its guard (CouplingTooStrong)
-    with pytest.raises(ValueError, match=f"^coupling eps={eps!r}"):
-        call(eps, model)
-
-
-@pytest.mark.parametrize("model", ["linear", "exact-ideal"])
-def test_gate_params_refused_for_other_models(model):
-    # a gate another model would not apply: the table would come back as
-    # if no gate had been given
-    with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
-        model_distribution(30.0, 0.08, model, GateParams(a_h=1.0))
-    with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
-        sweep_columns([30.0], 0.08, model, GateParams(a_h=1.0))
-
-
-def test_coupling_guard_raises_for_the_whole_call():
-    with pytest.raises(CouplingTooStrong):
-        sweep_columns(GRID, 0.6, ModelTag.LINEAR)
-
-
 @pytest.mark.parametrize("model", [ModelTag.EXACT_IDEAL, ModelTag.EXACT_PPBS])
 def test_unnormalizable_probe_is_refused(model):
     with pytest.raises(ValueError, match="eps"):
@@ -310,17 +268,6 @@ def test_unnormalizable_probe_is_refused(model):
     # the largest couplings whose probe still normalizes give a valid table
     p, status = table(GRID, 1e150, model)
     assert not status.any() and np.isfinite(p).all()
-
-
-def test_non_finite_angle_refused():
-    with pytest.raises(ValueError):
-        sweep_columns([0.0, math.nan], 0.08, ModelTag.LINEAR)
-
-
-@pytest.mark.parametrize("theta, shape", [(30.0, r"\(\)"), ([[0.0, 30.0]], r"\(1, 2\)")])
-def test_theta_must_be_one_dimensional(theta, shape):
-    with pytest.raises(ValueError, match=f"got shape {shape}$"):
-        sweep_columns(theta, 0.08, ModelTag.LINEAR)
 
 
 @pytest.mark.parametrize("model, gate", MODELS)
@@ -341,25 +288,11 @@ class TestBases:
         np.testing.assert_allclose(basis @ basis.conj().T, np.eye(2), atol=1e-15)
         np.testing.assert_array_equal(basis[1], linear_states(postselect))
 
-    def test_huge_angle_refused(self):
-        # 1e300 - 180 rounds to 1e300: both rows are the same state
-        with pytest.raises(NonOrthonormalBasis, match="overlap"):
-            analyzer_basis(1e300)
-        # the library functions take the angle and make the basis from it
-        with pytest.raises(NonOrthonormalBasis, match="overlap"):
-            model_distribution(30.0, 0.05, "linear", postselect_deg=1e300)
-        with pytest.raises(NonOrthonormalBasis, match="overlap"):
-            fisher_information(linear_states(30.0), 1e300)
-
 
 class TestPolarAngle:
     def test_reduced_mod_360(self):
         np.testing.assert_array_equal(linear_states([450.0, -90.0, 360.0]),
                                       linear_states([90.0, 270.0, 0.0]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            linear_states(float("nan"))
 
 
 class TestQubitState:
@@ -371,24 +304,9 @@ class TestQubitState:
         assert s[0] == pytest.approx(0.6)
         assert weak_value([3.0, 4.0], A_STATE) == pytest.approx(weak_value([0.6, 0.8], A_STATE))
 
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            weak_value([0.0, 0.0], A_STATE)
-
-    def test_rejects_nonfinite(self):
-        for psi in ([float("inf"), 1.0], [complex(0.0, float("nan")), 1.0]):
-            with pytest.raises(ValueError, match="finite"):
-                weak_value(psi, A_STATE)
-            with pytest.raises(ValueError, match="finite"):
-                weak_value(A_STATE, psi)
-
     def test_normalizes_past_overflow_of_the_squares(self):
         np.testing.assert_allclose(_state([1e200, 2e200j]), _state([1.0, 2.0j]), rtol=1e-15)
         assert weak_value([1e200, 2e200], A_STATE) == pytest.approx(weak_value([1.0, 2.0], A_STATE))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            weak_value([1.0, 0.0, 0.0], A_STATE)
 
     def test_preserves_global_phase(self):
         phase = np.exp(1j * 0.7)
@@ -536,10 +454,6 @@ class TestWeakValue:
         assert got == pytest.approx(2.0 + math.sqrt(3.0), abs=1e-12)
         assert got == pytest.approx(wv_a(60.0), abs=1e-12)
 
-    def test_singular_postselection_raises(self):
-        with pytest.raises(PostselectionSingular):
-            weak_value(linear_states(90.0), A_STATE)
-
     def test_global_phase_invariance(self):
         psi = linear_states(60.0)
         for phi in (0.3, 1.2, 2.9):
@@ -556,27 +470,9 @@ class TestJointDistribution:
     """A joint table is p[4] in CELLS order; each function that takes
     one checks it."""
 
-    def test_requires_all_cells(self):
-        for table in ([1.0], [[0.25] * 4]):
-            for call in table_users(table):
-                with pytest.raises(ValueError, match="4 cells"):
-                    call()
-
-    def test_rejects_negative(self):
-        for call in table_users([-0.01, 0.51, 0.25, 0.25]):
-            with pytest.raises(ValueError, match="negative probability -0.01"):
-                call()
-        # round-off below zero is read as zero
+    def test_round_off_below_zero_reads_as_zero(self):
         got = check_table([-1e-13, 0.5, 0.25, 0.25 + 1e-13])
         assert got.tolist() == [0.0, 0.5, 0.25, 0.25 + 1e-13]
-
-    def test_rejects_bad_total(self):
-        # the total prints as a Python float, as numpy 2 would not
-        for table, total in (([0.3] * 4, "1.2"), ([math.nan, 0.5, 0.25, 0.25], "nan")):
-            for call in table_users(table):
-                with pytest.raises(ValueError, match=f"^probabilities sum to {re.escape(total)}, "
-                                   "expected 1$"):
-                    call()
 
     def test_marginal_and_conditional(self):
         d = linear(0.0, 0.08)
@@ -624,11 +520,6 @@ class TestJointProbabilitiesLinear:
             d = linear(deg, 0.0)
             for m in (D_OUT, A_OUT):
                 assert meter_marginal(d, m) == pytest.approx(0.5, abs=1e-12)
-
-    def test_negative_probability_raises(self):
-        # wv(80 deg) = tan(85 deg) = 11.43; 2*0.1*wv > 1 flips a cell sign
-        with pytest.raises(LinearizationInvalid):
-            linear(80.0, 0.1)
 
     def test_singular_row_falls_back_to_baseline(self):
         d = linear(90.0, 0.08)

@@ -144,13 +144,6 @@ class TestModelDistribution:
     def test_tag_takes_a_member_or_its_name(self, tag):
         assert ModelTag(tag.value) is ModelTag(tag) is tag
 
-    @pytest.mark.parametrize("model", [None, 3, "bogus", "LINEAR", " linear", "exact_ideal"])
-    def test_unknown_model_is_named(self, model):
-        with pytest.raises(ValueError, match=f"^{model!r} is not a valid ModelTag$"):
-            ModelTag(model)
-        with pytest.raises(ValueError, match=f"^{model!r} is not a valid ModelTag$"):
-            model_distribution(0.0, 0.08, model)
-
 
 class TestSampleCounts:
     def test_degenerate_distribution(self):
@@ -193,15 +186,6 @@ class TestSampleCounts:
             totals.append(sum(counts.tolist()))
         assert max(totals) >= 2**63
 
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            sample_counts(linear(0.0, 0.0), 10, seed=0, mode="bootstrap")
-
-    @pytest.mark.parametrize("n", [0, -1, 2**63, 2**64])
-    def test_rejects_shots_out_of_range(self, n):
-        with pytest.raises(ValueError, match="shots"):
-            sample_counts(linear(0.0, 0.0), n, seed=0)
-
     @pytest.mark.parametrize("mode", ["multinomial", "poisson"])
     @pytest.mark.parametrize("n, name", NON_INTEGER_SHOTS)
     def test_shots_must_be_an_integer(self, mode, n, name):
@@ -221,13 +205,6 @@ class TestSampleCounts:
             sample_counts(dist, 1000, seed, mode=mode)
         assert (sample_counts(dist, 1000, np.uint64(2), mode=mode).tolist()
                 == sample_counts(dist, 1000, 2, mode=mode).tolist())
-
-    @pytest.mark.parametrize("table, match", [
-        ([0.5, 0.5], "4 cells"), ([-0.01, 0.51, 0.25, 0.25], "negative"), ([0.3] * 4, "sum to"),
-    ])
-    def test_rejects_invalid_table(self, table, match):
-        with pytest.raises(ValueError, match=match):
-            sample_counts(table, 10, seed=0)
 
     def test_largest_shots(self):
         assert sample_counts(linear(0.0, 0.0), 2**63 - 1, seed=0).sum() == 2**63 - 1
@@ -421,11 +398,6 @@ class TestRunEnsemble:
         se = math.sqrt(multi.var_eps_hat / multi.n_replicas)
         assert abs(multi.mean_eps_hat - pois.mean_eps_hat) < 5.0 * se
 
-    def test_too_many_discarded_replicas(self):
-        # theta=2 deg: p(m, A) ~ 1.5e-4, so n=10 leaves empty cells
-        with pytest.raises(TooManyDiscardedReplicas):
-            run_ensemble(2.0, 0.0, ModelTag.LINEAR, 10, 50, base_seed=21)
-
     def test_outcome_is_parsed(self):
         args = (30.0, 0.08, ModelTag.LINEAR, 10**4, 50)
         for text, f in (("A", Outcome.A), ("D", Outcome.D)):
@@ -540,11 +512,6 @@ class TestRunEnsemble:
         assert (run_ensemble(*args, base_seed=np.uint64(2), mode=mode)
                 == run_ensemble(*args, base_seed=2, mode=mode))
 
-    @pytest.mark.parametrize("model", [ModelTag.LINEAR, ModelTag.EXACT_IDEAL])
-    def test_gate_params_refused_for_other_models(self, model):
-        with pytest.raises(ValueError, match="^gate_params apply only to model exact-ppbs$"):
-            run_ensemble(30.0, 0.08, model, 1000, 10, 1, gate_params=GateParams(a_h=1.0))
-
     def test_peak_memory_per_replica(self):
         # the ensemble keeps one float64 estimate a replica and one block
         # of counts at a time: below 20 traced bytes a replica, where
@@ -576,7 +543,3 @@ class TestRunEnsemble:
         monkeypatch.setattr("weakmeas.montecarlo.angle_row", None)
         with pytest.raises(TypeError, match=f"^'{name}' object cannot be interpreted as an integer$"):
             run_ensemble(*args, n_replicas, base_seed=0)
-
-    def test_rejects_single_replica(self):
-        with pytest.raises(ValueError):
-            run_ensemble(0.0, 0.0, ModelTag.LINEAR, 100, 1, base_seed=0)

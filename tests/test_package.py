@@ -13,7 +13,7 @@ import weakmeas
 
 
 def test_public_surface_size():
-    assert len(weakmeas.__all__) == len(set(weakmeas.__all__)) == 29
+    assert len(weakmeas.__all__) == len(set(weakmeas.__all__)) == 28
 
 
 def test_no_module_imports_a_private_name_of_another():
