@@ -10,28 +10,21 @@ nothing private to numpy. Replica r of ``run_ensemble`` uses stream
 1 + r, so ensembles are reproducible bit-exactly from (base_seed,
 parameters) regardless of execution order.
 
-An ensemble serves all its replicas from one Philox generator. Before
-each draw it is rekeyed to the start of the replica's stream by three
-writes into its C state, numpy's ``philox_state``
-(``numpy/random/src/philox/philox.h``, mapped here as ``_PhiloxState``):
-the high key word, the counter and ``buffer_pos``, which empties the
-output buffer. That layout is private to numpy, so it is checked once
-per ensemble: after one rekey, numpy's own ``bits.state`` must read back
-the key, a zero counter and an empty buffer, or RuntimeError is raised.
-The counts are drawn by ``random_multinomial`` and ``random_poisson``,
-the functions of numpy's C distribution API
-(``numpy/random/distributions.h``) that ``Generator.multinomial`` and
-``Generator.poisson`` call, so they are the bits those methods return,
-without their per-call argument checks. numpy's checks run once per
-ensemble, by one Generator draw on the full table before the first.
-Replicas are drawn in blocks of consecutive streams into one block of
-counts per ensemble, reused from block to block: each row of counts is
-written by the C function straight into it, zeroed before each
-multinomial block, and every argument of the C call is built once. Each
-block is estimated as soon as it is drawn, from copies of its two read
-columns, so an ensemble holds one block of counts and one float64
-estimate per kept replica, 8 bytes a replica: the variance is taken in
-place over the estimates.
+Replicas are drawn in blocks of consecutive streams, each through its
+own bit generator, built once per ensemble: a copy of the Philox's
+``bitgen_t`` (public, ``numpy/random/bitgen.h``) whose state is the
+replica's row, a ``philox_state`` (private,
+``numpy/random/src/philox/philox.h``, mapped as ``_PhiloxState``)
+followed by the counter and key it points to. numpy column writes set
+every row to the start of its stream before each block. Both layouts
+are checked once per ensemble, or RuntimeError is raised. The counts are
+the bits of ``Generator.multinomial`` and ``.poisson``, drawn by the C
+functions these call, ``random_multinomial`` and ``random_poisson`` of
+numpy's public ``numpy/random/distributions.h``; numpy's argument checks
+run once, by one Generator draw on the full table. ``map`` drives a
+block's C calls, each argument built once. Each block is estimated as
+soon as it is drawn, so an ensemble holds one block of counts and one
+float64 estimate per kept replica: the variance is taken in place.
 
 An ensemble draws the cells in CELLS order up to the last one its
 estimator reads. For f = A those are cells 0 and 1, (D, A) and (A, A):
@@ -48,8 +41,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import operator
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -65,16 +60,24 @@ DISCARD_TOLERANCE = 0.01
 #: ensemble to 80 MB.
 MAX_REPLICAS = 10**7
 
-#: Replicas drawn per block of counts: 1,024 rows of at most four int64
-#: counts take 32 KB, and the ctypes reference to each row made once for
-#: the multinomial draw about 72 KB more.
+#: Replicas drawn per block. An ensemble holds per row its Philox state,
+#: counter and key (112 bytes), its ``bitgen_t`` (40) and a ctypes reference
+#: to it (64), then at most four int64 counts and a reference to them (96,
+#: multinomial) or two list slots per cell (64, Poisson): 312 KB a block.
 _BLOCK_ROWS = 1024
+
+
+def _index(value) -> int:
+    """``operator.index(value)``, which refuses a bool too."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
 
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator over Philox4x64 keyed by (seed, stream); each must be an
     integer in [0, 2^64)."""
-    seed, stream = operator.index(seed), operator.index(stream)
+    seed, stream = _index(seed), _index(stream)
     for name, value in (("seed", seed), ("stream", stream)):
         if not 0 <= value < 1 << 64:
             raise ValueError(f"{name} must lie in [0, 2^64), got {value!r}")
@@ -88,15 +91,10 @@ def _distributions():
 
     argtypes stay unset: callers build every argument once as an object
     that ctypes passes as it is, a ``byref`` or the ``from_param`` result
-    of its C type, because converting arguments through argtypes, or
-    wrapping a ctypes object or int, on each call costs about as much as
-    the draw itself.
-
-    The library is loaded as ``PyDLL``, so a call keeps the GIL: a draw
-    takes about 0.2 us, and releasing and re-acquiring the GIL around it,
-    as ``CDLL`` does, cost a replica 0.07 us (multinomial) and a Poisson
-    replica's four calls 0.2 us. ``PyDLL`` checks ``PyErr_Occurred``
-    after each call, which these functions never set.
+    of its C type, and drive the calls from ``map``, as converting an
+    argument or a Python-level step per call costs about a draw. ``PyDLL``
+    keeps the GIL over a call of about 0.2 us (releasing it cost 0.07 us a
+    replica) and checks ``PyErr_Occurred``, which these never set.
     """
     lib = ctypes.PyDLL(np.random._generator.__file__)
     multinomial, poisson = lib.random_multinomial, lib.random_poisson
@@ -106,11 +104,10 @@ def _distributions():
 
 
 class _PhiloxState(ctypes.Structure):
-    """``philox_state`` of numpy/random/src/philox/philox.h, the struct
-    at ``bits.ctypes.state_address`` that a Philox bit generator's draws
-    read and advance: pointers to its counter (4 x uint64) and key
-    (2 x uint64), then the buffered output block and the cached 32-bit
-    half."""
+    """``philox_state`` of numpy's private numpy/random/src/philox/philox.h,
+    the struct at ``bits.ctypes.state_address`` that a Philox's draws read
+    and advance: pointers to its counter (4 x uint64) and key
+    (2 x uint64), then the buffered output block and cached 32-bit half."""
 
     _fields_ = [("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
                 ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
@@ -118,27 +115,21 @@ class _PhiloxState(ctypes.Structure):
                 ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
 
 
-def _philox_words(bits: np.random.Philox, seed: int):
-    """The state struct of ``bits``, a Philox keyed by (seed, some
-    stream), mapped as :class:`_PhiloxState`, with its counter and key
-    words: (state, counter, key).
+class _Bitgen(ctypes.Structure):
+    """``bitgen_t`` of numpy's public numpy/random/bitgen.h, at
+    ``bits.ctypes.bit_generator``: a state, then the functions drawing from it."""
 
-    Rekeying through them takes three writes: ``key[1] = stream``,
-    ``counter[0] = 0`` and ``state.buffer_pos = 4`` (the buffer is
-    empty). The draws of one stream advance only the counter's low word
-    (a carry needs 2^64 blocks), and no draw of ours reads a 32-bit
-    half, so the result is the start of stream (seed, stream). The
-    mapping is checked here once: after a rekey to stream 1, numpy's
-    own ``bits.state`` must read back key [seed, 1], counter 0,
-    ``buffer_pos`` 4 and ``has_uint32`` 0, or RuntimeError is raised.
-    """
+    _fields_ = [(name, ctypes.c_void_p)
+                for name in ("state", "next_uint64", "next_uint32", "next_double", "next_raw")]
+
+
+def _philox_words(bits: np.random.Philox, seed: int) -> None:
+    """Check :class:`_PhiloxState` on ``bits``, a Philox keyed by (seed,
+    some stream): rekeyed through it to stream 1, numpy's own
+    ``bits.state`` must read back key [seed, 1], counter 0,
+    ``buffer_pos`` 4 and ``has_uint32`` 0, or RuntimeError is raised."""
     state = _PhiloxState.from_address(bits.ctypes.state_address)
-    # the struct and the words it points to live in bits
-    state.bits = bits
-    counter, key = state.ctr.contents, state.key.contents
-    key[1] = 1
-    counter[0] = 0
-    state.buffer_pos = 4
+    state.key.contents[1], state.ctr.contents[0], state.buffer_pos = 1, 0, 4
     got = bits.state
     if (got["state"]["key"].tolist() != [seed, 1]
             or got["state"]["counter"].tolist() != [0, 0, 0, 0]
@@ -146,9 +137,39 @@ def _philox_words(bits: np.random.Philox, seed: int):
         raise RuntimeError(
             f"numpy {np.__version__}: the Philox state does not have the "
             "philox_state layout of numpy/random/src/philox/philox.h that "
-            "weakmeas.montecarlo rekeys through"
+            "weakmeas.montecarlo draws through"
         )
-    return state, counter, key
+
+
+def _bit_generators(bits: np.random.Philox, seed: int, rows: int):
+    """(state, gens): ``rows`` :class:`_PhiloxState` rows keyed by seed,
+    whose counter and key pointers point at their own ``counter`` and
+    ``keys`` fields, and a ``byref`` to a copy of the ``bitgen_t`` of
+    ``bits`` that draws from each. Both layouts are checked first, by
+    :func:`_philox_words` and then on the ``bitgen_t`` words copied, which
+    must read as ``bits.ctypes`` gives them, or RuntimeError is raised."""
+    _philox_words(bits, seed)
+    c, template = bits.ctypes, _Bitgen.from_address(bits.ctypes.bit_generator.value)
+    fns = (c.next_uint64, c.next_uint32, c.next_double)
+    if ([template.state, template.next_uint64, template.next_uint32, template.next_double]
+            != [c.state_address, *(ctypes.cast(fn, ctypes.c_void_p).value for fn in fns)]):
+        raise RuntimeError(
+            f"numpy {np.__version__}: the Philox bit generator does not have "
+            "the bitgen_t layout of numpy/random/bitgen.h that "
+            "weakmeas.montecarlo copies"
+        )
+    size = ctypes.sizeof(_PhiloxState)
+    fields = ("ctr", "key", "buffer_pos", "has_uint32", "uinteger")
+    state = np.zeros(rows, np.dtype({
+        "names": [*fields, "counter", "keys"], "itemsize": size + 48,
+        "formats": [np.uintp, np.uintp, np.intc, np.intc, np.uint32, ("u8", 4), ("u8", 2)],
+        "offsets": [getattr(_PhiloxState, f).offset for f in fields] + [size, size + 32]}))
+    at = state.ctypes.data + state.itemsize * np.arange(rows, dtype=np.uintp)
+    state["ctr"], state["key"], state["keys"][:, 0] = at + size, at + size + 32, seed
+    gens = np.tile(np.frombuffer(template, np.dtype(_Bitgen)), rows)
+    gens["state"] = at
+    flat = (_Bitgen * rows).from_buffer(gens)  # kept by each byref
+    return state, [ctypes.byref(flat, gens.itemsize * k) for k in range(rows)]
 
 
 def _checked_shots(n: int, mode: str) -> int:
@@ -157,7 +178,7 @@ def _checked_shots(n: int, mode: str) -> int:
     ``multinomial`` (exactly n events over the four cells) or ``poisson``
     (each cell independently with mean n * p, as for rate-based
     counting)."""
-    n = operator.index(n)
+    n = _index(n)
     if not 1 <= n < 1 << 63:
         raise ValueError(f"shots must lie in [1, 2^63), got {n!r}")
     if mode not in ("multinomial", "poisson"):
@@ -221,19 +242,16 @@ def run_ensemble(
     ``angle_row(..., f=f)`` refuses the row (table status, then 4,
     ``wv_f`` undefined) and ``estimate_epsilon`` of its (D, f) and (A, f)
     cells the estimate (9, p(f) = 0, then 8, a reference below the
-    floor). The bound is ``cramer_rao_bound(F_f, n, f)``, 1 / (n F_f)
-    with n = n_per_replica total trials and F_f = 4 p(f) wv^2, the per-f
-    Fisher contribution at eps = 0 (equivalently, 4 wv^2 with the expected
-    number of post-selected events); it does not depend on eps_true, the
-    model or the gate. Replicas with a zero count in either (D, f) or
-    (A, f) cell are discarded, not imputed; if more than DISCARD_TOLERANCE
-    of the replicas are lost, TooManyDiscardedReplicas is raised. The
-    estimates are :func:`weakmeas.kernel.moment_estimates` of the kept
-    counts, each bit for bit its replica's
-    ``estimate_epsilon(n_d, n_a, wv_ref, f=f)[0]``.
+    floor). The bound, ``cramer_rao_bound(F_f, n_per_replica, f)``, does
+    not depend on eps_true, the model or the gate. Replicas with a zero
+    count in either (D, f) or (A, f) cell are discarded, not imputed; if
+    more than DISCARD_TOLERANCE of the replicas are lost,
+    TooManyDiscardedReplicas is raised. The estimates are
+    :func:`weakmeas.kernel.moment_estimates` of the kept counts, each bit
+    for bit its replica's ``estimate_epsilon(n_d, n_a, wv_ref, f=f)[0]``.
     """
     f = Outcome(f)
-    n_replicas = operator.index(n_replicas)
+    n_replicas = _index(n_replicas)
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
     if n_replicas > MAX_REPLICAS:
@@ -280,25 +298,17 @@ def run_ensemble(
 def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[int, int],
                     n_replicas: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The counts in cells ``cols`` = (i, j) of CELLS of replicas
-    0 .. n_replicas - 1, yielded block by block as each block of up to
-    ``_BLOCK_ROWS`` consecutive replicas is drawn: int64 arrays
-    (n_i, n_j), copies that the next block leaves as they are, although
-    every block is drawn into the same memory. Row k of the block from
-    replica ``first`` holds
-    what ``philox_generator(seed, 1 + first + k).multinomial(n, pvec)``
-    (or ``.poisson(n * pvec)``) would return in those cells. n and
-    ``mode`` are checked by the caller (:func:`_checked_shots`).
-
-    One generator runs numpy's checks of n and pvec by one Generator draw
-    and the check of the Philox state layout (:func:`_philox_words`),
-    both when the first block is asked for, before any replica is drawn.
+    0 .. n_replicas - 1, yielded as int64 arrays (n_i, n_j) block by
+    block: row k of the block from replica ``first`` holds what
+    ``philox_generator(seed, 1 + first + k).multinomial(n, pvec)`` (or
+    ``.poisson(n * pvec)``) returns in those cells. n and ``mode`` are
+    checked by the caller (:func:`_checked_shots`); numpy's checks of n
+    and pvec, by one Generator draw on all of pvec, and both layout
+    checks run when the first block is asked for, before any C draw.
     Only the cells up to the last of ``cols`` are drawn (see the module
-    docstring): a Poisson replica draws over those cells of pvec, a
-    multinomial one over them followed by the sum of the rest, not
-    rescaled, since the last cell takes the events left over and
-    ``random_multinomial`` never reads its probability. The check draw
-    runs on pvec, which holds every value the C draw reads, so a table
-    is refused as it is for a full draw.
+    docstring), in multinomial mode with the rest summed into one last
+    cell, not rescaled, as ``random_multinomial`` never reads its
+    probability.
     """
     gen = philox_generator(seed)
     if mode == "poisson":
@@ -306,16 +316,14 @@ def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[
         gen.poisson(lam)
     else:
         gen.multinomial(n, pvec)
-    bits = gen.bit_generator
-    state, counter, key = _philox_words(bits, seed)
-    # every argument of the C calls is built once (see _distributions).
-    # The bit generator lives in bits, which state holds.
-    bitgen = ctypes.byref(ctypes.c_char.from_address(bits.ctypes.bit_generator.value))
+    state, gen_refs = _bit_generators(gen.bit_generator, seed, min(_BLOCK_ROWS, n_replicas))
     multinomial, poisson = _distributions()
     read = max(cols) + 1
     if mode == "poisson":
         lams = [ctypes.c_double.from_param(x) for x in lam.tolist()[:read]]
         cells = len(lams)
+        # a block's calls, replica by replica and cell by cell
+        cell_gens, cell_lams = [g for g in gen_refs for _ in lams], lams * len(gen_refs)
     else:
         values = pvec.tolist()
         if read < len(values) - 1:
@@ -324,37 +332,29 @@ def _replica_counts(mode: str, n: int, seed: int, pvec: np.ndarray, cols: tuple[
         # a ctypes array with its own copy of the values, kept by the byref
         pix = ctypes.byref((ctypes.c_double * cells)(*values))
         n_arg, cells_arg = ctypes.c_int64.from_param(n), ctypes.c_ssize_t.from_param(cells)
-        # random_binomial's cache of its last (n, p), numpy's private
-        # binomial_t (136 bytes in numpy 1.24 to 2.4), which weakmeas never
-        # reads: zeroed memory of at least its size, with room to grow
+        # random_binomial's cache, numpy's private binomial_t (136 bytes in
+        # numpy 1.24 to 2.4), never read here: zeroed, with room to grow
         cache = ctypes.byref(ctypes.create_string_buffer(1024))
-    # one block of counts, drawn into again for every block of replicas
-    out = np.empty((min(_BLOCK_ROWS, n_replicas), cells), dtype=np.int64)
-    flat = (ctypes.c_int64 * out.size).from_buffer(out)
-    if mode != "poisson":
-        # where the C function writes each row's counts
+        # one block of counts, drawn into for every block, and its rows
+        out = np.empty((len(state), cells), dtype=np.int64)
+        flat = (ctypes.c_int64 * out.size).from_buffer(out)
         rows_at = [ctypes.byref(flat, 8 * cells * k) for k in range(len(out))]
 
     for first in range(0, n_replicas, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n_replicas - first)
-        streams = range(1 + first, 1 + first + rows)
+        # each row at the start of its replica's stream 1 + first + k
+        state["keys"][:, 1] = first + np.arange(1, 1 + len(state), dtype=np.uint64)
+        state["counter"] = state["has_uint32"] = state["uinteger"] = 0
+        state["buffer_pos"] = 4
         if mode == "poisson":
-            i = 0
-            for stream in streams:
-                key[1] = stream
-                counter[0] = 0
-                state.buffer_pos = 4
-                for x in lams:
-                    flat[i] = poisson(bitgen, x)
-                    i += 1
+            counts = np.fromiter(map(poisson, cell_gens, cell_lams), np.int64,
+                                 rows * cells).reshape(rows, cells)
         else:
+            counts = out[:rows]
             # zeroed: the C loop stops once all n events are placed and
             # leaves the later cells as they were
-            out.fill(0)
-            for stream, at in zip(streams, rows_at):
-                key[1] = stream
-                counter[0] = 0
-                state.buffer_pos = 4
-                multinomial(bitgen, n_arg, at, pix, cells_arg, cache)
-        # copies: the next block is drawn into the same memory
-        yield out[:rows, cols[0]].copy(), out[:rows, cols[1]].copy()
+            counts.fill(0)
+            deque(map(multinomial, gen_refs[:rows], repeat(n_arg), rows_at, repeat(pix),
+                      repeat(cells_arg), repeat(cache)), maxlen=0)
+        # copies: the next multinomial block is drawn into out again
+        yield counts[:, cols[0]].copy(), counts[:, cols[1]].copy()

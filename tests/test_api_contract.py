@@ -49,6 +49,7 @@ WV_FINITE = r"^wv_reference must be finite, got "
 NO_GATE = r"^gate_params apply only to model exact-ppbs$"
 STATE_FINITE = r"^state amplitudes must be finite$"
 OVERLAP_1 = r"^basis overlap \|<f0\|f1>\| = 1$"
+NOT_BOOL = r"^'bool' object cannot be interpreted as an integer$"
 
 
 def _table_rows(name, p, error, match):
@@ -248,6 +249,18 @@ REFUSALS = [
       for model in (ModelTag.LINEAR, ModelTag.EXACT_IDEAL)),
     ("run_ensemble-one-replica", run_ensemble, (0.0, 0.0, ModelTag.LINEAR, 100, 1), {"base_seed": 0},
      ValueError, r"^need at least two replicas$"),
+    # a bool is not an integer: these drew as the seed, stream, shots or
+    # replicas 1 (or 0), or refused True replicas as too few
+    *((f"{call.__name__}-{name}-bool", call, args, kwargs, TypeError, NOT_BOOL)
+      for call, name, args, kwargs in (
+          (philox_generator, "seed", (True,), {}),
+          (philox_generator, "stream", (0, True), {}),
+          (sample_counts, "shots", (GOOD, True, 0), {}),
+          (sample_counts, "seed", (GOOD, 10, False), {}),
+          (run_ensemble, "shots", (30.0, 0.08, ModelTag.LINEAR, True, 10, 0), {}),
+          (run_ensemble, "replicas", (30.0, 0.08, ModelTag.LINEAR, 1000, True, 0), {}),
+          (run_ensemble, "base_seed", (30.0, 0.08, ModelTag.LINEAR, 1000, 10), {"base_seed": True}),
+      )),
 ]
 
 
@@ -275,6 +288,16 @@ def arg(valid, edges=EDGES):
     return st.integers(0, 7).flatmap(lambda k: st.one_of(edges, OTHERS) if k == 0 else valid)
 
 
+def count(valid):
+    """An integer argument of montecarlo: ``arg(valid, INT_EDGES)``, or in
+    about one draw of eight a bool, which must be refused."""
+    return st.integers(0, 7).flatmap(lambda k: st.booleans() if k == 0 else arg(valid, INT_EDGES))
+
+
+def no_bool(*values):
+    return not any(isinstance(value, bool) for value in values)
+
+
 ANGLE, EPS, UNIT = arg(st.floats(-720.0, 720.0)), arg(st.floats(-0.3, 0.3)), arg(st.floats(0.0, 1.0))
 AMPLITUDE = st.floats(0.0, 1.0, exclude_min=True)
 TABLE = arg(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0).map(
@@ -283,7 +306,7 @@ STATE = arg(st.lists(st.complex_numbers(max_magnitude=1e3), min_size=2, max_size
 OUTCOME = arg(st.sampled_from(["A", "D", *Outcome]))
 MODEL = arg(st.sampled_from([*ModelTag, *(m.value for m in ModelTag)]))
 GATE = arg(st.one_of(st.none(), st.builds(GateParams, AMPLITUDE, AMPLITUDE, AMPLITUDE)))
-SEED = arg(st.integers(0, 2**64 - 1), INT_EDGES)
+SEED = count(st.integers(0, 2**64 - 1))
 MODE = arg(st.sampled_from(["multinomial", "poisson"]))
 
 
@@ -294,6 +317,7 @@ def is_array(value, shape, kind="f"):
 #: (callable, its positional arguments, its keyword arguments, whether a
 #: value it returns has the documented type and shape) of each public
 #: callable. A valid ensemble has at most 200 replicas of at most 10^5 shots.
+#: A montecarlo call that is given a bool for an integer must refuse it.
 CALLS = [
     (apparent_fisher, (TABLE, TABLE, EPS), {}, lambda v, a: is_array(v, (2,))),
     (cramer_rao_bound, (arg(st.floats(0.0, 10.0)),
@@ -307,12 +331,14 @@ CALLS = [
      {}, lambda v, a: is_array(v, (2,) if np.ndim(a[0]) == 0 else (len(a[0]), 2), "c")),
     (model_distribution, (ANGLE, EPS, MODEL, GATE, ANGLE), {}, lambda v, a: is_array(v, (4,))),
     (weak_value, (STATE, STATE), {}, lambda v, a: type(v) is complex),
-    (philox_generator, (SEED, SEED), {}, lambda v, a: isinstance(v, np.random.Generator)),
-    (run_ensemble, (ANGLE, EPS, MODEL, arg(st.integers(1, 10**5), INT_EDGES),
-                    arg(st.integers(2, 200), INT_EDGES), SEED, OUTCOME, GATE, MODE), {},
-     lambda v, a: isinstance(v, EnsembleStats) and v.n_replicas + v.n_discarded == a[4]),
-    (sample_counts, (TABLE, arg(st.integers(1, 10**5), INT_EDGES), SEED, MODE), {},
-     lambda v, a: is_array(v, (4,), "i")),
+    (philox_generator, (SEED, SEED), {},
+     lambda v, a: isinstance(v, np.random.Generator) and no_bool(*a)),
+    (run_ensemble, (ANGLE, EPS, MODEL, count(st.integers(1, 10**5)), count(st.integers(2, 200)),
+                    SEED, OUTCOME, GATE, MODE), {},
+     lambda v, a: (isinstance(v, EnsembleStats) and v.n_replicas + v.n_discarded == a[4]
+                   and no_bool(*a[3:6]))),
+    (sample_counts, (TABLE, count(st.integers(1, 10**5)), SEED, MODE), {},
+     lambda v, a: is_array(v, (4,), "i") and no_bool(*a[1:3])),
     (GateParams, (arg(AMPLITUDE),) * 3, {}, lambda v, a: isinstance(v, GateParams)),
     (ModelTag, (MODEL,), {}, lambda v, a: isinstance(v, ModelTag)),
     (Outcome, (OUTCOME,), {}, lambda v, a: isinstance(v, Outcome)),

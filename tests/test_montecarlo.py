@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import math
 import re
 import tracemalloc
@@ -29,7 +30,7 @@ from weakmeas import (
 from weakmeas.estimation import estimate_epsilon
 from weakmeas.kernel import analyzer_basis, moment_estimates
 from weakmeas.montecarlo import (
-    DISCARD_TOLERANCE, _BLOCK_ROWS, _PhiloxState, _philox_words, _replica_counts,
+    DISCARD_TOLERANCE, _BLOCK_ROWS, _Bitgen, _PhiloxState, _philox_words, _replica_counts,
 )
 
 F_A = Outcome.A
@@ -245,9 +246,9 @@ class TestPhiloxStreams:
                st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
            ))
     def test_rekey_equals_fresh_generator(self, seed, replicas, n, weights):
-        # the loop's own path: one generator rekeyed through the streams of
-        # consecutive replicas, drawn through the C functions over all
-        # four cells, read two cells at a time in and out of CELLS order
+        # the loop's own path: a bit generator per replica, reset to the
+        # start of its stream, drawn through the C functions over all four
+        # cells, read two cells at a time in and out of CELLS order
         pvec = np.array(weights, dtype=float) / sum(weights)
         for mode in ("multinomial", "poisson"):
             try:
@@ -279,8 +280,8 @@ class TestPhiloxStreams:
     @example(seed=2**64 - 1, replicas=5, cols=(0, 3), n=5, weights=[29, 21, 29, 21])
     @example(seed=7, replicas=5, cols=(2, 1), n=2**63 - 1, weights=[2, 1, 3, 0])
     def test_reduced_draw_keeps_the_read_cells(self, seed, replicas, cols, n, weights):
-        # one generator rekeyed through the streams of consecutive
-        # replicas, drawn through the C functions up to the last cell of
+        # a bit generator per replica, reset to the start of its stream,
+        # drawn through the C functions up to the last cell of
         # cols (in multinomial mode with the rest lumped into one last
         # cell), reads the counts of the four-cell Generator draws in cols
         pvec = np.array(weights, dtype=float) / sum(weights)
@@ -339,6 +340,24 @@ class TestPhiloxStreams:
         counts = sample_counts(linear(0.0, 0.08), 10**4, seed=42)
         assert dict(zip(CELLS, counts.tolist())) == FROZEN_COUNTS_SEED42
 
+    def test_bitgen_check_refuses_a_wrong_mapping(self, monkeypatch):
+        # next_uint32 and next_double swapped: a copy would draw a double
+        # where numpy reads a 32-bit integer
+        names = [name for name, _ in _Bitgen._fields_]
+        names[2], names[3] = names[3], names[2]
+
+        class Swapped(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_void_p) for name in names]
+
+        monkeypatch.setattr("weakmeas.montecarlo._Bitgen", Swapped)
+        monkeypatch.setattr("weakmeas.montecarlo._distributions", no_draw)
+        pvec = np.array([0.29, 0.21, 0.29, 0.21])
+        message = re.escape(f"numpy {np.__version__}: ") + ".* bitgen_t layout of numpy/random/bitgen.h"
+        for mode in ("multinomial", "poisson"):
+            # refused when the first block is asked for, before any draw
+            with pytest.raises(RuntimeError, match=message):
+                next(_replica_counts(mode, 10, 0, pvec, (0, 1), 2))
+
     @pytest.mark.parametrize("mode, n, pvec", [
         ("multinomial", 10, [0.5, 0.5, 0.5, -0.5]),
         ("multinomial", 10, [0.6, 0.6, 0.0, 0.0]),
@@ -357,6 +376,27 @@ class TestPhiloxStreams:
         for cols in ((0, 1), (2, 3)):
             with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
                 next(_replica_counts(mode, n, 0, pvec, cols, 1))
+
+
+    @pytest.mark.parametrize("a, b", [
+        (("multinomial", 11, (0, 1), BLOCK_EDGES[3]), ("poisson", 12, (3, 2), BLOCK_EDGES[2])),
+        (("multinomial", 13, (0, 3), BLOCK_EDGES[2]), ("multinomial", 14, (1, 0), BLOCK_EDGES[3])),
+        (("poisson", 15, (0, 1), BLOCK_EDGES[3]), ("poisson", 16, (2, 3), BLOCK_EDGES[3])),
+    ], ids=["multinomial-poisson", "multinomial-multinomial", "poisson-poisson"])
+    def test_ensembles_drawn_in_turn_keep_their_own_state(self, a, b):
+        # two ensembles of two blocks or more, each advanced a block at a
+        # time in turn: state shared between them, such as a module-level
+        # array, would mix their draws
+        pvec = np.array([0.29, 0.21, 0.29, 0.21])
+        blocks = ([], [])
+        for pair in itertools.zip_longest(*(_replica_counts(mode, 10**5, seed, pvec, cols, replicas)
+                                            for mode, seed, cols, replicas in (a, b))):
+            for got, block in zip(blocks, pair):
+                if block is not None:
+                    got.append(block)
+        for (mode, seed, cols, replicas), got in zip((a, b), blocks):
+            want = fresh_draws(mode, 10**5, seed, pvec, replicas)[:, list(cols)].T.tolist()
+            assert [np.concatenate(counts).tolist() for counts in zip(*got)] == want
 
 
 class TestRunEnsemble:
