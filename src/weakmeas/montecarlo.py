@@ -62,7 +62,7 @@ MAX_REPLICAS = 10**7
 
 #: Replicas drawn per block. An ensemble holds per row its Philox state,
 #: counter and key (112 bytes), its ``bitgen_t`` (40) and a ctypes reference
-#: to it (64), then at most four int64 counts and a reference to them (96,
+#: to it (64), at most four int64 counts (32), and a reference to them (64,
 #: multinomial) or two list slots per cell (64, Poisson): 312 KB a block.
 _BLOCK_ROWS = 1024
 

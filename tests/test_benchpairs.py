@@ -65,7 +65,7 @@ def test_writes_the_bench_schema(tmp_path):
     data = json.loads(out.read_text())
     assert list(data) == ["description", "parent_commit", "change_commit", "machine", "summary",
                           "runs"]
-    assert "python3 tools/benchpairs.py HEAD~1 HEAD --workload ensemble" in data["description"]
+    assert "python3 tools/benchpairs.py 'HEAD~1' HEAD --workload ensemble" in data["description"]
     assert (data["parent_commit"], data["change_commit"]) == (COMMITS["parent"], COMMITS["change"])
     summary = data["summary"]["ensemble"]
     assert (summary["pairs"], summary["attempted"], summary["failed"], summary["all_correct"]) == (
@@ -109,4 +109,6 @@ def test_note_is_appended_to_the_description(tmp_path):
     runner = FakeRunner({side: [0.4] * 4 for side in benchpairs.SIDES})
     code, out = run_main(tmp_path, runner, "--note", "Claimed: nothing.")
     assert code == 0
-    assert json.loads(out.read_text())["description"].endswith(" Claimed: nothing.")
+    description = json.loads(out.read_text())["description"]
+    assert "--note 'Claimed: nothing.' --pairs 4" in description
+    assert description.endswith(" Claimed: nothing.")

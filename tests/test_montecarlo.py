@@ -377,7 +377,6 @@ class TestPhiloxStreams:
             with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
                 next(_replica_counts(mode, n, 0, pvec, cols, 1))
 
-
     @pytest.mark.parametrize("a, b", [
         (("multinomial", 11, (0, 1), BLOCK_EDGES[3]), ("poisson", 12, (3, 2), BLOCK_EDGES[2])),
         (("multinomial", 13, (0, 3), BLOCK_EDGES[2]), ("multinomial", 14, (1, 0), BLOCK_EDGES[3])),

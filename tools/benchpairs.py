@@ -31,6 +31,7 @@ import io
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -183,7 +184,9 @@ def main(argv=None, runner=None, commits=None, end_to_end=None, machine_info=Non
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    command = " ".join(["python3 tools/benchpairs.py", *(argv if argv is not None else sys.argv[1:])])
+    # quoted, so that the description gives a command line that runs as it is
+    command = shlex.join(["python3", "tools/benchpairs.py",
+                          *(argv if argv is not None else sys.argv[1:])])
     with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
         if commits is None:
             commits = {side: _git("rev-parse", f"{ref}^{{commit}}").decode().strip()
