@@ -105,10 +105,10 @@ def test_no_file_when_a_run_is_not_correct(tmp_path, capsys, returncode, correct
     assert f"ensemble pair 1 parent (seed 100): exit {returncode}, correct {correct}" in err
 
 
-def test_note_is_appended_to_the_description(tmp_path):
+def test_note_is_given_once_in_the_quoted_command(tmp_path):
     runner = FakeRunner({side: [0.4] * 4 for side in benchpairs.SIDES})
     code, out = run_main(tmp_path, runner, "--note", "Claimed: nothing.")
     assert code == 0
     description = json.loads(out.read_text())["description"]
     assert "--note 'Claimed: nothing.' --pairs 4" in description
-    assert description.endswith(" Claimed: nothing.")
+    assert description.count("Claimed: nothing.") == 1

@@ -1,7 +1,7 @@
 """Alternated benchmark pairs of two commits, written as a BENCH file.
 
     python3 tools/benchpairs.py PARENT CHANGE --workload W [--workload W2 ...]
-        --pairs N --seconds S --seed-base K --out BENCH_<pr>.json
+        --pairs N --seconds S --seed-base K --out BENCH_<pr>.json [--note TEXT]
 
 Run from the root of a git checkout. Each commit is exported with
 ``git archive`` into a fresh temporary tree, and ``perfbench/run.py`` of
@@ -12,10 +12,11 @@ runs both trees on seed K + j, where j counts the pairs written before
 it; odd pairs run the parent first, even pairs the change.
 
 The file holds ``description``, ``parent_commit``, ``change_commit``,
-``machine``, ``summary`` and ``runs``. Per workload, ``summary`` gives
-the pairs, the operations attempted and failed on each side, whether
-every run was correct, and per end-to-end metric of BENCHMARK.json each
-side's median, q1, q3 and n (``statistics.quantiles(n=4,
+``machine``, ``summary`` and ``runs``. ``description`` quotes the command
+line as it can be rerun, ``--note`` (what is claimed) included. Per
+workload, ``summary`` gives the pairs, the operations attempted and failed
+on each side, whether every run was correct, and per end-to-end metric of
+BENCHMARK.json each side's median, q1, q3 and n (``statistics.quantiles(n=4,
 method="inclusive")``), ``change_wins`` (pairs where the change reads
 better), ``median_change_rel`` (change median over parent median, minus
 1) and ``parent_iqr``. When any run is not correct, no file is written:
@@ -50,15 +51,14 @@ def schedule(workloads, pairs: int, seed_base: int):
             for w in workloads for i in range(1, pairs + 1)]
 
 
-def run_pairs(commits: dict, workloads, pairs: int, seconds: float, seed_base: int, runner,
-              now=lambda: datetime.datetime.now(datetime.timezone.utc)):
+def run_pairs(commits: dict, workloads, pairs: int, seconds: float, seed_base: int, runner):
     """The run entries of all pairs. ``runner(side, workload, seed,
     seconds)`` runs one side and returns (returncode, the JSON object of
     its last stdout line, or None)."""
     runs = []
     for workload, pair, seed, order in schedule(workloads, pairs, seed_base):
         for side in order:
-            started = now().strftime("%Y-%m-%dT%H:%M:%SZ")
+            started = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
             returncode, result = runner(side, workload, seed, seconds)
             runs.append({"commit": commits[side], "first": order[0], "pair": pair,
                          "result": result, "returncode": returncode, "seed": seed,
@@ -121,15 +121,15 @@ def machine() -> dict:
             "platform": platform.platform(), "python": platform.python_version()}
 
 
-def report(commits, runs, end_to_end, command: str, machine_info: dict, note: str = "") -> dict:
+def report(commits, runs, end_to_end, command: str, machine_info: dict) -> dict:
     return {
-        "description": " ".join(filter(None, [(
+        "description": (
             f"Alternated parent/change runs of perfbench/run.py, written by `{command}`. Each "
             "run entry holds the run's final JSON line. Quartiles are statistics.quantiles(n=4, "
             "method='inclusive') over the runs of one side; change_wins counts pairs where the "
             "change reads better. Odd pairs ran the parent first, even pairs the change. One "
             "run at a time, pinned with taskset where it exists, from git archive trees of the "
-            "two commits with PYTHONDONTWRITEBYTECODE=1."), note])),
+            "two commits with PYTHONDONTWRITEBYTECODE=1."),
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "machine": machine_info,
@@ -179,8 +179,8 @@ def main(argv=None, runner=None, commits=None, end_to_end=None, machine_info=Non
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--note", default="", help="text appended to the description: what is "
-                        "claimed, and what was predicted and seen")
+    parser.add_argument("--note", default="", help="what is claimed, and what was predicted "
+                        "and seen; the description gives it once, in the quoted command line")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -207,7 +207,7 @@ def main(argv=None, runner=None, commits=None, end_to_end=None, machine_info=Non
             print(f"  {line}", file=sys.stderr)
         return 1
     data = report(commits, runs, end_to_end, command,
-                  machine_info if machine_info is not None else machine(), args.note)
+                  machine_info if machine_info is not None else machine())
     args.out.write_text(json.dumps(data, indent=1, sort_keys=False) + "\n")
     for workload, entry in data["summary"].items():
         wall = entry["metrics"].get("norm_wall_s")
