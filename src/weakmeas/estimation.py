@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import ZeroInformation, ZeroProbability, raise_status
-from .kernel import COLUMN, WV_REFERENCE_FLOOR, Outcome, check_table, moment_estimates
+from .kernel import COLUMN, WV_REFERENCE_FLOOR, Outcome, check_table, moment_estimates, real
 
 
 def _conditional(cells: np.ndarray, f: Outcome) -> tuple[float, float]:
@@ -75,7 +75,7 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     toward the orthogonality point.
     """
     f = Outcome(f)
-    w_d, w_a, wv_reference = float(w_d), float(w_a), float(wv_reference)
+    w_d, w_a, wv_reference = real(w_d), real(w_a), real(wv_reference)
     if not (0.0 <= w_d < math.inf and 0.0 <= w_a < math.inf and w_d + w_a < math.inf):
         raise ValueError(f"weights must be finite and nonnegative, with a finite sum, "
                          f"got ({w_d!r}, {w_a!r})")
@@ -85,30 +85,28 @@ def estimate_epsilon(w_d: float, w_a: float, wv_reference: float,
     raise_status(status[0], f=f.value, wv_abs=abs(wv_reference), wv_floor=WV_REFERENCE_FLOOR)
     if n_events is None:
         return eps_hat.item(), None
-    if not 0 < n_events < math.inf:
+    total, events = w_d + w_a, real(n_events)
+    if not 0 < events < math.inf:
         raise ValueError(f"n_events must be positive and finite when present, got {n_events!r}")
-    total, n_events = w_d + w_a, float(n_events)  # which overflows without a warning
-    sigma = math.sqrt(w_d / total * (w_a / total) / n_events) / abs(wv_reference)
+    sigma = math.sqrt(w_d / total * (w_a / total) / events) / abs(wv_reference)
     if not math.isfinite(sigma):
-        raise ValueError(f"n_events={n_events!r} gives a non-finite error {sigma!r}")
+        raise ValueError(f"n_events={events!r} gives a non-finite error {sigma!r}")
     return eps_hat.item(), sigma
 
 
 def _finite_difference(at_eps: np.ndarray, at_zero: np.ndarray, f: Outcome,
                        eps_probe: float) -> float:
     """:func:`extract_weak_value` on checked tables."""
-    if eps_probe == 0.0 or not math.isfinite(eps_probe):
+    probe = real(eps_probe)
+    if probe == 0.0 or not math.isfinite(probe):
         raise ValueError(f"eps_probe must be nonzero and finite, got {eps_probe!r}")
-    eps_probe = float(eps_probe)  # whose quotient overflows without a warning
     pd_e, pa_e = _conditional(at_eps, f)
     pd_0, pa_0 = _conditional(at_zero, f)
     for name, value in (("p(D|f;eps)", pd_e), ("p(A|f;eps)", pa_e),
                         ("p(D|f;0)", pd_0), ("p(A|f;0)", pa_0)):
         if value <= 0.0:
             raise ZeroProbability(f"{name} is zero; cannot take its logarithm")
-    return (math.log(pd_e) - math.log(pd_0) - math.log(pa_e) + math.log(pa_0)) / (
-        4.0 * eps_probe
-    )
+    return (math.log(pd_e) - math.log(pd_0) - math.log(pa_e) + math.log(pa_0)) / (4.0 * probe)
 
 
 def _finite_result(value, eps_probe: float):
@@ -119,12 +117,8 @@ def _finite_result(value, eps_probe: float):
     return value
 
 
-def extract_weak_value(
-    p_at_eps: np.ndarray,
-    p_at_zero: np.ndarray,
-    f: Outcome | str,
-    eps_probe: float,
-) -> float:
+def extract_weak_value(p_at_eps: np.ndarray, p_at_zero: np.ndarray, f: Outcome | str,
+                       eps_probe: float) -> float:
     """Weak value from the change of conditional probabilities between a
     finite probe coupling and zero coupling, given the joint tables p[4]
     at both.
@@ -151,18 +145,18 @@ def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | str | None = Non
     is not a positive finite number, as from a subnormal ``fisher``, is a
     ValueError."""
     f = None if f is None else Outcome(f)
-    if not 0 < n_trials < math.inf:
+    trials, information = real(n_trials), real(fisher)
+    if not 0 < trials < math.inf:
         raise ValueError(f"n_trials must be positive and finite, got {n_trials!r}")
-    if not math.isfinite(fisher):
+    if not math.isfinite(information):
         raise ValueError(f"fisher must be finite, got {fisher!r}")
-    if fisher <= 0.0:
+    if information <= 0.0:
         if f is not None:
             raise ZeroInformation(
                 f"Fisher information F_{f.value} of the post-selected f={f.value} events is zero"
             )
         raise ZeroInformation("total Fisher information is zero")
-    # in Python floats, which overflow without a warning
-    product = float(n_trials) * float(fisher)
+    product = trials * information
     bound = 1.0 / product if product > 0.0 else math.inf
     if not 0.0 < bound < math.inf:
         raise ValueError(f"the bound 1 / (n_trials * fisher) = 1 / {product!r} is not a positive "
@@ -170,11 +164,7 @@ def cramer_rao_bound(fisher: float, n_trials: int, f: Outcome | str | None = Non
     return bound
 
 
-def apparent_fisher(
-    p_at_eps: np.ndarray,
-    p_at_zero: np.ndarray,
-    eps_probe: float,
-) -> np.ndarray:
+def apparent_fisher(p_at_eps: np.ndarray, p_at_zero: np.ndarray, eps_probe: float) -> np.ndarray:
     """Fisher information (F_D, F_A) as a (2,) array, as an experiment
     would reconstruct it from the joint tables p[4] at a finite probe
     coupling and at zero: weak values extracted by the finite-difference

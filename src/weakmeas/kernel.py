@@ -71,20 +71,22 @@ defined). :func:`sweep_columns` is the one array entry from angles to
 tables: it returns the columns of a sweep, |<f|psi>| of each outcome,
 the table's ``status`` and the moment estimate's ``status_eps_hat_A``. A
 call makes one amplitude pass, :func:`_transitions`, and reads the weak
-values, p(f), the Fisher split and the first-order table from its
-triple (<f|A|psi>, <f|psi>, |<f|psi>|); it computes the weak values
-once, for the table and for the columns. The arithmetic is elementwise,
-so a row's value does not depend on N and uses no BLAS kernel. States
-built here (the probe, the rows of :func:`linear_states` and of a basis)
-are unit vectors by construction. A caller's own state is checked once,
-at the scalar functions: it must be finite and nonzero and is
-normalized. The scalar functions are N = 1 calls: ``model_distribution``
-is the table of :func:`angle_row`, the one-angle :func:`sweep_columns` row
-that every point command of ``weakmeas.cli`` and the ensemble read: the
-table, the reference weak value and the Fisher split. It refuses the
-row only (its table status, then code 4 where the weak value
-is undefined); the estimate's refusals are
-``estimation.estimate_epsilon``'s. ``weak_value`` and
+values, p(f), the Fisher split and the first-order table from its triple
+(<f|A|psi>, <f|psi>, |<f|psi>|); it computes the weak values once, for
+the table and for the columns. The arithmetic is elementwise, so a row's
+value does not depend on N and uses no BLAS kernel. States built here
+(the probe, the rows of :func:`linear_states` and of a basis) are unit
+vectors by construction. A caller's numbers enter by one rule, that of
+:func:`count`, :func:`real` and :func:`numeric_array`: a bool, a string
+or an object array is a TypeError, and an int past the float range is
++-inf, which each site refuses as not finite. A caller's state must be
+finite and nonzero and is normalized. The scalar functions are N = 1
+calls: ``model_distribution`` is the table of :func:`angle_row`, the
+one-angle :func:`sweep_columns` row that every point command of
+``weakmeas.cli`` and the ensemble read: the table, the reference weak
+value and the Fisher split. It refuses the row only (its table status,
+then code 4 where the weak value is undefined); the estimate's refusals
+are ``estimation.estimate_epsilon``'s. ``weak_value`` and
 ``fisher_information`` read the :func:`weak_values` and
 :func:`fisher_split` of a caller's state, so each model has one
 implementation.
@@ -93,6 +95,8 @@ implementation.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -170,6 +174,32 @@ class ModelTag(Enum):
     EXACT_PPBS = "exact-ppbs"
 
 
+def count(value) -> int:
+    """An int, ``operator.index(value)`` (PEP 357), which refuses a bool too."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
+def real(value) -> float:
+    """A ``numbers.Real``, not a bool, as a Python float; an int past its range is +-inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a real number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def numeric_array(value, dtype=float) -> np.ndarray:
+    """A caller's numbers as an array of ``dtype``, float or, for a state,
+    complex: its dtype kind must be i, u or f, or c for a state."""
+    values = np.asarray(value)
+    if values.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise TypeError(f"expected an array of numbers, got dtype {values.dtype}")
+    return values.astype(dtype, copy=False)
+
+
 def _norm(h, v):
     """sqrt(|h|^2 + |v|^2), elementwise: no BLAS kernel rounds it."""
     return np.sqrt(h.real * h.real + h.imag * h.imag + (v.real * v.real + v.imag * v.imag))
@@ -186,7 +216,7 @@ def linear_states(theta_deg) -> np.ndarray:
     degrees on the linear-polarization circle (reduced mod 360: 0 is H,
     180 V, 90 D and 270 A): shape (2,) for one angle, (N, 2) for a 1-D
     array of N; an array of more dimensions is a ValueError."""
-    theta = np.asarray(theta_deg, dtype=float)
+    theta = numeric_array(theta_deg)
     if theta.ndim > 1:
         raise ValueError(f"angles are one number or a 1-D array, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
@@ -197,13 +227,13 @@ def linear_states(theta_deg) -> np.ndarray:
 
 def probe_state(eps: float) -> np.ndarray:
     """Probe polarization |H> + eps |V>, normalized."""
-    return _unit(1.0, float(eps))
+    return _unit(1.0, eps)
 
 
 def _state(psi) -> np.ndarray:
     """A caller's state as a unit (2,) complex array: finite and nonzero,
     normalized elementwise with its global phase kept."""
-    v = np.asarray(psi, dtype=complex)
+    v = numeric_array(psi, complex)
     if v.shape != (2,):
         raise ValueError(f"a state is a (2,) array of (H, V) amplitudes, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -224,7 +254,7 @@ def analyzer_basis(postselect_deg: float) -> np.ndarray:
     D, row 1, the analyzer state itself, to label A. 270 deg gives the
     diagonal (D, A) pair up to the sign of A. An angle so large that its
     partner rounds to a ray not orthogonal to it is NonOrthonormalBasis."""
-    basis = linear_states(np.array([postselect_deg - 180.0, postselect_deg]))
+    basis = linear_states(real(postselect_deg) - np.array([180.0, 0.0]))
     overlap = abs((np.conj(basis[0]) * basis[1]).sum())
     if not overlap <= ORTHONORMAL_TOL:
         raise NonOrthonormalBasis(f"basis overlap |<f0|f1>| = {overlap:.3g}")
@@ -278,7 +308,7 @@ def _checked(p: np.ndarray, status: np.ndarray):
 def check_table(p) -> np.ndarray:
     """A caller's joint table p[4] in CELLS order as a float array, checked: each cell
     at least -1e-12 and read as 0 below 0, summing to 1 within 1e-9 as a model's rows."""
-    values = np.asarray(p, dtype=float)
+    values = numeric_array(p)
     if values.shape != (len(CELLS),):
         raise ValueError(f"a joint table has {len(CELLS)} cells, got shape {values.shape}")
     for value, cell in zip(values.tolist(), CELLS):
@@ -298,11 +328,8 @@ def linear_table(mag, re_wv, eps: float):
     Where wv_f is NaN (singular) the row falls back to the interaction-free
     w_m |<f|psi>|^2, exact there to the order retained. A negative cell
     marks the breakdown of the weak-coupling premise: the row is
-    LinearizationInvalid. A non-finite ``eps`` is a ValueError, not a
-    coupling past the guard.
+    LinearizationInvalid.
     """
-    if not math.isfinite(eps):
-        raise ValueError(f"coupling eps={eps!r} is not finite")
     if not abs(eps) < WEAKNESS_GUARD:
         raise CouplingTooStrong(f"weakness margin {abs(eps):.6g} exceeds guard {WEAKNESS_GUARD:.6g}")
     pf = mag ** 2
@@ -326,7 +353,8 @@ class GateParams:
 
     def __post_init__(self) -> None:
         for name, value in (("t_h", self.t_h), ("t_v", self.t_v), ("a_h", self.a_h)):
-            if not (0.0 < value <= 1.0):
+            object.__setattr__(self, name, real(value))
+            if not (0.0 < getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
 
 
@@ -337,14 +365,7 @@ def ppbs_coincidence_operator(params: GateParams) -> tuple[np.ndarray, float]:
     t_h, t_v, a_h = params.t_h, params.t_v, params.a_h
     r_h, r_v = math.sqrt(1.0 - t_h**2), math.sqrt(1.0 - t_v**2)
     mixed = a_h * t_h * t_v
-    diag = np.array(
-        [
-            a_h**2 * (t_h**2 - r_h**2),
-            mixed,
-            mixed,
-            t_v**2 - r_v**2,
-        ]
-    )
+    diag = np.array([a_h**2 * (t_h**2 - r_h**2), mixed, mixed, t_v**2 - r_v**2])
     return diag, -a_h * (r_h * r_v)
 
 
@@ -377,9 +398,7 @@ def exact_table(states, eps: float, gate: tuple, basis: np.ndarray):
     Probabilities are renormalized over coincidence events; a row with no
     coincidence amplitude left is ZeroCoincidenceNorm.
     """
-    with np.errstate(over="ignore"):  # the square of a numpy scalar would warn
-        normalizable = math.isfinite(eps * eps)
-    if not normalizable:
+    if not math.isfinite(eps * eps):
         raise ValueError(f"coupling eps={eps!r}: the probe |H> + eps|V> cannot be normalized")
     amps = two_photon_amplitudes(states, probe_state(eps), gate)
     weights = np.abs(amps) ** 2
@@ -412,7 +431,7 @@ def moment_estimates(w_d, w_a, wv_ref):
     sum past 2^63. A row is NaN with the exit code of its first cause: 4
     where wv_ref is NaN (singular post-selection), else 9 where the
     weights sum to 0, else 8 where |wv_ref| < WV_REFERENCE_FLOOR."""
-    w_d, w_a = np.asarray(w_d, dtype=float), np.asarray(w_a, dtype=float)
+    w_d, w_a = numeric_array(w_d), numeric_array(w_a)
     total = w_d + w_a
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         eps_hat = (w_d / total - w_a / total) / (2.0 * wv_ref)
@@ -444,13 +463,16 @@ def sweep_columns(theta_deg, eps: float, model: ModelTag | str, gate_params=None
     alike for every model, gate and eps: at theta = 30 the uncompensated
     PPBS gate, ``GateParams(a_h=1.0)``, has F_A = 3 and F_D = 1 here,
     where its own table carries 0.868 and 0.465."""
-    theta = np.asarray(theta_deg, dtype=float)
+    theta = numeric_array(theta_deg)
     if theta.ndim != 1:
         raise ValueError(f"theta_deg must be a 1-D array of angles, got shape {theta.shape}")
+    coupling = real(eps)
+    if not math.isfinite(coupling):
+        raise ValueError(f"coupling eps={eps!r} is not finite")
     states, basis = linear_states(theta), analyzer_basis(postselect_deg)
     transitions = _transitions(states, basis)
     re_wv = weak_values(*transitions).real
-    p, status = _table(states, transitions[2], re_wv, eps, ModelTag(model), gate_params, basis)
+    p, status = _table(states, transitions[2], re_wv, coupling, ModelTag(model), gate_params, basis)
     wv_d, wv_a = re_wv.T
     f_d, f_a = fisher_split(*transitions).T
     overlap_d, overlap_a = transitions[2].T
@@ -477,7 +499,7 @@ def angle_row(theta: float, eps: float, model: ModelTag | str, gate_params=None,
     (4, 9, 8) are :func:`weakmeas.estimation.estimate_epsilon`'s."""
     if f is not None:
         f = Outcome(f)
-    cols = sweep_columns([theta], eps, model, gate_params, postselect_deg)
+    cols = sweep_columns([real(theta)], eps, model, gate_params, postselect_deg)
     row = {key: col[0].item() for key, col in cols.items()}
     raise_status(row["status"], eps=eps)
     if f is not None and math.isnan(row[f"wv_{f.value}"]):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import operator
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -50,7 +49,8 @@ import numpy as np
 
 from .errors import TooManyDiscardedReplicas
 from .estimation import cramer_rao_bound, estimate_epsilon
-from .kernel import COLUMN, GateParams, ModelTag, Outcome, angle_row, check_table, moment_estimates
+from .kernel import (COLUMN, GateParams, ModelTag, Outcome, angle_row, check_table, count,
+                     moment_estimates)
 
 #: Replicas with unusable counts may be discarded up to this fraction.
 DISCARD_TOLERANCE = 0.01
@@ -67,17 +67,10 @@ MAX_REPLICAS = 10**7
 _BLOCK_ROWS = 1024
 
 
-def _index(value) -> int:
-    """``operator.index(value)``, which refuses a bool too."""
-    if isinstance(value, bool):
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    return operator.index(value)
-
-
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator over Philox4x64 keyed by (seed, stream); each must be an
     integer in [0, 2^64)."""
-    seed, stream = _index(seed), _index(stream)
+    seed, stream = count(seed), count(stream)
     for name, value in (("seed", seed), ("stream", stream)):
         if not 0 <= value < 1 << 64:
             raise ValueError(f"{name} must lie in [0, 2^64), got {value!r}")
@@ -178,7 +171,7 @@ def _checked_shots(n: int, mode: str) -> int:
     ``multinomial`` (exactly n events over the four cells) or ``poisson``
     (each cell independently with mean n * p, as for rate-based
     counting)."""
-    n = _index(n)
+    n = count(n)
     if not 1 <= n < 1 << 63:
         raise ValueError(f"shots must lie in [1, 2^63), got {n!r}")
     if mode not in ("multinomial", "poisson"):
@@ -251,7 +244,7 @@ def run_ensemble(
     for bit its replica's ``estimate_epsilon(n_d, n_a, wv_ref, f=f)[0]``.
     """
     f = Outcome(f)
-    n_replicas = _index(n_replicas)
+    n_replicas = count(n_replicas)
     if n_replicas < 2:
         raise ValueError("need at least two replicas")
     if n_replicas > MAX_REPLICAS:

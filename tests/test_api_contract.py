@@ -2,8 +2,11 @@
 refuses, each with its error class and message, and a property that
 calls every public function with valid, edge and ill-typed arguments."""
 
+import ast
+import functools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +41,9 @@ from weakmeas import (
     sample_counts,
     weak_value,
 )
+from weakmeas import estimation, kernel, montecarlo
 from weakmeas.kernel import DIAG_BASIS, analyzer_basis, check_table, sweep_columns
+from weakmeas.montecarlo import MAX_REPLICAS
 
 F_D, F_A = Outcome.D, Outcome.A
 A_STATE = DIAG_BASIS[1]
@@ -50,6 +55,8 @@ NO_GATE = r"^gate_params apply only to model exact-ppbs$"
 STATE_FINITE = r"^state amplitudes must be finite$"
 OVERLAP_1 = r"^basis overlap \|<f0\|f1>\| = 1$"
 NOT_BOOL = r"^'bool' object cannot be interpreted as an integer$"
+NOT_REAL = "^expected a real number, got {}$"
+NOT_NUMBERS = "^expected an array of numbers, got dtype {}$"
 
 
 def _table_rows(name, p, error, match):
@@ -261,6 +268,41 @@ REFUSALS = [
           (run_ensemble, "replicas", (30.0, 0.08, ModelTag.LINEAR, 1000, True, 0), {}),
           (run_ensemble, "base_seed", (30.0, 0.08, ModelTag.LINEAR, 1000, 10), {"base_seed": True}),
       )),
+    *((f"philox_generator-{name}", philox_generator, args, {}, ValueError,
+       rf"^{name.split('-')[0]} must lie in \[0, 2\^64\), got {value}$")
+      for name, args, value in (("seed-2^64", (2**64,), 2**64), ("stream--1", (0, -1), -1))),
+    ("run_ensemble-replicas-past-max", run_ensemble,
+     (30.0, 0.08, ModelTag.LINEAR, 1000, MAX_REPLICAS + 1, 0), {}, ValueError,
+     rf"^replicas must not exceed {MAX_REPLICAS}, got {MAX_REPLICAS + 1}$"),
+    # -- numbers at the boundary --------------------------------------------
+    # a bool or a string for a number: these returned a value, or raised
+    # numpy's TypeError or an OverflowError. A scalar int past the float
+    # range reads as inf; in an array it has object dtype
+    *((f"{call.__name__}-{name}", call, args, kwargs, TypeError, match)
+      for call, name, args, kwargs, match in (
+          (cramer_rao_bound, "trials-bool", (4.0, True), {}, NOT_REAL.format("bool")),
+          (cramer_rao_bound, "fisher-bool", (True, 10), {}, NOT_REAL.format("bool")),
+          (model_distribution, "theta-text", ("30", 0.08, "linear"), {}, NOT_REAL.format("str")),
+          (linear_states, "10^400", (10**400,), {}, NOT_NUMBERS.format("object")),
+          (linear_states, "text", ("30",), {}, NOT_NUMBERS.format(".U2")),
+          (estimate_epsilon, "text", ("0.6", "0.4", "1.0"), {"f": "A"}, NOT_REAL.format("str")),
+          (estimate_epsilon, "n_events-bool", (0.6, 0.4, 1.0, True), {"f": "A"},
+           NOT_REAL.format("bool")),
+          (sweep_columns, "theta-text", (["30"], 0.08, "linear"), {}, NOT_NUMBERS.format(".U2")),
+          (weak_value, "text", (["1", "0"], A_STATE), {}, NOT_NUMBERS.format(".U1")),
+          (sample_counts, "table-text", ([".25"] * 4, 10, 0), {}, NOT_NUMBERS.format(".U3")),
+          (check_table, "bool", ([True, False, False, False],), {}, NOT_NUMBERS.format("bool")),
+          (fisher_information, "postselect-text", ([1, 0], "270"), {}, NOT_REAL.format("str")),
+          (GateParams, "bool", (True, True, True), {}, NOT_REAL.format("bool")),
+          (run_ensemble, "theta-bool", (True, 0.08, "linear", 1000, 10, 0), {},
+           NOT_REAL.format("bool")),
+      )),
+    ("cramer_rao_bound-trials-10^400", cramer_rao_bound, (4.0, 10**400), {}, ValueError,
+     f"^n_trials must be positive and finite, got {10**400}$"),
+    ("model_distribution-theta-10^400", model_distribution, (10**400, 0.08, "linear"), {},
+     ValueError, r"^angle must be finite$"),
+    ("estimate_epsilon-weight-10^400", estimate_epsilon, (10**400, 1, 1.0), {"f": "A"}, ValueError,
+     r"^weights must be finite and nonnegative, with a finite sum, got \(inf, 1.0\)$"),
 ]
 
 
@@ -272,20 +314,53 @@ def test_refusal(call, args, kwargs, error, match):
     assert type(info.value) is error
 
 
+@functools.cache
+def refusal_messages():
+    """The message of each row of REFUSALS, as it runs."""
+    messages = []
+    for _, call, args, kwargs, error, _ in REFUSALS:
+        with pytest.raises(error) as info:
+            call(*args, **kwargs)
+        messages.append(str(info.value))
+    return messages
+
+
+@pytest.mark.parametrize("module", [kernel, estimation, montecarlo], ids=lambda m: m.__name__)
+def test_every_refusal_message_has_a_row(module):
+    # each message the module raises, its formatted values read as .+,
+    # is the message of a row; the layout checks (RuntimeError) are
+    # tested by spying on numpy in test_montecarlo
+    raised = [node.exc for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and node.exc.func.id != "RuntimeError"]
+    assert raised
+    for exc in raised:
+        message = exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        pattern = "".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts)
+        assert any(re.fullmatch(pattern, m) for m in refusal_messages()), pattern
+
+
 #: Edge floats, as Python and numpy floats, and values of another type or
 #: shape than an argument takes.
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 0.0, -0.0]
 EDGES = st.sampled_from([*EDGE_FLOATS, *map(np.float64, EDGE_FLOATS)])
 OTHERS = st.sampled_from(["abc", "", None, True, [], [[0.5, 0.5]], {}, np.float64(0.5),
                           np.int64(2), np.bool_(False)])
+#: Values that read as numbers but are not: each a number argument refuses,
+#: the int past the float range as not finite.
+NEAR_NUMBERS = st.sampled_from(["0.5", "30", np.bool_(True), 10**400, ["0.25"] * 4, ["1", "0"],
+                                ["30"]])
 #: Integers at and past the ends of the ranges of shots, replicas and
 #: seeds, and the edge floats.
 INT_EDGES = st.one_of(EDGES, st.sampled_from([-1, 0, 1, 2**63, 2**64, 10**8]))
 
 
 def arg(valid, edges=EDGES):
-    """``valid``, or in about one draw of eight an edge value or one of OTHERS."""
-    return st.integers(0, 7).flatmap(lambda k: st.one_of(edges, OTHERS) if k == 0 else valid)
+    """``valid``, or in about one draw of eight an edge value, one of OTHERS
+    or one of NEAR_NUMBERS."""
+    return st.integers(0, 7).flatmap(
+        lambda k: st.one_of(edges, OTHERS, NEAR_NUMBERS) if k == 0 else valid)
 
 
 def count(valid):
@@ -294,8 +369,10 @@ def count(valid):
     return st.integers(0, 7).flatmap(lambda k: st.booleans() if k == 0 else arg(valid, INT_EDGES))
 
 
-def no_bool(*values):
-    return not any(isinstance(value, bool) for value in values)
+def no_bool_or_text(*values):
+    """Whether no value is a bool or text, bare or in a list."""
+    return not any(isinstance(value, (bool, np.bool_, str))
+                   or isinstance(value, list) and not no_bool_or_text(*value) for value in values)
 
 
 ANGLE, EPS, UNIT = arg(st.floats(-720.0, 720.0)), arg(st.floats(-0.3, 0.3)), arg(st.floats(0.0, 1.0))
@@ -314,34 +391,35 @@ def is_array(value, shape, kind="f"):
     return isinstance(value, np.ndarray) and value.shape == shape and value.dtype.kind == kind
 
 
-#: (callable, its positional arguments, its keyword arguments, whether a
-#: value it returns has the documented type and shape) of each public
-#: callable. A valid ensemble has at most 200 replicas of at most 10^5 shots.
-#: A montecarlo call that is given a bool for an integer must refuse it.
+#: (callable, its positional arguments, its keyword arguments, the
+#: positions of the arguments that are numbers, whether a value it returns
+#: has the documented type and shape) of each public callable. A valid
+#: ensemble has at most 200 replicas of at most 10^5 shots. A call given a
+#: bool or text for a number must refuse it.
 CALLS = [
-    (apparent_fisher, (TABLE, TABLE, EPS), {}, lambda v, a: is_array(v, (2,))),
+    (apparent_fisher, (TABLE, TABLE, EPS), {}, (0, 1, 2), lambda v, a: is_array(v, (2,))),
     (cramer_rao_bound, (arg(st.floats(0.0, 10.0)),
                         arg(st.integers(1, 10**9) | st.floats(1.0, 1e9), INT_EDGES),
-                        arg(st.none() | OUTCOME)), {}, lambda v, a: type(v) is float),
+                        arg(st.none() | OUTCOME)), {}, (0, 1), lambda v, a: type(v) is float),
     (estimate_epsilon, (UNIT, UNIT, arg(st.floats(-10.0, 10.0)), arg(st.none() | st.floats(1.0, 1e6))),
-     {"f": OUTCOME}, lambda v, a: type(v[0]) is float and (v[1] is None) == (a[3] is None)),
-    (extract_weak_value, (TABLE, TABLE, OUTCOME, EPS), {}, lambda v, a: type(v) is float),
-    (fisher_information, (STATE, ANGLE), {}, lambda v, a: is_array(v, (2,))),
+     {"f": OUTCOME}, (0, 1, 2, 3),
+     lambda v, a: type(v[0]) is float and (v[1] is None) == (a[3] is None)),
+    (extract_weak_value, (TABLE, TABLE, OUTCOME, EPS), {}, (0, 1, 3), lambda v, a: type(v) is float),
+    (fisher_information, (STATE, ANGLE), {}, (0, 1), lambda v, a: is_array(v, (2,))),
     (linear_states, (arg(st.floats(-720.0, 720.0) | st.lists(st.floats(-720.0, 720.0), max_size=3)),),
-     {}, lambda v, a: is_array(v, (2,) if np.ndim(a[0]) == 0 else (len(a[0]), 2), "c")),
-    (model_distribution, (ANGLE, EPS, MODEL, GATE, ANGLE), {}, lambda v, a: is_array(v, (4,))),
-    (weak_value, (STATE, STATE), {}, lambda v, a: type(v) is complex),
-    (philox_generator, (SEED, SEED), {},
-     lambda v, a: isinstance(v, np.random.Generator) and no_bool(*a)),
+     {}, (0,), lambda v, a: is_array(v, (2,) if np.ndim(a[0]) == 0 else (len(a[0]), 2), "c")),
+    (model_distribution, (ANGLE, EPS, MODEL, GATE, ANGLE), {}, (0, 1, 4),
+     lambda v, a: is_array(v, (4,))),
+    (weak_value, (STATE, STATE), {}, (0, 1), lambda v, a: type(v) is complex),
+    (philox_generator, (SEED, SEED), {}, (0, 1), lambda v, a: isinstance(v, np.random.Generator)),
     (run_ensemble, (ANGLE, EPS, MODEL, count(st.integers(1, 10**5)), count(st.integers(2, 200)),
-                    SEED, OUTCOME, GATE, MODE), {},
-     lambda v, a: (isinstance(v, EnsembleStats) and v.n_replicas + v.n_discarded == a[4]
-                   and no_bool(*a[3:6]))),
-    (sample_counts, (TABLE, count(st.integers(1, 10**5)), SEED, MODE), {},
-     lambda v, a: is_array(v, (4,), "i") and no_bool(*a[1:3])),
-    (GateParams, (arg(AMPLITUDE),) * 3, {}, lambda v, a: isinstance(v, GateParams)),
-    (ModelTag, (MODEL,), {}, lambda v, a: isinstance(v, ModelTag)),
-    (Outcome, (OUTCOME,), {}, lambda v, a: isinstance(v, Outcome)),
+                    SEED, OUTCOME, GATE, MODE), {}, (0, 1, 3, 4, 5),
+     lambda v, a: isinstance(v, EnsembleStats) and v.n_replicas + v.n_discarded == a[4]),
+    (sample_counts, (TABLE, count(st.integers(1, 10**5)), SEED, MODE), {}, (0, 1, 2),
+     lambda v, a: is_array(v, (4,), "i")),
+    (GateParams, (arg(AMPLITUDE),) * 3, {}, (0, 1, 2), lambda v, a: isinstance(v, GateParams)),
+    (ModelTag, (MODEL,), {}, (), lambda v, a: isinstance(v, ModelTag)),
+    (Outcome, (OUTCOME,), {}, (), lambda v, a: isinstance(v, Outcome)),
 ]
 
 
@@ -360,14 +438,17 @@ def test_every_public_callable_is_called():
     assert {call for call, *_ in CALLS} == {x for x in public if callable(x)} - records
 
 
-@pytest.mark.parametrize("call, args, kwargs, documented", CALLS, ids=[c[0].__name__ for c in CALLS])
+@pytest.mark.parametrize("call, args, kwargs, number_at, documented", CALLS,
+                         ids=[c[0].__name__ for c in CALLS])
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
-def test_public_call_returns_finite_values_or_refuses(call, args, kwargs, documented, data):
+def test_public_call_returns_finite_values_or_refuses(call, args, kwargs, number_at, documented,
+                                                      data):
     args, kwargs = data.draw(st.tuples(*args)), data.draw(st.fixed_dictionaries(kwargs))
     try:
         value = call(*args, **kwargs)
     except (WeakMeasError, ValueError, TypeError):
         return
+    assert no_bool_or_text(*(args[i] for i in number_at)), args
     assert documented(value, args), value
     assert all(np.isfinite(numbers(value))), value

@@ -112,3 +112,13 @@ def test_note_is_given_once_in_the_quoted_command(tmp_path):
     description = json.loads(out.read_text())["description"]
     assert "--note 'Claimed: nothing.' --pairs 4" in description
     assert description.count("Claimed: nothing.") == 1
+
+
+def test_a_repeated_workload_is_refused(tmp_path, capsys):
+    # each pass would run its pairs, and the summary keep only the last
+    runner = FakeRunner({side: [0.4] * 8 for side in benchpairs.SIDES})
+    with pytest.raises(SystemExit) as info:
+        run_main(tmp_path, runner, "--workload", "ensemble")
+    assert info.value.code == 2
+    assert runner.calls == []
+    assert "--workload given more than once: ensemble" in capsys.readouterr().err

@@ -184,6 +184,10 @@ def main(argv=None, runner=None, commits=None, end_to_end=None, machine_info=Non
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    # a second pass would overwrite the first in the summary's pairs
+    repeated = sorted({w for w in args.workload if args.workload.count(w) > 1})
+    if repeated:
+        parser.error(f"--workload given more than once: {', '.join(repeated)}")
     # quoted, so that the description gives a command line that runs as it is
     command = shlex.join(["python3", "tools/benchpairs.py",
                           *(argv if argv is not None else sys.argv[1:])])
